@@ -14,11 +14,16 @@
 module W = Arde_workloads
 open Cmdliner
 
-(* A workload name, or a path to a .tir file. *)
+(* A workload name, or a path to a .tir file: the program, its catalog
+   case if any, and the detector input for it — a file's own text (so
+   detection digests the bytes already read instead of re-printing the
+   program), a catalog entry's built program. *)
 let find_program name =
   match W.Catalog.find name with
-  | Some (W.Catalog.Case c) -> Ok (c.W.Racey.program, Some c)
-  | Some (W.Catalog.Parsec (_, p)) -> Ok (p, None)
+  | Some (W.Catalog.Case c) ->
+      let p = c.W.Racey.program in
+      Ok (p, Some c, Arde.Input.Program p)
+  | Some (W.Catalog.Parsec (_, p)) -> Ok (p, None, Arde.Input.Program p)
   | None -> (
       match () with
       | () ->
@@ -30,7 +35,7 @@ let find_program name =
             match Arde.Parse.program text with
             | Ok p -> (
                 match Arde.Validate.check p with
-                | Ok () -> Ok (p, None)
+                | Ok () -> Ok (p, None, Arde.Input.Text text)
                 | Error es ->
                     Error
                       (Printf.sprintf "%s: %s" name
@@ -244,7 +249,7 @@ let show_cmd =
     | Error e ->
         prerr_endline e;
         exit 1
-    | Ok (p, _) ->
+    | Ok (p, _, _) ->
         let p = match lower with Some s -> Arde.Lower.lower ~style:s p | None -> p in
         print_endline (Arde.Pretty.program_to_string p)
   in
@@ -260,7 +265,7 @@ let spin_report_cmd =
     | Error e ->
         prerr_endline e;
         exit 1
-    | Ok (p, _) ->
+    | Ok (p, _, _) ->
         let p = match lower with Some s -> Arde.Lower.lower ~style:s p | None -> p in
         let inst = Arde.Instrument.analyze ~k p in
         Format.printf "%a@." Arde.Instrument.pp_summary inst
@@ -360,12 +365,11 @@ let run_cmd =
     | Error e ->
         prerr_endline e;
         exit 1
-    | Ok (p, case) ->
+    | Ok (_, case, input) ->
         let options = opts Arde.Options.default in
         let before = Arde.Analysis_cache.stats () in
         let result =
-          Arde.detect ~ctx:(Arde.Driver.ctx ~options ()) ~mode
-            (Arde.Input.Program p)
+          Arde.detect ~ctx:(Arde.Driver.ctx ~options ()) ~mode input
         in
         let cache_delta =
           Arde.Analysis_cache.stats_delta ~before
@@ -427,7 +431,7 @@ let record_cmd =
     | Error e ->
         prerr_endline e;
         exit 1
-    | Ok (p, case) ->
+    | Ok (p, case, _) ->
         let options = opts Arde.Options.default in
         let ctx = Arde.Driver.ctx ~options () in
         (match
@@ -650,15 +654,13 @@ let predict_cmd =
         | Error e ->
             prerr_endline e;
             exit 1
-        | Ok (p, case) ->
+        | Ok (_, case, input) ->
             let options =
               opts Arde.Options.default
               |> Arde.Options.with_analysis Arde.Options.Predict
             in
             let result =
-              Arde.detect
-                ~ctx:(Arde.Driver.ctx ~options ())
-                ~mode (Arde.Input.Program p)
+              Arde.detect ~ctx:(Arde.Driver.ctx ~options ()) ~mode input
             in
             exit (render_result ~format ~workload:target ?case result))
   in
@@ -686,7 +688,7 @@ let trace_cmd =
     | Error e ->
         prerr_endline e;
         exit 1
-    | Ok (p, _) ->
+    | Ok (p, _, _) ->
         let p = match lower with Some s -> Arde.Lower.lower ~style:s p | None -> p in
         let trace = Arde.Trace.create () in
         let cfg =
@@ -939,7 +941,7 @@ let compare_cmd =
     | Error e ->
         prerr_endline e;
         exit 1
-    | Ok (p, _) ->
+    | Ok (p, _, _) ->
         let options = opts Arde.Options.default in
         let modes =
           [
@@ -977,7 +979,7 @@ let fmt_cmd =
     | Error e ->
         prerr_endline e;
         exit 1
-    | Ok (p, _) -> (
+    | Ok (p, _, _) -> (
         let p =
           match lower with Some s -> Arde.Lower.lower ~style:s p | None -> p
         in
@@ -1033,7 +1035,7 @@ let chaos_cmd =
     | Error e ->
         prerr_endline e;
         exit 1
-    | Ok (p, _) ->
+    | Ok (p, _, _) ->
         let options = opts Arde.Options.default in
         let report =
           Arde.Chaos.storm ~options ~runs ~seed:chaos_seed mode p
@@ -1329,7 +1331,7 @@ let submit_cmd =
     | Error e ->
         prerr_endline e;
         exit 1
-    | Ok (p, case) ->
+    | Ok (p, case, _) ->
         let options = opts Arde.Options.default in
         let program = Arde.Pretty.program_to_string p in
         let policy =

@@ -96,6 +96,7 @@ module Table = Arde_util.Table
 module Json = Arde_util.Json
 module Base64 = Arde_util.Base64
 module Domain_pool = Arde_util.Domain_pool
+module Fifo_table = Arde_util.Fifo_table
 
 let analyze_spins ~k program = Instrument.analyze ~k program
 (** Run only the instrumentation phase: find and classify spinning read
@@ -109,8 +110,10 @@ let detect ?ctx ?mode input = Driver.run ?ctx ?mode input
     machine never runs: the recording replays through a fresh engine
     ({!Driver.replay}) and yields the same result bytes as the live run
     that produced it.  [ctx] ({!Driver.ctx}) carries the how — options,
-    engine choice, a resident domain pool, cooperative cancellation, a
-    precomputed cache digest. *)
+    engine choice, a resident domain pool, cooperative cancellation, and
+    optionally the cache digest, which is otherwise derived once per run
+    from the input: its bytes for text, the canonical digest for a
+    program, the header digest for a trace. *)
 
 let record ?ctx ?mode ?detect ?source input =
   Driver.record ?ctx ?mode ?detect ?source input

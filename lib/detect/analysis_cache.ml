@@ -15,24 +15,36 @@ type prepared = {
   p_compiled : Arde_runtime.Machine.compiled;
 }
 
-let lock = Mutex.create ()
-let lower_tbl : (string * Arde_tir.Lower.style, Arde_tir.Types.program) Hashtbl.t =
-  Hashtbl.create 64
-let inst_tbl : (string * int * bool, Arde_cfg.Instrument.t) Hashtbl.t =
-  Hashtbl.create 64
+module Fifo = Arde_util.Fifo_table
 
-(* The prepared table holds a [Machine.compiled] per entry — the heaviest
-   cached object by far (code arrays plus the per-instrumentation spin
-   cache built on first run) — so unlike the two inner tables it is
-   bounded: insertion order is tracked in [prep_order] and the oldest
-   entry is evicted past [max_prepared].  A resident server seeing an
-   endless stream of unique programs therefore plateaus instead of
-   growing without bound. *)
+(* Every level is bounded, oldest entry evicted first, so a resident
+   server seeing an endless stream of unique programs plateaus instead
+   of growing without bound.  The prepared table holds a
+   [Machine.compiled] per entry — the heaviest cached object by far
+   (code arrays plus the per-instrumentation spin cache built on first
+   run).  The inner tables hold only analysis results and get a wider
+   bound: one prepared program fans out into a lowering per style and an
+   instrumentation per (lowering, k, count_callees), and a workload that
+   cycles through more prepare keys than [max_prepared] (each re-prepare
+   a miss) still finds its inner entries warm. *)
 let max_prepared = 128
-let prep_tbl : (string * string * Arde_tir.Lower.style * bool, prepared) Hashtbl.t =
-  Hashtbl.create 64
-let prep_order : (string * string * Arde_tir.Lower.style * bool) Queue.t =
-  Queue.create ()
+let max_inner = 4 * max_prepared
+let lock = Mutex.create ()
+
+let lower_tbl : (string * Arde_tir.Lower.style, Arde_tir.Types.program) Fifo.t =
+  Fifo.create max_inner
+
+(* Keyed by the digest of the program {e before} lowering plus the
+   lowering style applied to it ([None]: analyzed as given), so the
+   prepare path never digests the lowered program. *)
+let inst_tbl :
+    ( string * Arde_tir.Lower.style option * int * bool,
+      Arde_cfg.Instrument.t )
+    Fifo.t =
+  Fifo.create max_inner
+
+let prep_tbl : (string * string * Arde_tir.Lower.style * bool, prepared) Fifo.t =
+  Fifo.create max_prepared
 
 let lower_hits = ref 0
 let lower_misses = ref 0
@@ -78,12 +90,12 @@ let digest_of_program prog =
 (* Look up under the mutex; compute outside it (analysis can be slow and
    must not serialize unrelated cache users), then publish.  A racing
    duplicate computation is harmless: both compute equal values and the
-   second [replace] wins. *)
+   first one published stays. *)
 let memo tbl hits misses key compute =
   let cached =
     locked (fun () ->
         if !on then
-          match Hashtbl.find_opt tbl key with
+          match Fifo.find_opt tbl key with
           | Some v ->
               incr hits;
               Some v
@@ -99,30 +111,41 @@ let memo tbl hits misses key compute =
   | Some v -> v
   | None ->
       let v = compute () in
-      locked (fun () -> if !on then Hashtbl.replace tbl key v);
+      locked (fun () -> if !on then Fifo.add tbl key v);
       v
 
-let lowered ~style prog =
-  memo lower_tbl lower_hits lower_misses
-    (digest_of_program prog, style)
-    (fun () -> Arde_tir.Lower.lower ~style prog)
+let lower_keyed ~digest ~style prog =
+  memo lower_tbl lower_hits lower_misses (digest, style) (fun () ->
+      Arde_tir.Lower.lower ~style prog)
 
-let instrumented ~count_callees ~k prog =
-  memo inst_tbl inst_hits inst_misses
-    (digest_of_program prog, k, count_callees)
+(* [prog] is the analyzed program: the [lowering]-style lowering of the
+   program [digest] identifies. *)
+let instrument_keyed ~digest ~lowering ~count_callees ~k prog =
+  memo inst_tbl inst_hits inst_misses (digest, lowering, k, count_callees)
     (fun () -> Arde_cfg.Instrument.analyze ~count_callees ~k prog)
 
+let lowered ~style prog =
+  lower_keyed ~digest:(digest_of_program prog) ~style prog
+
+let instrumented ~count_callees ~k prog =
+  instrument_keyed ~digest:(digest_of_program prog) ~lowering:None
+    ~count_callees ~k prog
+
 (* The full static half of the pipeline, computed once per
-   (program, mode, knobs).  The inner stages still route through
-   [lowered] / [instrumented], so a prepared miss records their
-   hits/misses as before; a prepared hit touches neither. *)
-let compute_prepared ~style ~count_callees mode program =
+   (program, mode, knobs).  The inner stages are keyed by the prepare
+   digest itself, so a prepared miss records their hits/misses without
+   digesting anything; a prepared hit touches neither. *)
+let compute_prepared ~digest ~style ~count_callees mode program =
+  let lowering = if Config.needs_lowering mode then Some style else None in
   let program =
-    if Config.needs_lowering mode then lowered ~style program else program
+    match lowering with
+    | Some style -> lower_keyed ~digest ~style program
+    | None -> program
   in
   let instrument =
     match Config.spin_k mode with
-    | Some k -> Some (instrumented ~count_callees ~k program)
+    | Some k ->
+        Some (instrument_keyed ~digest ~lowering ~count_callees ~k program)
     | None -> None
   in
   let cv_mutexes =
@@ -154,17 +177,6 @@ let compute_prepared ~style ~count_callees mode program =
     p_compiled = compiled;
   }
 
-let publish_prepared key v =
-  if !on && not (Hashtbl.mem prep_tbl key) then begin
-    Hashtbl.replace prep_tbl key v;
-    Queue.push key prep_order;
-    while Hashtbl.length prep_tbl > max_prepared do
-      match Queue.take_opt prep_order with
-      | Some old -> Hashtbl.remove prep_tbl old
-      | None -> Hashtbl.reset prep_tbl
-    done
-  end
-
 let prepare ?digest ~style ~count_callees mode program =
   let digest =
     match digest with Some d -> d | None -> digest_of_program program
@@ -181,7 +193,7 @@ let prepare ?digest ~style ~count_callees mode program =
       `Compute_uncached
     end
     else
-      match Hashtbl.find_opt prep_tbl key with
+      match Fifo.find_opt prep_tbl key with
       | Some v ->
           incr prep_hits;
           `Hit v
@@ -200,7 +212,8 @@ let prepare ?digest ~style ~count_callees mode program =
   Mutex.unlock lock;
   match claimed with
   | `Hit v -> v
-  | `Compute_uncached -> compute_prepared ~style ~count_callees mode program
+  | `Compute_uncached ->
+      compute_prepared ~digest ~style ~count_callees mode program
   | `Compute -> (
       let release () =
         locked (fun () ->
@@ -223,11 +236,13 @@ let prepare ?digest ~style ~count_callees mode program =
               match s.store_load skey with
               | Some v -> (v, false)
               | None ->
-                  (compute_prepared ~style ~count_callees mode program, true))
-          | None -> (compute_prepared ~style ~count_callees mode program, true)
+                  ( compute_prepared ~digest ~style ~count_callees mode program,
+                    true ))
+          | None ->
+              (compute_prepared ~digest ~style ~count_callees mode program, true)
         in
         locked (fun () ->
-            publish_prepared key v;
+            if !on then Fifo.add prep_tbl key v;
             Hashtbl.remove inflight key;
             Condition.broadcast flight_done);
         (* Write back after releasing the waiters: serialization forces
@@ -285,10 +300,9 @@ let reset_stats () =
 
 let clear () =
   locked (fun () ->
-      Hashtbl.reset lower_tbl;
-      Hashtbl.reset inst_tbl;
-      Hashtbl.reset prep_tbl;
-      Queue.clear prep_order)
+      Fifo.clear lower_tbl;
+      Fifo.clear inst_tbl;
+      Fifo.clear prep_tbl)
 
 let set_enabled b = locked (fun () -> on := b)
 let enabled () = locked (fun () -> !on)

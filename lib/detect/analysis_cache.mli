@@ -8,11 +8,6 @@
     every repeat submission.  This cache memoizes three stages, keyed by
     [(program digest, knobs)]:
 
-    - {!lowered} is keyed by [(digest, style)];
-    - {!instrumented} is keyed by [(digest, k, count_callees)], where the
-      digest is of the (possibly already lowered) program actually
-      analyzed — so the lowering style is folded into the key by
-      construction;
     - {!prepare} is keyed by [(digest, mode, style, count_callees)] and
       caches the {e whole} pre-seed bundle — lowered program,
       instrumentation, condition-variable scan, lock inference, and the
@@ -20,21 +15,31 @@
       skip straight to per-seed execution: the compiled form also
       carries the machine's per-instrumentation spin cache, so even that
       one-time cost survives across requests.
+    - {!lowered} is keyed by [(digest, style)];
+    - {!instrumented} is keyed by [(digest, lowering, k, count_callees)],
+      where [lowering] is the style the analyzed program was lowered
+      with from the program the digest names ([None]: analyzed as
+      given).
 
-    The digest is of the program's canonical pretty-printed form, which
-    the parser round-trips, so equal-printing programs are genuinely
-    interchangeable.  Computing it costs a full pretty-print; callers
-    that already hold a digest uniquely identifying the program (the
-    serve daemon digests each request's program text anyway) pass it as
-    [?digest] to {!prepare} and skip that cost on the warm path.
+    A prepare miss passes its own digest down to the two inner lookups,
+    so one digest keys a program at every level and no lookup, hit or
+    miss, pretty-prints anything.  Any digest that uniquely identifies
+    the program will do, and schemes may coexist in one cache:
+    [Driver.run] digests the bytes of a text input, the serve daemon its
+    request text, and a recording carries the canonical digest
+    ({!digest_of_program}, MD5 of the pretty-printed form, which the
+    parser round-trips).  The canonical digest of a program equals the
+    text digest of its canonical text, and a text determines its
+    program, so two keys naming different programs cannot collide.
     Cached values are immutable after construction (the compiled form's
     internal spin cache is lock-free) and therefore safe to share across
     the driver's worker domains; the cache itself is mutex-guarded, so
     concurrent [Driver.run] calls may share it too.
 
-    The prepared table is bounded ([max_prepared] entries, oldest
-    evicted) because each entry pins a compiled machine; the two inner
-    tables hold only analysis results and are unbounded as before.
+    Every table is bounded, oldest entry evicted first: 128 prepared
+    bundles (each pins a compiled machine) and {!max_inner} entries in
+    each inner table, enough for the inner entries of a workload that
+    cycles through more prepare keys than the prepared table holds.
 
     The cache is on by default.  [set_enabled false] makes all lookups
     recompute (and record misses) — used by the bench harness to measure
@@ -58,19 +63,27 @@ val prepare :
   prepared
 (** The full static half for one (program, mode): what {!Driver.run}
     does before any seed executes.  [?digest] must uniquely identify
-    [program] (any injective digest will do — the canonical one and the
-    serve daemon's request-text digest coexist as distinct keys);
-    omitted, the canonical digest is computed here. *)
+    [program] and also keys the inner lowering and instrumentation
+    lookups; omitted, the canonical digest is computed here (a full
+    pretty-print). *)
 
 val digest_of_program : Arde_tir.Types.program -> string
-(** Digest of the program's canonical pretty-printed form — the cache's
-    native key. *)
+(** Digest of the program's canonical pretty-printed form.  Equal to
+    [Digest.string] of that text, so it agrees with a text digest of
+    canonical input. *)
 
 val lowered : style:Arde_tir.Lower.style -> Arde_tir.Types.program ->
   Arde_tir.Types.program
+(** Memoized lowering, keyed by the canonical digest. *)
 
 val instrumented :
   count_callees:bool -> k:int -> Arde_tir.Types.program -> Arde_cfg.Instrument.t
+(** Memoized instrumentation of the program as given, keyed by its
+    canonical digest with no lowering. *)
+
+val max_inner : int
+(** Bound on each inner table, lowered and instrumented: 512, four times
+    the 128 prepared bundles. *)
 
 type stats = {
   lower_hits : int;

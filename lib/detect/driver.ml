@@ -422,10 +422,11 @@ let finish_result mode ~program ~instrument ~notes per_seed =
   }
 
 (* Execute the live pipeline; with [record] also seal one codec section
-   per seed.  Returns the sections in seed order, matching [runs]. *)
+   per seed.  Returns the sections in seed order, matching [runs], and
+   the instrumentation the prepare step produced (for [predict_into]). *)
 let run_live (c : ctx) mode program ~record =
   match prepare ?digest:c.c_program_digest c.c_options mode program with
-  | exception e -> (failed_result mode (snd (describe_exn e)), [])
+  | exception e -> (failed_result mode (snd (describe_exn e)), [], None)
   | program, instrument, cv_mutexes, inferred_locks, compiled ->
       let options = c.c_options in
       let notes = clamp_notes options in
@@ -454,7 +455,9 @@ let run_live (c : ctx) mode program ~record =
       let out = fan_out c options seed_body options.Options.seeds in
       let per_seed = List.map fst out in
       let sections = List.filter_map snd out in
-      (finish_result mode ~program ~instrument ~notes per_seed, sections)
+      ( finish_result mode ~program ~instrument ~notes per_seed,
+        sections,
+        instrument )
 
 (* ------------------------------------------------------------------ *)
 (* Inputs                                                             *)
@@ -520,7 +523,8 @@ let replay_section (options : Options.t) mode ~engine_factory ~instrument
         let floc, msg = describe_exn e in
         finish (Crashed (floc, msg)) [] 0
 
-let replay ?(ctx = default_ctx) recorded =
+(* The replayed result plus the instrumentation its prepare produced. *)
+let replay_with ctx recorded =
   (* Everything that shapes detection comes from the recording — mode,
      sensitivity, cap, seeds — so a replayed result is comparable byte
      for byte with the live run that produced the trace.  The caller's
@@ -532,7 +536,7 @@ let replay ?(ctx = default_ctx) recorded =
   (* verified equal to the canonical digest at load time *)
   let digest = Digest.from_hex (Recorded.digest_hex recorded) in
   match prepare ~digest options mode program with
-  | exception e -> failed_result mode (snd (describe_exn e))
+  | exception e -> (failed_result mode (snd (describe_exn e)), None)
   | program, instrument, cv_mutexes, inferred_locks, _compiled ->
       let notes = clamp_notes options in
       let section_body sec =
@@ -544,7 +548,9 @@ let replay ?(ctx = default_ctx) recorded =
       let per_seed =
         fan_out ctx options section_body (Recorded.sections recorded)
       in
-      finish_result mode ~program ~instrument ~notes per_seed
+      (finish_result mode ~program ~instrument ~notes per_seed, instrument)
+
+let replay ?(ctx = default_ctx) recorded = fst (replay_with ctx recorded)
 
 (* ------------------------------------------------------------------ *)
 (* Prediction: sync-preserving races from recorded sections           *)
@@ -649,41 +655,35 @@ let merge_predicted result (races, p) =
   let p = { p with pr_new_contexts = Report.n_contexts result.merged - before } in
   { result with prediction = Some p }
 
-(* Attach a prediction computed from [sections] to [result].  The
-   [prepare] call here is a guaranteed cache hit (the run or replay that
-   produced [result] already prepared the program); it only recovers the
-   instrumentation so the predictor suppresses the same spin-condition
-   bases the engine does. *)
-let predict_into (c : ctx) options mode program result sections =
+(* Attach a prediction computed from [sections] to [result].
+   [instrument] is what the run or replay that produced [result]
+   prepared, so the predictor suppresses exactly the spin-condition
+   bases the engine did. *)
+let predict_into ~instrument result sections =
   if result.runs = [] || sections = [] then result
-  else begin
-    let instrument =
-      match prepare ?digest:c.c_program_digest options mode program with
-      | _, instrument, _, _, _ -> instrument
-      | exception _ -> None
-    in
-    merge_predicted result (predict_from_sections ~instrument sections)
-  end
+  else merge_predicted result (predict_from_sections ~instrument sections)
 
 (* The analysis-aware live pipeline: [Sweep] is the classic path,
    [Predict] trims the run to [predict_limit] recorded seeds and
    predicts from their traces, [Both] sweeps every seed and predicts
    from the first recordings (the differential configuration). *)
 let run_live_analyzed (c : ctx) mode program =
+  let predicted c =
+    let result, sections, instrument = run_live c mode program ~record:true in
+    predict_into ~instrument result sections
+  in
   match c.c_options.Options.analysis with
-  | Options.Sweep -> fst (run_live c mode program ~record:false)
+  | Options.Sweep ->
+      let result, _, _ = run_live c mode program ~record:false in
+      result
   | Options.Predict ->
       let options =
         Options.with_seeds
           (take predict_limit c.c_options.Options.seeds)
           c.c_options
       in
-      let c = { c with c_options = options } in
-      let result, sections = run_live c mode program ~record:true in
-      predict_into c options mode program result sections
-  | Options.Both ->
-      let result, sections = run_live c mode program ~record:true in
-      predict_into c c.c_options mode program result sections
+      predicted { c with c_options = options }
+  | Options.Both -> predicted c
 
 (* ------------------------------------------------------------------ *)
 (* The front door                                                     *)
@@ -702,20 +702,17 @@ let run ?(ctx = default_ctx) ?mode input =
       | Some m when m <> Recorded.mode r ->
           failed_result m (mode_conflict m (Recorded.mode r))
       | _ -> (
-          let result = replay ~ctx r in
+          (* [instrument] comes from replay's prepare under the RECORDED
+             mode/options: the predictor must suppress exactly the bases
+             the recorded run's engine did *)
+          let result, instrument = replay_with ctx r in
           (* Replay itself is pinned to the recording; whether to ALSO
              predict from it is the caller's choice, so the analysis
              knob is read from [ctx], not the recorded options. *)
           match ctx.c_options.Options.analysis with
           | Options.Sweep -> result
           | Options.Predict | Options.Both ->
-              (* prepare under the RECORDED mode/options: the predictor
-                 must suppress exactly the bases the recorded run's
-                 engine did *)
-              let digest = Digest.from_hex (Recorded.digest_hex r) in
-              let c = { ctx with c_program_digest = Some digest } in
-              predict_into c (Recorded.options r) (Recorded.mode r)
-                (Recorded.program r) result (Recorded.sections r)))
+              predict_into ~instrument result (Recorded.sections r)))
   | Input.Program program ->
       let mode = Option.value mode ~default:default_mode in
       run_live_analyzed ctx mode program
@@ -723,7 +720,15 @@ let run ?(ctx = default_ctx) ?mode input =
       let mode = Option.value mode ~default:default_mode in
       match resolve_text text with
       | Error msg -> failed_result mode msg
-      | Ok program -> run_live_analyzed ctx mode program)
+      | Ok program ->
+          (* The text determines the program, so its bytes are a cache
+             key: the run never prints the program to digest it. *)
+          let ctx =
+            match ctx.c_program_digest with
+            | Some _ -> ctx
+            | None -> { ctx with c_program_digest = Some (Digest.string text) }
+          in
+          run_live_analyzed ctx mode program)
 
 (* ------------------------------------------------------------------ *)
 (* Recording                                                          *)
@@ -798,7 +803,7 @@ let record ?(ctx = default_ctx) ?(mode = default_mode) ?(detect = false)
       in
       let ctx = { ctx with c_program_digest = Some digest } in
       if detect then begin
-        let result, sections = run_live ctx mode program ~record:true in
+        let result, sections, _ = run_live ctx mode program ~record:true in
         if result.runs = [] then
           (* the pipeline itself failed: nothing was recorded *)
           Error

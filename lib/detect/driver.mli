@@ -79,8 +79,11 @@ type ctx = {
           and graceful drain. *)
   c_program_digest : string option;
       (** caller-supplied key uniquely identifying the input program,
-          forwarded to {!Analysis_cache.prepare} so the warm path skips
-          the canonical-digest pretty-print *)
+          forwarded to {!Analysis_cache.prepare}.  Left [None], a run
+          is keyed by one digest of what the input already holds:
+          [Digest.string] of a [Text] input's bytes, the canonical
+          digest of a [Program] (computed once, by the prepare), the
+          header digest of a [Recorded_trace]. *)
 }
 
 val ctx :
@@ -212,6 +215,10 @@ val run : ?ctx:ctx -> ?mode:Config.mode -> Input.t -> result
     [Recorded_trace] the analysis knob is read from [ctx] — a [Predict]
     request predicts from the recording's existing sections on top of
     the pinned replay, executing nothing.
+
+    Every run makes one {!Analysis_cache.prepare} lookup under one
+    digest ([c_program_digest]); prediction reuses the instrumentation
+    that lookup returned.
 
     Fault-isolated and parallel: each seed executes in a sandbox on the
     domain pool, so one seed crashing (or the whole pipeline failing to

@@ -224,6 +224,9 @@ let kill_watchdog t i =
   let w = worker t i in
   if w.w_pid >= 0 then begin
     w.w_pending_reason <- Some "watchdog";
+    (* one kill per overrun: until the reaper collects the dying worker
+       the deadline must not fire again *)
+    w.w_kill_by <- infinity;
     t.watchdog_kills <- t.watchdog_kills + 1;
     t.knobs.k_log
       (Printf.sprintf "worker %d (pid %d) overran the watchdog: SIGKILL" i

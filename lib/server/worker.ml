@@ -91,20 +91,30 @@ let parse_args argv =
 (* Execution (one request at a time, same pipeline as PR 5's worker
    domain, now in its own process)                                    *)
 
+(* Parsed programs by request-text digest, bounded like the analysis
+   cache so a worker that runs indefinitely plateaus.  128 keeps a
+   working set of a hundred-odd distinct programs resident, each
+   re-submitted under several modes. *)
+type programs = (string, Arde.Types.program) Arde.Fifo_table.t
+
+let max_programs = 128
+let programs () = Arde.Fifo_table.create max_programs
+let resident programs ~digest = Arde.Fifo_table.mem programs digest
+
 type state = {
   args : args;
   spool : Spool.t;
   store : Store.t option; (* the shared on-disk bundle store *)
   pool : Arde.Domain_pool.pool;
-  programs : (string, Arde.Types.program) Hashtbl.t;
+  programs : programs;
   mutable count : int; (* requests executed, drives the chaos plan *)
 }
 
 (* [digest] comes from the job header — the supervisor already digested
    the program for affinity routing, so the worker never re-hashes the
    (potentially very large) text. *)
-let lookup_program st ~digest text =
-  match Hashtbl.find_opt st.programs digest with
+let lookup_program programs ~digest text =
+  match Arde.Fifo_table.find_opt programs digest with
   | Some p -> Ok p
   | None -> (
       match Arde.Parse.program text with
@@ -117,7 +127,7 @@ let lookup_program st ~digest text =
                 ^ String.concat "; "
                     (List.map Arde.Validate.error_to_string es))
           | Ok () ->
-              Hashtbl.replace st.programs digest p;
+              Arde.Fifo_table.add programs digest p;
               Ok p))
 
 (* Returns the canonical JSON response plus, in record mode, the raw
@@ -178,7 +188,7 @@ let execute st ~digest (req : P.run_request) =
                  (Printexc.to_string e),
                None)))
   | P.Rq_program { rp_program; rp_mode; rp_options; rp_record } -> (
-      match lookup_program st ~digest rp_program with
+      match lookup_program st.programs ~digest rp_program with
       | Error msg -> (P.error_response ~id:req.P.rq_id P.Bad_request msg, None)
       | Ok program -> (
           let ctx =
@@ -385,7 +395,7 @@ let main args =
       spool;
       store;
       pool = Arde.Domain_pool.create ~jobs;
-      programs = Hashtbl.create 16;
+      programs = programs ();
       count = 0;
     }
   in

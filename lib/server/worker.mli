@@ -30,6 +30,30 @@ val hook : unit -> unit
     loop on stdin/stdout and [exit]s (0 after a clean drain, 64-70 on
     startup or protocol failures). *)
 
+(** {2 Parsed-program table}
+
+    Each worker keeps the programs it has parsed, keyed by the digest of
+    the request text, so a repeat submission skips parsing.  The table
+    is bounded: past {!max_programs} distinct programs the oldest is
+    evicted. *)
+
+type programs
+
+val max_programs : int
+(** 128. *)
+
+val programs : unit -> programs
+(** An empty table. *)
+
+val lookup_program :
+  programs -> digest:string -> string -> (Arde.Types.program, string) result
+(** The program [text] parses to, from the table when [digest] (which
+    must identify [text]) is resident; otherwise parse and validate it,
+    and keep it if valid.  [Error] carries the parse or validation
+    message. *)
+
+val resident : programs -> digest:string -> bool
+
 val worker_args :
   spool:string ->
   index:int ->

@@ -168,6 +168,147 @@ let test_cache_disabled_recomputes () =
       Alcotest.(check int) "both lookups miss" 2
         s.Arde.Analysis_cache.instrument_misses)
 
+(* The cache's keying: one digest per run, taken from the input. *)
+
+module AC = Arde.Analysis_cache
+
+let cache_delta f =
+  let before = AC.stats () in
+  let v = f () in
+  (v, AC.stats_delta ~before ~after:(AC.stats ()))
+
+let test_warm_predict_prepares_once () =
+  let p = racy_case "adhoc_flag_w2/8" in
+  let options =
+    O.make ~seeds:[ 1; 2; 3 ] ~fuel:100_000 ()
+    |> O.with_analysis O.Predict
+  in
+  let run input =
+    Arde.detect ~ctx:(D.ctx ~options ()) ~mode:(Arde.Config.Helgrind_spin 7)
+      input
+  in
+  List.iter
+    (fun (label, input) ->
+      AC.clear ();
+      ignore (run input);
+      let r, d = cache_delta (fun () -> run input) in
+      Alcotest.(check bool) (label ^ ": predicted") true (r.D.prediction <> None);
+      Alcotest.(check int) (label ^ ": one prepare hit") 1 d.AC.prepare_hits;
+      Alcotest.(check int) (label ^ ": no prepare miss") 0 d.AC.prepare_misses)
+    [
+      ("program", Arde.Input.Program p);
+      ("text", Arde.Input.Text (Arde.Pretty.program_to_string p));
+    ]
+
+(* Same program text with a comment, blank lines and trailing blanks:
+   a different digest, the same program. *)
+let whitespace_variant text =
+  "# a whitespace variant\n\n"
+  ^ String.concat " \n" (String.split_on_char '\n' text)
+  ^ "\n\n"
+
+let test_input_kinds_agree () =
+  let check_analysis analysis =
+    let options =
+      O.make ~seeds:[ 1; 2; 3 ] ~fuel:100_000 () |> O.with_analysis analysis
+    in
+    List.iter
+      (fun (c : Arde_workloads.Racey.case) ->
+        let text = Arde.Pretty.program_to_string c.program in
+        List.iter
+          (fun mode ->
+            let bytes input =
+              J.to_string
+                (D.result_to_json
+                   (Arde.detect ~ctx:(D.ctx ~options ()) ~mode input))
+            in
+            let want = bytes (Arde.Input.Program c.program) in
+            let label kind =
+              Printf.sprintf "%s under %s, %s: %s = program" c.name
+                (Arde.Config.mode_name mode) (O.analysis_name analysis) kind
+            in
+            Alcotest.(check string) (label "canonical text") want
+              (bytes (Arde.Input.Text text));
+            Alcotest.(check string) (label "whitespace variant") want
+              (bytes (Arde.Input.Text (whitespace_variant text))))
+          Arde.Config.all_table1_modes)
+      (catalog_sample ())
+  in
+  AC.clear ();
+  check_analysis O.Sweep;
+  check_analysis O.Predict
+
+(* The inner tables share the prepare digest; the lowering style is part
+   of both inner keys, so one text under two styles must not collide. *)
+let test_styles_do_not_collide () =
+  let text = Arde.Pretty.program_to_string (racy_case "lock_counter/4") in
+  let run style =
+    let options =
+      O.make ~seeds:[ 1; 2; 3 ] ~fuel:100_000 () |> O.with_lower_style style
+    in
+    List.map
+      (fun mode ->
+        J.to_string
+          (D.result_to_json
+             (Arde.detect ~ctx:(D.ctx ~options ()) ~mode
+                (Arde.Input.Text (whitespace_variant text)))))
+      [ Arde.Config.Nolib_spin 7; Arde.Config.Nolib_spin_locks 7 ]
+  in
+  let styles = [ Arde.Lower.Compact; Arde.Lower.Realistic ] in
+  AC.clear ();
+  let cached = List.map run styles in
+  let fresh =
+    AC.set_enabled false;
+    Fun.protect ~finally:(fun () -> AC.set_enabled true) (fun () ->
+        List.map run styles)
+  in
+  List.iter2
+    (fun c f -> Alcotest.(check (list string)) "cached = uncached" f c)
+    cached fresh;
+  Alcotest.(check bool) "the styles lower differently" true
+    (List.nth fresh 0 <> List.nth fresh 1)
+
+(* [n] distinct small programs: the motivating flag handoff with a
+   different initial value of its data cell. *)
+let distinct_programs n =
+  List.init n (fun i ->
+      match
+        Arde.Parse.program
+          (Printf.sprintf
+             "global flag[1] = 0\nglobal data[1] = %d\nentry = main\n\n\
+              func main():\nentry:\n  %%t <- spawn worker()\n  join %%t\n  \
+              exit\n\nfunc worker():\nentry:\n  store @flag, 1\n  exit\n"
+             i)
+      with
+      | Ok p -> p
+      | Error e -> Alcotest.fail (Arde.Parse.error_to_string e))
+
+let test_inner_tables_evict_oldest () =
+  let progs = distinct_programs (AC.max_inner + 1) in
+  let first = List.hd progs and last = List.nth progs AC.max_inner in
+  let style = Arde.Lower.Realistic in
+  AC.clear ();
+  List.iter
+    (fun p ->
+      ignore (AC.lowered ~style p);
+      ignore (AC.instrumented ~count_callees:true ~k:7 p))
+    progs;
+  let _, d =
+    cache_delta (fun () ->
+        ignore (AC.lowered ~style last);
+        ignore (AC.instrumented ~count_callees:true ~k:7 last))
+  in
+  Alcotest.(check (pair int int)) "newest entries stay" (1, 1)
+    (d.AC.lower_hits, d.AC.instrument_hits);
+  let _, d =
+    cache_delta (fun () ->
+        ignore (AC.lowered ~style first);
+        ignore (AC.instrumented ~count_callees:true ~k:7 first))
+  in
+  Alcotest.(check (pair int int)) "oldest entries evicted" (1, 1)
+    (d.AC.lower_misses, d.AC.instrument_misses);
+  AC.clear ()
+
 (* ------------------------------------------------------------------ *)
 (* JSON wire forms                                                     *)
 
@@ -309,6 +450,14 @@ let suite =
       test_cache_hits_on_repeated_runs;
     Alcotest.test_case "disabled cache recomputes" `Quick
       test_cache_disabled_recomputes;
+    Alcotest.test_case "warm Predict run prepares once" `Quick
+      test_warm_predict_prepares_once;
+    Alcotest.test_case "text, variant text and program agree" `Slow
+      test_input_kinds_agree;
+    Alcotest.test_case "lowering styles never share an inner key" `Quick
+      test_styles_do_not_collide;
+    Alcotest.test_case "inner cache tables evict oldest" `Quick
+      test_inner_tables_evict_oldest;
     Alcotest.test_case "JSON values round-trip" `Quick
       test_json_value_roundtrip;
     Alcotest.test_case "report JSON round-trips" `Quick

@@ -1045,6 +1045,36 @@ let test_write_file_atomic () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "wrote into a missing directory"
 
+(* A worker's parsed-program table keeps the newest [max_programs]
+   programs: one more distinct program evicts the oldest, which then
+   re-parses. *)
+let test_worker_programs_bounded () =
+  let module Wk = Arde_server.Worker in
+  let text i =
+    Printf.sprintf
+      "global data[1] = %d\nentry = main\n\nfunc main():\nentry:\n  \
+       store @data, 1\n  exit\n"
+      i
+  in
+  let digest i = Digest.string (text i) in
+  let tbl = Wk.programs () in
+  for i = 0 to Wk.max_programs do
+    match Wk.lookup_program tbl ~digest:(digest i) (text i) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  done;
+  checkb "oldest program evicted" false (Wk.resident tbl ~digest:(digest 0));
+  for i = 1 to Wk.max_programs do
+    checkb (Printf.sprintf "program %d resident" i) true
+      (Wk.resident tbl ~digest:(digest i))
+  done;
+  (match Wk.lookup_program tbl ~digest:"bad" "this is not tir" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "garbage parsed");
+  checkb "rejected text is not kept" false (Wk.resident tbl ~digest:"bad");
+  checkb "newest program survives the rejection" true
+    (Wk.resident tbl ~digest:(digest Wk.max_programs))
+
 (* The retry schedule is bounded, exponential, jittered and
    deterministic for a fixed seed; a dead socket burns the whole budget
    and surfaces the transport error. *)
@@ -1872,4 +1902,6 @@ let suite =
     Alcotest.test_case "tcp endpoints parse" `Quick test_parse_tcp_endpoint;
     Alcotest.test_case "tcp listener is byte-identical on both wires" `Quick
       test_tcp_end_to_end;
+    Alcotest.test_case "worker program table evicts oldest" `Quick
+      test_worker_programs_bounded;
   ]

@@ -2,6 +2,7 @@
 
 module Prng = Arde_util.Prng
 module Table = Arde_util.Table
+module Fifo = Arde_util.Fifo_table
 
 let contains s affix =
   let n = String.length s and m = String.length affix in
@@ -197,6 +198,27 @@ let test_table_separator () =
   Alcotest.(check int) "7 lines with separator" 7
     (List.length (List.filter (fun l -> l <> "") lines))
 
+let test_fifo_evicts_oldest () =
+  let t = Fifo.create 3 in
+  List.iter (fun k -> Fifo.add t k (k * 10)) [ 1; 2; 3 ];
+  (* re-adding keeps the first value and does not refresh the age *)
+  Fifo.add t 1 99;
+  Alcotest.(check (option int)) "first value wins" (Some 10) (Fifo.find_opt t 1);
+  Fifo.add t 4 40;
+  Alcotest.(check int) "bounded" 3 (Fifo.length t);
+  Alcotest.(check bool) "oldest evicted" false (Fifo.mem t 1);
+  Alcotest.(check (list bool)) "newer kept" [ true; true; true ]
+    (List.map (Fifo.mem t) [ 2; 3; 4 ]);
+  Fifo.add t 5 50;
+  Alcotest.(check bool) "next oldest evicted" false (Fifo.mem t 2);
+  Fifo.clear t;
+  Alcotest.(check int) "clear empties" 0 (Fifo.length t);
+  Fifo.add t 6 60;
+  Alcotest.(check (option int)) "usable after clear" (Some 60) (Fifo.find_opt t 6);
+  Alcotest.check_raises "bound must be positive"
+    (Invalid_argument "Fifo_table.create: bound must be positive") (fun () ->
+      ignore (Fifo.create 0))
+
 let suite =
   [
     Alcotest.test_case "prng: same seed, same stream" `Quick test_same_seed_same_stream;
@@ -220,4 +242,6 @@ let suite =
     Alcotest.test_case "table: rejects long rows" `Quick test_table_rejects_long_rows;
     Alcotest.test_case "table: float cells" `Quick test_cell_float;
     Alcotest.test_case "table: separators" `Quick test_table_separator;
+    Alcotest.test_case "fifo table: evicts oldest, first value wins" `Quick
+      test_fifo_evicts_oldest;
   ]
