@@ -539,164 +539,6 @@ let serve_bench ~out () =
   S.initiate_drain srv;
   Domain.join runner;
 
-  (* ---- restart phase: the persistent bundle store across daemons ----
-     Three sequential rounds of the same mix — cold (fresh daemon, empty
-     caches), warm (same daemon again), restart-warm (a NEW daemon on
-     the same store directory) — measured with the store on and off.
-     With the store on, the restarted daemon reloads prepared bundles
-     from disk instead of recomputing, so its first round should run at
-     near-warm speed; with it off, a restart is as expensive as a cold
-     start.  Gates: every round's results byte-identical, restart-warm
-     >= 0.8x warm (store on), and store-on restart-warm >= 2x
-     restart-cold (the store-off restarted daemon's first pass). *)
-  let rec rm_rf p =
-    match Unix.lstat p with
-    | exception Unix.Unix_error _ -> ()
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter
-          (fun e -> rm_rf (Filename.concat p e))
-          (try Sys.readdir p with Sys_error _ -> [||]);
-        (try Unix.rmdir p with Unix.Unix_error _ -> ())
-    | _ -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-  in
-  let restart_store_dir = path ^ ".store" in
-  let restart_path = path ^ ".restart" in
-  let with_restart_daemon ?store_dir f =
-    match
-      S.create
-        (S.config ~workers:1 ~max_pending:256 ?store_dir
-           ~socket_path:restart_path ())
-    with
-    | Error e ->
-        prerr_endline ("bench serve: restart: " ^ e);
-        exit 1
-    | Ok t ->
-        let r = Domain.spawn (fun () -> S.run t) in
-        Fun.protect
-          ~finally:(fun () ->
-            S.initiate_drain t;
-            Domain.join r)
-          (fun () -> f ())
-  in
-  (* The restart rounds use detection-weight requests (8 seeds, 60k
-     fuel) and walk the mix [restart_passes] times per round: a round is
-     serving traffic, and the disk load in the restarted daemon is paid
-     once per program, not per request.  Every round reports both its
-     full-round throughput and its first-pass throughput; the
-     restart-warm gate compares full rounds (steady traffic, store on),
-     while the restart-cold baseline is the store-off restarted daemon's
-     FIRST pass — the only pass on which every program is genuinely
-     unseen again. *)
-  let restart_options =
-    Arde.Options.make ~seeds:(List.init 8 (fun i -> i + 1)) ~fuel:60_000 ()
-  in
-  let restart_passes = 4 in
-  let restart_round label =
-    match C.connect ~endpoint:(C.Unix_socket restart_path) () with
-    | Error e ->
-        Printf.eprintf "bench serve: restart %s: %s\n" label e;
-        exit 1
-    | Ok cl ->
-        Fun.protect
-          ~finally:(fun () -> C.close cl)
-          (fun () ->
-            List.concat_map (fun _ -> one_round)
-              (List.init restart_passes Fun.id)
-            |> List.map
-              (fun (name, text, mode) ->
-                let s = Unix.gettimeofday () in
-                match C.run cl ~program:text ~mode ~options:restart_options () with
-                | Ok resp when P.response_ok resp ->
-                    let dt = Unix.gettimeofday () -. s in
-                    ( name,
-                      dt,
-                      J.to_string
-                        (Option.value ~default:J.Null (J.member "result" resp))
-                    )
-                | Ok resp ->
-                    Printf.eprintf "bench serve: restart %s: %s refused: %s\n"
-                      label name
-                      (match P.response_error resp with
-                      | Some (c, m) -> c ^ ": " ^ m
-                      | None -> "refused");
-                    exit 1
-                | Error e ->
-                    Printf.eprintf "bench serve: restart %s: %s: %s\n" label
-                      name e;
-                    exit 1))
-    in
-  let restart_store_stats = ref J.Null in
-  let fetch_store_stats () =
-    match C.connect ~endpoint:(C.Unix_socket restart_path) () with
-    | Error _ -> J.Null
-    | Ok cl ->
-        Fun.protect
-          ~finally:(fun () -> C.close cl)
-          (fun () ->
-            match C.stats cl with
-            | Ok resp ->
-                Option.value ~default:J.Null
-                  (Option.bind (J.member "stats" resp) (fun s ->
-                       Option.bind (J.member "supervision" s)
-                         (J.member "store")))
-            | Error _ -> J.Null)
-  in
-  let restart_phase ~store =
-    let store_dir = if store then Some restart_store_dir else None in
-    if store then rm_rf restart_store_dir;
-    let cold, warm =
-      with_restart_daemon ?store_dir (fun () ->
-          let cold = restart_round "cold" in
-          let warm = restart_round "warm" in
-          (cold, warm))
-    in
-    let restart =
-      with_restart_daemon ?store_dir (fun () ->
-          let r = restart_round "restart-warm" in
-          if store then restart_store_stats := fetch_store_stats ();
-          r)
-    in
-    (cold, warm, restart)
-  in
-  let on_cold, on_warm, on_restart = restart_phase ~store:true in
-  let off_cold, off_warm, off_restart = restart_phase ~store:false in
-  rm_rf restart_store_dir;
-  let round_rps round =
-    let wall = List.fold_left (fun a (_, dt, _) -> a +. dt) 0. round in
-    if wall > 0. then float_of_int (List.length round) /. wall else 0.
-  in
-  let first_pass round =
-    let n = List.length one_round in
-    List.filteri (fun i _ -> i < n) round
-  in
-  (* Result identity across every round and both store configurations:
-     the store must be invisible in the responses. *)
-  let restart_identical =
-    List.for_all
-      (fun ((name, _, r0) : string * float * string) ->
-        List.for_all
-          (fun round ->
-            List.exists
-              (fun (n, _, r) -> n = name && r = r0)
-              round)
-          [ on_warm; on_restart; off_cold; off_warm; off_restart ])
-      on_cold
-  in
-  let restart_warm_ratio =
-    let w = round_rps on_warm in
-    if w > 0. then round_rps on_restart /. w else 0.
-  in
-  let restart_on_off_ratio =
-    (* Store-on restart round (steady traffic) vs restart-cold: the
-       store-off restarted daemon's first pass, where every prepared
-       bundle has to be recomputed from scratch. *)
-    let off = round_rps (first_pass off_restart) in
-    if off > 0. then round_rps on_restart /. off else 0.
-  in
-  let restart_pass =
-    restart_identical && restart_warm_ratio >= 0.8
-    && restart_on_off_ratio >= 2.0
-  in
   let latencies =
     List.filter_map (function `Ok rd -> Some rd | _ -> None) results
   in
@@ -954,7 +796,7 @@ let serve_bench ~out () =
   let warm_speedup = if oneshot_rps > 0. then warm_rps /. oneshot_rps else 0. in
   let ci_pass =
     refused = [] && dropped = [] && warm_speedup >= 1.0 && chaos_pass
-    && wire_pass && restart_pass
+    && wire_pass
   in
   let all_lat = List.map snd latencies in
   let json =
@@ -1025,46 +867,6 @@ let serve_bench ~out () =
                 | _ -> J.Null );
               ("pass", J.Bool wire_pass);
             ] );
-        ( "restart",
-          let round_json round =
-            let lats = List.map (fun (_, dt, _) -> dt) round in
-            J.Obj
-              [
-                ("requests", J.Int (List.length round));
-                ("throughput_rps", J.Float (round_rps round));
-                ("first_pass_rps", J.Float (round_rps (first_pass round)));
-                ("latency_ms", latency_json lats);
-              ]
-          in
-          J.Obj
-            [
-              ( "requests_per_round",
-                J.Int (List.length one_round * restart_passes) );
-              ("passes_per_round", J.Int restart_passes);
-              ("seeds_per_request", J.Int 8);
-              ("fuel", J.Int 60_000);
-              ( "store_on",
-                J.Obj
-                  [
-                    ("cold", round_json on_cold);
-                    ("warm", round_json on_warm);
-                    ("restart_warm", round_json on_restart);
-                  ] );
-              ( "store_off",
-                J.Obj
-                  [
-                    ("cold", round_json off_cold);
-                    ("warm", round_json off_warm);
-                    ("restart_warm", round_json off_restart);
-                  ] );
-              ("store_stats", !restart_store_stats);
-              ("results_identical", J.Bool restart_identical);
-              ("restart_warm_over_warm", J.Float restart_warm_ratio);
-              ("restart_warm_over_restart_cold", J.Float restart_on_off_ratio);
-              ("min_restart_warm_over_warm", J.Float 0.8);
-              ("min_restart_warm_over_restart_cold", J.Float 2.0);
-              ("pass", J.Bool restart_pass);
-            ] );
         ( "chaos",
           J.Obj
             [
@@ -1118,16 +920,6 @@ let serve_bench ~out () =
       Printf.printf "wire phase failed: json %s, binary %s\n"
         (err wire_json_lat) (err wire_binary_lat));
   Printf.printf
-    "restart: store on — cold %.2f, warm %.2f, restart-warm %.2f req/s; \
-     restart-cold (store off, first pass) %.2f req/s\n\
-     restart-warm/warm %.2fx (gate >= 0.8), restart-warm/restart-cold \
-     %.2fx (gate >= 2.0), results %s\n"
-    (round_rps (first_pass on_cold)) (round_rps on_warm)
-    (round_rps on_restart)
-    (round_rps (first_pass off_restart))
-    restart_warm_ratio restart_on_off_ratio
-    (if restart_identical then "identical" else "DIVERGED");
-  Printf.printf
     "chaos (kill:%d): %d/%d ok, %d retries, %d crashes, %d restarts, %d \
      bundles sealed\n"
     chaos_kill_every chaos_ok (List.length one_round) chaos_retries
@@ -1139,13 +931,11 @@ let serve_bench ~out () =
   if not ci_pass then begin
     Printf.eprintf
       "bench serve: FAIL: %d refused, %d dropped, warm speedup %.2fx, chaos \
-       %s, wire %s, restart %s (gate: 0 refused, 0 dropped, >= 1.0x, chaos \
-       pass, binary p50 <= json p50, restart-warm >= 0.8x warm and >= 2x \
-       restart-cold with identical results)\n"
+       %s, wire %s (gate: 0 refused, 0 dropped, >= 1.0x, chaos pass, \
+       binary p50 <= json p50)\n"
       (List.length refused) (List.length dropped) warm_speedup
       (if chaos_pass then "pass" else "FAIL")
-      (if wire_pass then "pass" else "FAIL")
-      (if restart_pass then "pass" else "FAIL");
+      (if wire_pass then "pass" else "FAIL");
     exit 1
   end
 

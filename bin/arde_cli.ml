@@ -1209,38 +1209,17 @@ let serve_cmd =
              localhost); port 0 binds an ephemeral port, logged at \
              startup.")
   in
-  let store_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store-dir" ] ~docv:"DIR"
-          ~doc:
-            "On-disk bundle store shared by all workers (default: the \
-             socket path plus $(b,.store)).  Prepared analysis bundles \
-             are written back here on first compute and reloaded on \
-             memory miss, so restarted daemons and sibling workers start \
-             warm.  Inspect it with $(b,arde cache).")
-  in
-  let store_max_mb_arg =
-    Arg.(
-      value
-      & opt int Arde_server.Store.default_max_mb
-      & info [ "store-max-mb" ] ~docv:"MIB"
-          ~doc:
-            "Bundle-store size bound; after each write-back the least \
-             recently used entries are evicted down to it.")
-  in
   let no_store_arg =
     Arg.(
       value & flag
       & info [ "no-store" ]
           ~doc:
-            "Disable the on-disk bundle store entirely (compute-only \
-             serving; every restart begins cold).")
+            "Accepted and ignored: the daemon has no on-disk store.  \
+             Prepared analyses live in each worker's memory, and a \
+             restarted daemon recomputes them.")
   in
   let run socket workers max_pending jobs default_deadline_ms spool
-      watchdog_ms max_frame_mb tcp store_dir store_max_mb no_store chaos_plan
-      quiet =
+      watchdog_ms max_frame_mb tcp (_no_store : bool) chaos_plan quiet =
     if max_frame_mb <= 0 then begin
       prerr_endline "serve: --max-frame-mb must be positive";
       exit 1
@@ -1264,10 +1243,6 @@ let serve_cmd =
                                  HOST:PORT)" hp);
               exit 1)
     in
-    let store_dir =
-      if no_store then None
-      else Some (Option.value store_dir ~default:(socket ^ ".store"))
-    in
     let log =
       if quiet then ignore
       else fun m -> Printf.eprintf "[arde-serve] %s\n%!" m
@@ -1275,8 +1250,7 @@ let serve_cmd =
     let cfg =
       Arde_server.Server.config ?tcp ~workers ~max_pending
         ~max_frame:(max_frame_mb * 1024 * 1024) ?jobs ?default_deadline_ms
-        ~watchdog_ms ?spool_dir:spool ?store_dir
-        ~store_max_mb:(max 1 store_max_mb) ~chaos_plan ~log
+        ~watchdog_ms ?spool_dir:spool ~chaos_plan ~log
         ~socket_path:socket ()
     in
     match Arde_server.Server.create cfg with
@@ -1301,8 +1275,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ workers_arg $ max_pending_arg $ jobs_arg
       $ deadline_arg $ spool_arg $ watchdog_arg $ max_frame_mb_arg $ tcp_arg
-      $ store_dir_arg $ store_max_mb_arg $ no_store_arg $ chaos_plan_arg
-      $ quiet_arg)
+      $ no_store_arg $ chaos_plan_arg $ quiet_arg)
 
 let submit_cmd =
   let retries_arg =
@@ -1423,111 +1396,6 @@ let stats_cmd =
           restarts, watchdog kills, sealed crash bundles, open circuit \
           breakers) and per-worker health, as JSON on stdout.")
     Term.(const run $ client_socket_arg $ connect_arg)
-
-(* ---- cache ---- *)
-
-let cache_cmd =
-  let module St = Arde_server.Store in
-  let dir_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "store-dir" ] ~docv:"DIR"
-          ~doc:
-            "The bundle-store directory (what the daemon was given as \
-             $(b,arde serve --store-dir), by default the socket path \
-             plus $(b,.store)).")
-  in
-  let open_store ~cmd dir =
-    match St.create ~dir () with
-    | Ok s -> s
-    | Error e ->
-        prerr_endline (cmd ^ ": " ^ e);
-        exit 1
-  in
-  let print_usage s =
-    let n, bytes = St.usage s in
-    Printf.printf "%d entr%s, %d bytes\n" n (if n = 1 then "y" else "ies") bytes
-  in
-  let ls_cmd =
-    let run dir =
-      let s = open_store ~cmd:"cache ls" dir in
-      List.iter
-        (fun e ->
-          Printf.printf "%-34s %-10s %-10s %-3s %9dB %8.0fs\n"
-            e.St.e_digest_hex e.St.e_mode e.St.e_style
-            (if e.St.e_count_callees then "cc" else "-")
-            e.St.e_bytes e.St.e_age_s)
-        (St.entries s);
-      print_usage s;
-      exit 0
-    in
-    Cmd.v
-      (Cmd.info "ls"
-         ~doc:
-           "List every bundle in the store, most recently used first: \
-            program digest, mode, lowering style, the callee-counting \
-            flag, size and idle age.")
-      Term.(const run $ dir_arg)
-  in
-  let gc_cmd =
-    let max_mb_arg =
-      Arg.(
-        required
-        & opt (some int) None
-        & info [ "max-mb" ] ~docv:"MIB"
-            ~doc:"Evict least-recently-used bundles down to this bound.")
-    in
-    let run dir max_mb =
-      let s = open_store ~cmd:"cache gc" dir in
-      let removed = St.gc s ~max_bytes:(max 0 max_mb * 1024 * 1024) in
-      Printf.printf "evicted %d\n" removed;
-      print_usage s;
-      exit 0
-    in
-    Cmd.v
-      (Cmd.info "gc"
-         ~doc:
-           "Sweep the store down to a size bound, oldest-use first — the \
-            same policy the daemon applies after each write-back, for \
-            shrinking a store offline.")
-      Term.(const run $ dir_arg $ max_mb_arg)
-  in
-  let clear_cmd =
-    let run dir =
-      let s = open_store ~cmd:"cache clear" dir in
-      Printf.printf "deleted %d\n" (St.clear s);
-      exit 0
-    in
-    Cmd.v
-      (Cmd.info "clear" ~doc:"Delete every bundle in the store.")
-      Term.(const run $ dir_arg)
-  in
-  let verify_cmd =
-    let run dir =
-      let s = open_store ~cmd:"cache verify" dir in
-      let kept, deleted = St.verify s in
-      Printf.printf "%d ok, %d corrupt (deleted)\n" kept deleted;
-      exit (if deleted = 0 then 0 else 1)
-    in
-    Cmd.v
-      (Cmd.info "verify"
-         ~doc:
-           "Checksum-walk every bundle, deleting any that fail to decode \
-            (truncated, corrupted, or written by an incompatible \
-            version).  Exits 1 when anything had to be deleted — the \
-            daemon itself recovers from such entries transparently, so \
-            this is a health check, not a repair prerequisite.")
-      Term.(const run $ dir_arg)
-  in
-  Cmd.group
-    (Cmd.info "cache"
-       ~doc:
-         "Inspect and maintain an $(b,arde serve) on-disk bundle store: \
-          list entries, shrink to a bound, wipe, or checksum-verify.  \
-          Safe to run against a live daemon's store — entries are \
-          immutable and readers fail open.")
-    [ ls_cmd; gc_cmd; clear_cmd; verify_cmd ]
 
 (* ---- postmortem ---- *)
 
@@ -1680,5 +1548,5 @@ let () =
             list_cmd; show_cmd; spin_report_cmd; run_cmd; record_cmd;
             replay_cmd; predict_cmd; trace_cmd; fmt_cmd; compare_cmd;
             suite_cmd; parsec_cmd; chaos_cmd; serve_cmd; submit_cmd;
-            stats_cmd; cache_cmd; postmortem_cmd;
+            stats_cmd; postmortem_cmd;
           ]))

@@ -68,6 +68,11 @@ let in_loop t ~fname ~lbl id =
   | Some ids -> List.mem id ids
   | None -> false
 
+let loops_containing t ~fname ~lbl =
+  match Hashtbl.find_opt t.members (fname, lbl) with
+  | Some ids -> List.sort_uniq Int.compare ids
+  | None -> []
+
 let marked_loops_at t (l : loc) =
   Option.value ~default:[] (Hashtbl.find_opt t.marked (l.lfunc, l.lblk, l.lidx))
 

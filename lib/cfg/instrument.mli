@@ -31,6 +31,11 @@ val header_at : t -> fname:string -> lbl:label -> int option
 val in_loop : t -> fname:string -> lbl:label -> int -> bool
 (** Is the block part of loop [id]'s body? *)
 
+val loops_containing : t -> fname:string -> lbl:label -> int list
+(** Ids of every loop whose body contains the block, ascending and
+    without duplicates: [List.filter (in_loop t ~fname ~lbl)] over the
+    ids of {!spins}, read from the membership table in one lookup. *)
+
 val marked_loops_at : t -> loc -> int list
 (** Ids of loops for which this load site is a condition load. *)
 

@@ -54,32 +54,6 @@ let prep_hits = ref 0
 let prep_misses = ref 0
 let on = ref true
 
-(* Optional second cache level behind the in-memory table, registered by
-   the serve worker (the on-disk bundle store lives in [Arde_server] and
-   cannot be referenced from here without a cycle).  Both callbacks run
-   outside the cache mutex — they do disk I/O, parsing and compilation. *)
-type store_key = {
-  sk_digest : string;
-  sk_mode : Config.mode;
-  sk_style : Arde_tir.Lower.style;
-  sk_count_callees : bool;
-}
-
-type store = {
-  store_load : store_key -> prepared option;
-  store_save : store_key -> prepared -> unit;
-}
-
-let store_hook : store option ref = ref None
-
-(* Keys being computed right now, for single-flight: concurrent callers
-   missing on the same key wait for the first instead of recomputing
-   (and, with a store registered, instead of racing the write-back). *)
-let inflight : (string * string * Arde_tir.Lower.style * bool, unit) Hashtbl.t =
-  Hashtbl.create 8
-
-let flight_done = Condition.create ()
-
 let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
@@ -89,8 +63,8 @@ let digest_of_program prog =
 
 (* Look up under the mutex; compute outside it (analysis can be slow and
    must not serialize unrelated cache users), then publish.  A racing
-   duplicate computation is harmless: both compute equal values and the
-   first one published stays. *)
+   duplicate computation is harmless: both compute equal values, the
+   first one published stays, and every racer returns that one. *)
 let memo tbl hits misses key compute =
   let cached =
     locked (fun () ->
@@ -111,8 +85,12 @@ let memo tbl hits misses key compute =
   | Some v -> v
   | None ->
       let v = compute () in
-      locked (fun () -> if !on then Fifo.add tbl key v);
-      v
+      locked (fun () ->
+          if !on then begin
+            Fifo.add tbl key v;
+            Option.value (Fifo.find_opt tbl key) ~default:v
+          end
+          else v)
 
 let lower_keyed ~digest ~style prog =
   memo lower_tbl lower_hits lower_misses (digest, style) (fun () ->
@@ -181,81 +159,9 @@ let prepare ?digest ~style ~count_callees mode program =
   let digest =
     match digest with Some d -> d | None -> digest_of_program program
   in
-  let key = (digest, Config.mode_id mode, style, count_callees) in
-  (* Claim the key under the mutex: hit, wait (someone is computing it),
-     or compute.  Waiters re-read the table when woken — if the computing
-     caller failed or the cache was disabled meanwhile, one of them
-     claims the compute slot instead. *)
-  Mutex.lock lock;
-  let rec claim () =
-    if not !on then begin
-      incr prep_misses;
-      `Compute_uncached
-    end
-    else
-      match Fifo.find_opt prep_tbl key with
-      | Some v ->
-          incr prep_hits;
-          `Hit v
-      | None ->
-          if Hashtbl.mem inflight key then begin
-            Condition.wait flight_done lock;
-            claim ()
-          end
-          else begin
-            incr prep_misses;
-            Hashtbl.add inflight key ();
-            `Compute
-          end
-  in
-  let claimed = claim () in
-  Mutex.unlock lock;
-  match claimed with
-  | `Hit v -> v
-  | `Compute_uncached ->
-      compute_prepared ~digest ~style ~count_callees mode program
-  | `Compute -> (
-      let release () =
-        locked (fun () ->
-            Hashtbl.remove inflight key;
-            Condition.broadcast flight_done)
-      in
-      match
-        let hook = locked (fun () -> !store_hook) in
-        let skey =
-          {
-            sk_digest = digest;
-            sk_mode = mode;
-            sk_style = style;
-            sk_count_callees = count_callees;
-          }
-        in
-        let v, fresh =
-          match hook with
-          | Some s -> (
-              match s.store_load skey with
-              | Some v -> (v, false)
-              | None ->
-                  ( compute_prepared ~digest ~style ~count_callees mode program,
-                    true ))
-          | None ->
-              (compute_prepared ~digest ~style ~count_callees mode program, true)
-        in
-        locked (fun () ->
-            if !on then Fifo.add prep_tbl key v;
-            Hashtbl.remove inflight key;
-            Condition.broadcast flight_done);
-        (* Write back after releasing the waiters: serialization forces
-           the spin-cache build and nobody needs to wait through it. *)
-        (match hook with
-        | Some s when fresh -> s.store_save skey v
-        | _ -> ());
-        v
-      with
-      | v -> v
-      | exception e ->
-          release ();
-          raise e)
+  memo prep_tbl prep_hits prep_misses
+    (digest, Config.mode_id mode, style, count_callees)
+    (fun () -> compute_prepared ~digest ~style ~count_callees mode program)
 
 let stats () =
   locked (fun () ->
@@ -306,4 +212,3 @@ let clear () =
 
 let set_enabled b = locked (fun () -> on := b)
 let enabled () = locked (fun () -> !on)
-let set_store s = locked (fun () -> store_hook := s)

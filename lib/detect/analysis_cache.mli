@@ -65,7 +65,9 @@ val prepare :
     does before any seed executes.  [?digest] must uniquely identify
     [program] and also keys the inner lowering and instrumentation
     lookups; omitted, the canonical digest is computed here (a full
-    pretty-print). *)
+    pretty-print).  Concurrent misses on one key may each compute; the
+    first bundle published is kept and, while the cache is enabled,
+    every caller gets that one. *)
 
 val digest_of_program : Arde_tir.Types.program -> string
 (** Digest of the program's canonical pretty-printed form.  Equal to
@@ -115,35 +117,3 @@ val clear : unit -> unit
 
 val set_enabled : bool -> unit
 val enabled : unit -> bool
-
-(** {2 Second-level store}
-
-    An optional persistent cache level consulted between the in-memory
-    table and a fresh computation: {!prepare} resolves a miss as
-    memory → [store_load] → compute, and calls [store_save] only for
-    freshly computed bundles (never for ones the store itself supplied).
-    The serve worker registers the on-disk content-addressed bundle
-    store here; the indirection exists because that store lives in
-    [Arde_server], which depends on this library.
-
-    Both callbacks run outside the cache mutex and inside the key's
-    single-flight section: for any given key at most one caller is
-    loading/computing/saving at a time within this process, concurrent
-    callers wait and reuse the published result.  Callbacks must not
-    call back into {!prepare}. *)
-
-type store_key = {
-  sk_digest : string;  (** the {!prepare} [?digest], verbatim *)
-  sk_mode : Config.mode;
-  sk_style : Arde_tir.Lower.style;
-  sk_count_callees : bool;
-}
-
-type store = {
-  store_load : store_key -> prepared option;
-  store_save : store_key -> prepared -> unit;
-}
-
-val set_store : store option -> unit
-(** Register (or, with [None], remove) the second cache level.  The
-    store is only consulted while the cache is enabled. *)

@@ -523,9 +523,6 @@ let sem_at m cell =
 let no_ids : int array = [||]
 
 let build_icache (cpl : compiled) inst =
-  let loop_ids =
-    List.map (fun (s : Instrument.spin) -> s.Instrument.s_id) (Instrument.spins inst)
-  in
   let nf = Array.length cpl.cfuncs in
   let header = Array.make nf [||] in
   let inloop = Array.make nf [||] in
@@ -541,11 +538,7 @@ let build_icache (cpl : compiled) inst =
           (match Instrument.header_at inst ~fname:fn.cfname ~lbl:b.clbl with
           | Some id -> header.(fid).(bi) <- id
           | None -> ());
-          (match
-             List.filter
-               (fun id -> Instrument.in_loop inst ~fname:fn.cfname ~lbl:b.clbl id)
-               loop_ids
-           with
+          (match Instrument.loops_containing inst ~fname:fn.cfname ~lbl:b.clbl with
           | [] -> ()
           | ids -> inloop.(fid).(bi) <- Array.of_list ids);
           tags.(fid).(bi) <-
@@ -583,14 +576,8 @@ let icache_for (cpl : compiled) inst =
       in
       publish ()
 
-(* ------------------------------------------------------------------ *)
-(* Spin-cache persistence.  The icache is a pure function of (compiled,
-   instrumentation) — plain int arrays, no closures — so it can leave
-   the process: export hands the arrays to a serializer, import installs
-   arrays deserialized elsewhere after checking they match this
-   program's shape.  A shape mismatch means the entry was built for a
-   different program (or codec bug); the caller treats it as a miss. *)
-
+(* The icache as plain arrays, for callers that time or inspect the
+   build apart from a run. *)
 type spin_cache = {
   sc_header : int array array;
   sc_inloop : int array array array;
@@ -600,58 +587,6 @@ type spin_cache = {
 let export_spin_cache (cpl : compiled) inst =
   let c = icache_for cpl inst in
   { sc_header = c.ic_header; sc_inloop = c.ic_inloop; sc_tags = c.ic_tags }
-
-let import_spin_cache (cpl : compiled) inst sc =
-  let nf = Array.length cpl.cfuncs in
-  if
-    Array.length sc.sc_header <> nf
-    || Array.length sc.sc_inloop <> nf
-    || Array.length sc.sc_tags <> nf
-  then Error "spin cache: function count mismatch"
-  else begin
-    let ok = ref true in
-    Array.iteri
-      (fun fid fn ->
-        let nb = Array.length fn.cblocks in
-        if
-          Array.length sc.sc_header.(fid) <> nb
-          || Array.length sc.sc_inloop.(fid) <> nb
-          || Array.length sc.sc_tags.(fid) <> nb
-        then ok := false
-        else
-          Array.iteri
-            (fun bi b ->
-              if Array.length sc.sc_tags.(fid).(bi) <> Array.length b.cins
-              then ok := false)
-            fn.cblocks)
-      cpl.cfuncs;
-    if not !ok then Error "spin cache: block shape mismatch"
-    else begin
-      let c =
-        {
-          ic_header = sc.sc_header;
-          ic_inloop = sc.sc_inloop;
-          ic_tags = sc.sc_tags;
-        }
-      in
-      let rec find = function
-        | (i, c') :: rest -> if i == inst then Some c' else find rest
-        | [] -> None
-      in
-      let rec publish () =
-        let cur = Atomic.get cpl.cicache in
-        match find cur with
-        | Some _ -> () (* a run already built one; it is identical *)
-        | None ->
-            if
-              List.length cur < 8
-              && not (Atomic.compare_and_set cpl.cicache cur ((inst, c) :: cur))
-            then publish ()
-      in
-      publish ();
-      Ok ()
-    end
-  end
 
 (* Top-level recursion (not an inner [let rec]): an inner recursive
    closure would be heap-allocated at every call on the non-flambda

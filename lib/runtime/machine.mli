@@ -97,22 +97,16 @@ type spin_cache = {
   sc_tags : int array array array array;
       (* fid -> blk -> pc -> condition-load loop ids *)
 }
-(** The per-instrumentation spin cache as plain int arrays — a pure
-    function of (compiled program, instrumentation), so it can be
-    serialized and rebuilt in another process. *)
+(** The per-instrumentation spin cache a run consults on its hot path:
+    per (function, block[, pc]), the spin loop the block heads, the spin
+    loops it belongs to (ascending), and the loops a load site is a
+    condition load of. *)
 
 val export_spin_cache : compiled -> Arde_cfg.Instrument.t -> spin_cache
-(** The spin cache for [inst], building it now if no run has yet.  The
-    build is memoized on the compiled program, so a subsequent {!run}
-    with the same instrumentation reuses it — exporting before the first
-    run moves the build cost, it does not add to it. *)
-
-val import_spin_cache :
-  compiled -> Arde_cfg.Instrument.t -> spin_cache -> (unit, string) Stdlib.result
-(** Install a cache deserialized elsewhere, after validating its shape
-    against this compiled program (function/block/instruction counts).
-    [Error] means the cache was built for a different program; the
-    machine will simply rebuild on first run. *)
+(** Build (or fetch) and return the icache for [inst].  The build is
+    memoized on the compiled program, so a subsequent {!run} with the
+    same instrumentation reuses it: calling this before the first run
+    moves the build cost, it does not add to it. *)
 
 val run : config -> compiled -> result
 

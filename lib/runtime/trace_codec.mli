@@ -208,11 +208,6 @@ val put_lpstr : sink -> string -> unit
 val sink_contents : sink -> string
 (** The bytes written so far, as a fresh string. *)
 
-val hash_bytes : string -> int
-(** The FNV-1a integrity hash used for section bodies — exposed so other
-    on-disk formats (the serve bundle store) checksum with the same
-    function.  Always non-negative, so it round-trips {!put_varint}. *)
-
 exception Err of error
 (** Raised by the [get_*] readers below (and only by them — the
     document-level entry points above catch it and return [result]). *)

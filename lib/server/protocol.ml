@@ -655,15 +655,14 @@ let job_frame ~job ~digest =
       ("digest", J.String digest);
     ]
 
-let done_frame ?store ~job ~spool_error ~code () =
+let done_frame ~job ~spool_error ~code () =
   J.Obj
-    ([
-       ("type", J.String "done");
-       ("job", J.Int job);
-       ("spool_error", J.Bool spool_error);
-       ("code", J.String code);
-     ]
-    @ match store with None -> [] | Some s -> [ ("store", s) ])
+    [
+      ("type", J.String "done");
+      ("job", J.Int job);
+      ("spool_error", J.Bool spool_error);
+      ("code", J.String code);
+    ]
 
 type worker_msg =
   | W_hello of int  (** the worker's pid *)
@@ -671,8 +670,6 @@ type worker_msg =
       wd_job : int;
       wd_spool_error : bool;
       wd_code : string;
-      wd_store : J.t option;
-          (** the bundle-store counter movement this request caused *)
     }
       (** the response bytes follow in the next frame, verbatim *)
 
@@ -695,8 +692,7 @@ let parse_worker_msg payload =
                 Option.value ~default:false
                   (Option.bind (J.member "spool_error" j) J.to_bool)
               in
-              let wd_store = J.member "store" j in
-              Ok (W_done { wd_job; wd_spool_error; wd_code; wd_store })
+              Ok (W_done { wd_job; wd_spool_error; wd_code })
           | _ -> Error "done without job id or code")
       | Some other -> Error (Printf.sprintf "unknown worker message %S" other)
       | None -> Error "worker message without type")

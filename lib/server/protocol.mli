@@ -272,16 +272,13 @@ val job_frame : job:int -> digest:string -> Arde.Json.t
     affinity routing, so the worker need not digest the program again. *)
 
 val done_frame :
-  ?store:Arde.Json.t ->
   job:int ->
   spool_error:bool ->
   code:string ->
   unit ->
   Arde.Json.t
 (** The header completing job [job], carrying the response's outcome
-    [code] (["ok"] or an error code) for the supervisor's counters, and
-    optionally [store] — the bundle-store counter movement this request
-    caused, which the supervisor folds into daemon-wide totals; the
+    [code] (["ok"] or an error code) for the supervisor's counters; the
     worker sends the raw response bytes in the very next frame. *)
 
 type worker_msg =
@@ -290,7 +287,6 @@ type worker_msg =
       wd_job : int;
       wd_spool_error : bool;
       wd_code : string;
-      wd_store : Arde.Json.t option;
     }
       (** the response bytes follow in the next frame, verbatim *)
 

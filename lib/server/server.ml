@@ -19,8 +19,6 @@ type config = {
   breaker_threshold : int;
   breaker_window_s : float;
   spool_dir : string option;
-  store_dir : string option;
-  store_max_mb : int;
   chaos_plan : string;
   worker_exec : string option;
   log : string -> unit;
@@ -30,8 +28,8 @@ let config ?tcp ?(workers = 2) ?(max_pending = 64)
     ?(max_frame = P.default_max_frame) ?(jobs = 0) ?default_deadline_ms
     ?(watchdog_ms = 120_000) ?(watchdog_grace_ms = 2_000)
     ?(restart_backoff_ms = 100) ?(restart_backoff_max_ms = 5_000)
-    ?(breaker_threshold = 5) ?(breaker_window_s = 10.) ?spool_dir ?store_dir
-    ?(store_max_mb = Store.default_max_mb) ?(chaos_plan = "") ?worker_exec
+    ?(breaker_threshold = 5) ?(breaker_window_s = 10.) ?spool_dir
+    ?(chaos_plan = "") ?worker_exec
     ?(log = ignore) ~socket_path () =
   {
     socket_path;
@@ -48,8 +46,6 @@ let config ?tcp ?(workers = 2) ?(max_pending = 64)
     breaker_threshold;
     breaker_window_s;
     spool_dir;
-    store_dir;
-    store_max_mb;
     chaos_plan;
     worker_exec;
     log;
@@ -106,10 +102,10 @@ type t = {
   sup : Supervisor.t;
   sched : job Scheduler.t;
   conns : (Unix.file_descr, conn) Hashtbl.t;
-  inflight : job option array; (* per worker slot *)
+  running : job option array; (* per worker slot *)
   (* A worker's [done] header whose response-bytes frame has not arrived
-     yet: (job id, spool_error, outcome code, store delta), per slot. *)
-  pending_done : (int * bool * string * J.t option) option array;
+     yet: (job id, spool_error, outcome code), per slot. *)
+  pending_done : (int * bool * string) option array;
   counters : counters;
   started : float;
   drain_requested : bool Atomic.t; (* set from signal handlers *)
@@ -250,7 +246,7 @@ let dispatch t =
                 pump ()
               end
               else begin
-                t.inflight.(i) <- Some job;
+                t.running.(i) <- Some job;
                 Supervisor.note_dispatch t.sup i
                   ~kill_by:(now +. job.j_watch_s);
                 (* Header frame, then the request bytes verbatim. *)
@@ -440,9 +436,9 @@ let drain_wake_pipe t =
 (* The response-bytes frame that completes a [done] header has arrived:
    settle the slot and forward the bytes untouched. *)
 let complete_job t i ~job_id ~spool_error ~code raw =
-  match t.inflight.(i) with
+  match t.running.(i) with
   | Some job when job.j_id = job_id ->
-      t.inflight.(i) <- None;
+      t.running.(i) <- None;
       Scheduler.finish t.sched ~slot:i;
       Supervisor.note_done t.sup i;
       if spool_error then begin
@@ -461,9 +457,9 @@ let handle_worker_msg t i msg =
   | P.W_hello _ ->
       Supervisor.note_hello t.sup i;
       dispatch t
-  | P.W_done { wd_job; wd_spool_error; wd_code; wd_store } ->
+  | P.W_done { wd_job; wd_spool_error; wd_code } ->
       (* The response bytes follow in the worker's very next frame. *)
-      t.pending_done.(i) <- Some (wd_job, wd_spool_error, wd_code, wd_store)
+      t.pending_done.(i) <- Some (wd_job, wd_spool_error, wd_code)
 
 let handle_worker_readable t i =
   let w = Supervisor.worker t.sup i in
@@ -486,11 +482,8 @@ let handle_worker_readable t i =
             match P.next_frame w.Supervisor.w_dec with
             | P.Frame payload -> (
                 match t.pending_done.(i) with
-                | Some (job_id, spool_error, code, store) ->
+                | Some (job_id, spool_error, code) ->
                     t.pending_done.(i) <- None;
-                    (match store with
-                    | Some delta -> Supervisor.note_store t.sup delta
-                    | None -> ());
                     complete_job t i ~job_id ~spool_error ~code payload;
                     drain_frames ()
                 | None -> (
@@ -560,9 +553,9 @@ let handle_deaths t deaths ~draining =
          worker; never let it consume the respawned worker's hello. *)
       t.pending_done.(i) <- None;
       if d.Supervisor.d_crash then begin
-        (match t.inflight.(i) with
+        (match t.running.(i) with
         | Some job ->
-            t.inflight.(i) <- None;
+            t.running.(i) <- None;
             Scheduler.finish t.sched ~slot:i;
             t.counters.worker_crashed <- t.counters.worker_crashed + 1;
             let msg =
@@ -836,8 +829,6 @@ let create cfg =
           k_jobs = cfg.jobs;
           k_max_frame = cfg.max_frame;
           k_chaos_plan = cfg.chaos_plan;
-          k_store_dir = Option.value cfg.store_dir ~default:"";
-          k_store_max_mb = cfg.store_max_mb;
           k_restart_backoff_ms = cfg.restart_backoff_ms;
           k_restart_backoff_max_ms = cfg.restart_backoff_max_ms;
           k_breaker_threshold = cfg.breaker_threshold;
@@ -868,7 +859,7 @@ let create cfg =
                 Scheduler.create ~workers:cfg.workers
                   ~max_pending:cfg.max_pending;
               conns = Hashtbl.create 16;
-              inflight = Array.make (Supervisor.n_workers sup) None;
+              running = Array.make (Supervisor.n_workers sup) None;
               pending_done = Array.make (Supervisor.n_workers sup) None;
               counters =
                 {

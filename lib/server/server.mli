@@ -54,10 +54,6 @@ type config = {
       (** crashes within the window that open a slot's circuit *)
   breaker_window_s : float;  (** storm window, and the cooldown *)
   spool_dir : string option;  (** default: [socket_path ^ ".spool"] *)
-  store_dir : string option;
-      (** on-disk bundle store shared by all workers (and by successive
-          daemons on the same path); [None] disables persistence *)
-  store_max_mb : int;  (** store size bound for the LRU sweep *)
   chaos_plan : string;
       (** fault plan forwarded to workers (see {!Arde.Chaos.Serve});
           [""] means none *)
@@ -80,8 +76,6 @@ val config :
   ?breaker_threshold:int ->
   ?breaker_window_s:float ->
   ?spool_dir:string ->
-  ?store_dir:string ->
-  ?store_max_mb:int ->
   ?chaos_plan:string ->
   ?worker_exec:string ->
   ?log:(string -> unit) ->
@@ -92,8 +86,7 @@ val config :
     [max_frame = Protocol.default_max_frame], [jobs = 0], no default
     deadline, [watchdog_ms = 120_000], [watchdog_grace_ms = 2_000],
     [restart_backoff_ms = 100], [restart_backoff_max_ms = 5_000],
-    [breaker_threshold = 5], [breaker_window_s = 10.], no bundle store,
-    [store_max_mb = Store.default_max_mb], mute log. *)
+    [breaker_threshold = 5], [breaker_window_s = 10.], mute log. *)
 
 type t
 

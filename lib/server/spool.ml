@@ -29,11 +29,11 @@ let create ~root =
 
 let root t = t.root
 
-let inflight_path t ~worker =
-  Filename.concat t.root (Printf.sprintf "worker-%d.inflight.json" worker)
+let journal_path t ~worker =
+  Filename.concat t.root (Printf.sprintf "worker-%d.journal.json" worker)
 
 let trace_path t ~worker =
-  Filename.concat t.root (Printf.sprintf "worker-%d.inflight.trace" worker)
+  Filename.concat t.root (Printf.sprintf "worker-%d.journal.trace" worker)
 
 let schema = "arde-crash-bundle/1"
 
@@ -52,18 +52,18 @@ let journal t ~worker ~pid ~digest ~request =
         ("received_at", J.Float (Unix.gettimeofday ()));
       ]
   in
-  Util.write_file_atomic (inflight_path t ~worker)
+  Util.write_file_atomic (journal_path t ~worker)
     (J.to_string header ^ "\n" ^ request)
 
 let journal_trace t ~worker ~trace =
   Util.write_file_atomic (trace_path t ~worker) trace
 
 let clear t ~worker =
-  (try Sys.remove (inflight_path t ~worker) with Sys_error _ -> ());
+  (try Sys.remove (journal_path t ~worker) with Sys_error _ -> ());
   try Sys.remove (trace_path t ~worker) with Sys_error _ -> ()
 
-let read_inflight t ~worker =
-  match Util.read_file (inflight_path t ~worker) with
+let read_journal t ~worker =
+  match Util.read_file (journal_path t ~worker) with
   | Error _ -> None
   | Ok text -> (
       match String.index_opt text '\n' with
@@ -89,7 +89,7 @@ let read_inflight t ~worker =
           | _ -> None))
 
 let seal t ~worker ~reason =
-  match read_inflight t ~worker with
+  match read_journal t ~worker with
   | None -> Ok None
   | Some entry ->
       t.seq <- t.seq + 1;

@@ -1,7 +1,7 @@
 (** The on-disk request spool and crash-bundle store.
 
     Before a worker executes a run request it journals the request to
-    [SPOOL/worker-N.inflight.json] via write-tmp-then-rename — one JSON
+    [SPOOL/worker-N.journal.json] via write-tmp-then-rename — one JSON
     header line of identity metadata, then the exact wire payload bytes
     (journaling is on the per-request hot path, so the request is never
     re-serialized) — and removes the journal after responding.  When the supervisor reaps a
@@ -23,7 +23,7 @@ val create : root:string -> (t, string) result
 
 val root : t -> string
 
-val inflight_path : t -> worker:int -> string
+val journal_path : t -> worker:int -> string
 
 val journal :
   t ->
@@ -47,7 +47,7 @@ val journal_trace : t -> worker:int -> trace:string -> (unit, string) result
 val clear : t -> worker:int -> unit
 (** Remove the worker's journal and trace (request completed normally). *)
 
-val read_inflight : t -> worker:int -> Arde.Json.t option
+val read_journal : t -> worker:int -> Arde.Json.t option
 
 val seal : t -> worker:int -> reason:string -> (string option, string) result
 (** Turn the worker's in-flight journal, if any, into a durable crash

@@ -10,8 +10,6 @@ type knobs = {
   k_jobs : int;
   k_max_frame : int;
   k_chaos_plan : string;
-  k_store_dir : string; (* bundle-store directory; "" = store disabled *)
-  k_store_max_mb : int;
   k_restart_backoff_ms : int;
   k_restart_backoff_max_ms : int;
   k_breaker_threshold : int;
@@ -56,11 +54,6 @@ type t = {
   knobs : knobs;
   spool : Spool.t;
   workers : wproc array;
-  store : Store.t option;
-      (* the supervisor never loads or saves bundles — this handle only
-         scans the directory for [stats_json]'s usage figures *)
-  mutable store_stats : Store.stats;
-      (* daemon-wide totals, aggregated from worker [done] frames *)
   mutable crashes : int;
   mutable restarts : int;
   mutable watchdog_kills : int;
@@ -81,8 +74,7 @@ let spawn t w =
   let tail =
     Worker.worker_args ~spool:t.knobs.k_spool_root ~index:w.w_index
       ~jobs:t.knobs.k_jobs ~max_frame:t.knobs.k_max_frame
-      ~chaos_plan:t.knobs.k_chaos_plan ~store:t.knobs.k_store_dir
-      ~store_max_mb:t.knobs.k_store_max_mb
+      ~chaos_plan:t.knobs.k_chaos_plan
   in
   let argv = Array.append [| t.knobs.k_exec |] tail in
   (* The socketpair rides in as the worker's stdin and carries frames in
@@ -109,23 +101,10 @@ let spawn t w =
         (Printf.sprintf "worker %d spawned (pid %d)" w.w_index pid)
 
 let create ~knobs ~spool ~workers =
-  let store =
-    if knobs.k_store_dir = "" then None
-    else
-      match
-        Store.create ~max_mb:knobs.k_store_max_mb ~dir:knobs.k_store_dir ()
-      with
-      | Ok s -> Some s
-      | Error e ->
-          knobs.k_log (e ^ " (store stats disabled)");
-          None
-  in
   let t =
     {
       knobs;
       spool;
-      store;
-      store_stats = Store.zero_stats;
       workers =
         Array.init (max 1 workers) (fun i ->
             {
@@ -196,11 +175,6 @@ let note_done t i =
   let w = worker t i in
   w.w_served <- w.w_served + 1;
   w.w_kill_by <- infinity
-
-(* Fold a worker-reported store-counter delta (a [done] frame's [store]
-   field) into the daemon-wide totals. *)
-let note_store t json =
-  t.store_stats <- Store.stats_add t.store_stats (Store.stats_of_json json)
 
 let send_to_worker t i payload =
   let w = worker t i in
@@ -415,29 +389,9 @@ let shutdown t ~grace =
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
 
-let store_json t =
-  match t.store with
-  | None -> J.Obj [ ("enabled", J.Bool false) ]
-  | Some s ->
-      let entries, bytes = Store.usage s in
-      let counters =
-        match Store.stats_to_json t.store_stats with
-        | J.Obj fields -> fields
-        | _ -> []
-      in
-      J.Obj
-        ([
-           ("enabled", J.Bool true);
-           ("dir", J.String (Store.dir s));
-           ("entries", J.Int entries);
-           ("bytes", J.Int bytes);
-         ]
-        @ counters)
-
 let stats_json t =
   J.Obj
     [
-      ("store", store_json t);
       ("crashes", J.Int t.crashes);
       ("restarts", J.Int t.restarts);
       ("watchdog_kills", J.Int t.watchdog_kills);

@@ -30,10 +30,6 @@ type knobs = {
   k_jobs : int;  (** per-worker domain-pool width *)
   k_max_frame : int;
   k_chaos_plan : string;  (** forwarded verbatim to workers *)
-  k_store_dir : string;
-      (** on-disk bundle-store directory shared by all workers;
-          [""] disables the store *)
-  k_store_max_mb : int;  (** store size bound for the workers' LRU sweep *)
   k_restart_backoff_ms : int;  (** first respawn delay; doubles per crash *)
   k_restart_backoff_max_ms : int;
   k_breaker_threshold : int;  (** crashes within the window that open it *)
@@ -97,11 +93,6 @@ val note_dispatch : t -> int -> kill_by:float -> unit
 (** A job was handed to the slot; the watchdog fires at [kill_by]. *)
 
 val note_done : t -> int -> unit
-
-val note_store : t -> Arde.Json.t -> unit
-(** Fold a worker-reported store-counter delta (the [store] field of a
-    [done] frame) into the daemon-wide totals surfaced by
-    {!stats_json}. *)
 
 val send_to_worker : t -> int -> string -> unit
 (** Frame and enqueue a payload on the worker's outbuf, flushing what

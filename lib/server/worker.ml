@@ -18,12 +18,9 @@ type args = {
   a_jobs : int;
   a_max_frame : int;
   a_chaos : Arde.Chaos.Serve.plan;
-  a_store : string; (* bundle-store directory; "" = store disabled *)
-  a_store_max_mb : int;
 }
 
-let worker_args ~spool ~index ~jobs ~max_frame ~chaos_plan ~store
-    ~store_max_mb =
+let worker_args ~spool ~index ~jobs ~max_frame ~chaos_plan =
   [|
     marker;
     "--spool";
@@ -36,10 +33,6 @@ let worker_args ~spool ~index ~jobs ~max_frame ~chaos_plan ~store
     string_of_int max_frame;
     "--chaos-plan";
     chaos_plan;
-    "--store";
-    store;
-    "--store-max-mb";
-    string_of_int store_max_mb;
   |]
 
 let parse_args argv =
@@ -51,8 +44,6 @@ let parse_args argv =
         a_jobs = 0;
         a_max_frame = P.default_max_frame;
         a_chaos = Arde.Chaos.Serve.empty;
-        a_store = "";
-        a_store_max_mb = Store.default_max_mb;
       }
   in
   let rec go = function
@@ -75,12 +66,6 @@ let parse_args argv =
             a := { !a with a_chaos = plan };
             go tl
         | Error e -> Error e)
-    | "--store" :: v :: tl ->
-        a := { !a with a_store = v };
-        go tl
-    | "--store-max-mb" :: v :: tl ->
-        a := { !a with a_store_max_mb = int_of_string v };
-        go tl
     | other :: _ -> Error (Printf.sprintf "unknown worker argument %S" other)
   in
   match go argv with
@@ -104,7 +89,6 @@ let resident programs ~digest = Arde.Fifo_table.mem programs digest
 type state = {
   args : args;
   spool : Spool.t;
-  store : Store.t option; (* the shared on-disk bundle store *)
   pool : Arde.Domain_pool.pool;
   programs : programs;
   mutable count : int; (* requests executed, drives the chaos plan *)
@@ -135,9 +119,6 @@ let lookup_program programs ~digest text =
    round-tripping through the JSON object's base64 field. *)
 let execute st ~digest (req : P.run_request) =
   let before = Arde.Analysis_cache.stats () in
-  let store_before =
-    match st.store with Some s -> Store.stats s | None -> Store.zero_stats
-  in
   let started = Unix.gettimeofday () in
   let should_stop =
     match req.P.rq_deadline_ms with
@@ -148,23 +129,12 @@ let execute st ~digest (req : P.run_request) =
   let respond result extra =
     let after = Arde.Analysis_cache.stats () in
     let delta = Arde.Analysis_cache.stats_delta ~before ~after in
-    let store_field =
-      match st.store with
-      | None -> []
-      | Some s ->
-          [
-            ( "store",
-              Store.stats_to_json
-                (Store.stats_delta ~before:store_before
-                   ~after:(Store.stats s)) );
-          ]
-    in
     P.ok_response ~id:req.P.rq_id
       ([
          ("result", Arde.Driver.result_to_json result);
          ("analysis_cache", Arde.Analysis_cache.stats_to_json delta);
        ]
-      @ store_field @ extra)
+      @ extra)
   in
   match req.P.rq_payload with
   | P.Rq_trace trace -> (
@@ -257,10 +227,10 @@ let stdout_fd = Unix.stdin
    [done] header, then the response bytes verbatim.  The torn/slow
    chaos faults corrupt the PAYLOAD frame — the supervisor must treat a
    stream that dies mid-response as a crash, not as a response. *)
-let send_done ?(faults = []) ?store ~job ~spool_error ~code raw_response =
+let send_done ?(faults = []) ~job ~spool_error ~code raw_response =
   let module CS = Arde.Chaos.Serve in
   Util.write_all stdout_fd
-    (P.frame (J.to_string (P.done_frame ?store ~job ~spool_error ~code ())));
+    (P.frame (J.to_string (P.done_frame ~job ~spool_error ~code ())));
   let bytes = P.frame raw_response in
   if List.mem CS.Torn_frame faults then begin
     (* Half the payload frame, then vanish. *)
@@ -289,8 +259,8 @@ let send_done_json ?faults ~job ~spool_error resp =
     (J.to_string resp)
 
 (* A response leaves on the wire its request arrived on. *)
-let send_done_resp ?faults ?store ?raw_trace ~job ~spool_error ~wire resp =
-  send_done ?faults ?store ~job ~spool_error ~code:(response_code resp)
+let send_done_resp ?faults ?raw_trace ~job ~spool_error ~wire resp =
+  send_done ?faults ~job ~spool_error ~code:(response_code resp)
     (P.encode_response ?raw_trace ~wire resp)
 
 (* [raw] is the client's request exactly as it crossed the public
@@ -311,11 +281,6 @@ let handle_job st ~job ~digest raw =
            "worker received a non-run request")
   | Ok (P.Run req) ->
       st.count <- st.count + 1;
-      let store_before =
-        match st.store with
-        | Some s -> Store.stats s
-        | None -> Store.zero_stats
-      in
       let faults = CS.fires st.args.a_chaos ~count:st.count in
       (* Journal before executing: if we die mid-request the supervisor
          seals this journal into a replayable crash bundle.  Journaling
@@ -341,16 +306,7 @@ let handle_job st ~job ~digest raw =
         done;
       let response, raw_trace = execute st ~digest req in
       Spool.clear st.spool ~worker:st.args.a_index;
-      let store =
-        match st.store with
-        | None -> None
-        | Some s ->
-            Some
-              (Store.stats_to_json
-                 (Store.stats_delta ~before:store_before
-                    ~after:(Store.stats s)))
-      in
-      send_done_resp ~faults ?store ?raw_trace ~job ~spool_error ~wire
+      send_done_resp ~faults ?raw_trace ~job ~spool_error ~wire
         response
 
 let main args =
@@ -374,26 +330,10 @@ let main args =
   let jobs =
     if args.a_jobs <= 0 then Arde.Domain_pool.default_jobs () else args.a_jobs
   in
-  (* The bundle store is strictly optional: a store that cannot even be
-     opened (bad path, permissions) logs once and the worker serves
-     compute-only, same as every later store failure. *)
-  let store =
-    if args.a_store = "" then None
-    else
-      match Store.create ~max_mb:args.a_store_max_mb ~dir:args.a_store () with
-      | Ok s -> Some s
-      | Error e ->
-          prerr_endline ("arde-serve worker: " ^ e ^ " (store disabled)");
-          None
-  in
-  (match store with
-  | Some s -> Arde.Analysis_cache.set_store (Some (Store.analysis_store s))
-  | None -> ());
   let st =
     {
       args;
       spool;
-      store;
       pool = Arde.Domain_pool.create ~jobs;
       programs = programs ();
       count = 0;

@@ -60,10 +60,6 @@ val worker_args :
   jobs:int ->
   max_frame:int ->
   chaos_plan:string ->
-  store:string ->
-  store_max_mb:int ->
   string array
 (** The argv tail (starting with {!marker}) the supervisor passes to
-    [Unix.create_process] when spawning worker [index].  [store] is the
-    bundle-store directory shared by every worker of the daemon (and by
-    successive daemons); [""] disables the store. *)
+    [Unix.create_process] when spawning worker [index]. *)

@@ -339,6 +339,103 @@ let prop_sched_determinism =
                steps)
            policies))
 
+(* The machine's spin cache, against the definition it precomputes: per
+   block, the spin loop it heads (-1 if none) and every spin id whose
+   body contains it ([in_loop] filtered over all ids, ascending); per
+   instruction, the loops it is a condition load of. *)
+let check_spin_cache ~ctx (prog : Arde.Types.program) inst cpl =
+  let module I = Arde.Instrument in
+  let ids =
+    List.sort compare (List.map (fun (s : I.spin) -> s.I.s_id) (I.spins inst))
+  in
+  let sc = M.export_spin_cache cpl inst in
+  let expect what fname lbl want got =
+    if want <> got then
+      Alcotest.failf "%s %s:%s %s: expected [%s], cached [%s]" ctx fname lbl
+        what
+        (String.concat ";" (List.map string_of_int want))
+        (String.concat ";" (List.map string_of_int got))
+  in
+  List.iteri
+    (fun fid (f : Arde.Types.func) ->
+      List.iteri
+        (fun bi (b : Arde.Types.block) ->
+          let fname = f.Arde.Types.fname and lbl = b.Arde.Types.lbl in
+          expect "header" fname lbl
+            [ Option.value ~default:(-1) (I.header_at inst ~fname ~lbl) ]
+            [ sc.M.sc_header.(fid).(bi) ];
+          expect "loops" fname lbl
+            (List.filter (I.in_loop inst ~fname ~lbl) ids)
+            (Array.to_list sc.M.sc_inloop.(fid).(bi));
+          let tags = sc.M.sc_tags.(fid).(bi) in
+          expect "instruction count" fname lbl
+            [ List.length b.Arde.Types.ins ] [ Array.length tags ];
+          List.iteri
+            (fun pc _ ->
+              expect (Printf.sprintf "tags@%d" pc) fname lbl
+                (I.marked_loops_at inst
+                   { Arde.Types.lfunc = fname; lblk = lbl; lidx = pc })
+                (Array.to_list tags.(pc)))
+            b.Arde.Types.ins)
+        f.Arde.Types.blocks)
+    prog.Arde.Types.funcs
+
+(* Two spin loops nested in one function: the inner loop's blocks belong
+   to both, so their loop lists pin the ascending order. *)
+let nested_spins =
+  program
+    ~globals:[ global "x" (); global "y" () ]
+    ~entry:"main"
+    [
+      func "main"
+        [
+          blk "e" [] (goto "oh");
+          blk "oh" [ load "a" (g "x") ] (br (r "a") "out" "ih");
+          blk "ih" [ load "b" (g "y") ] (br (r "b") "oh_back" "ih_body");
+          blk "ih_body" [ yield ] (goto "ih");
+          blk "oh_back" [] (goto "oh");
+          blk "out" [] exit_t;
+        ];
+    ]
+
+let test_spin_cache_definition () =
+  let inst = Arde.Instrument.analyze ~k:7 nested_spins in
+  Alcotest.(check int) "both nested loops are spin loops" 2
+    (List.length (Arde.Instrument.spins inst));
+  let cpl = M.compile nested_spins in
+  Alcotest.(check bool) "a block sits in both loops" true
+    (Array.exists
+       (Array.exists (fun ids -> Array.length ids = 2))
+       (M.export_spin_cache cpl inst).M.sc_inloop);
+  check_spin_cache ~ctx:"nested" nested_spins inst cpl;
+  (* Every spin mode analyzes one of two forms of a program at some k:
+     helgrind+spin the program as written, nolib+spin and
+     nolib+spin+locks its lowering.  k = 7 is every Table-1 spin mode;
+     k = 8, Table 2's widest window, accepts a superset of its loops. *)
+  let forms (name, program, style) =
+    [ (name, program); (name ^ " lowered", Arde.Lower.lower ~style program) ]
+  in
+  List.iter
+    (fun (name, program) ->
+      let cpl = M.compile program in
+      List.iter
+        (fun k ->
+          check_spin_cache
+            ~ctx:(Printf.sprintf "%s k=%d" name k)
+            program (Arde.Instrument.analyze ~k program) cpl)
+        [ 7; 8 ])
+    (List.concat_map forms
+       (List.map
+          (fun (c : Arde_workloads.Racey.case) ->
+            (c.Arde_workloads.Racey.name, c.Arde_workloads.Racey.program,
+             Arde.Lower.Realistic))
+          (Arde_workloads.Racey.all ())
+       @ List.map
+           (fun ((info : Arde_workloads.Parsec.info), p) ->
+             (info.Arde_workloads.Parsec.pname, p,
+              info.Arde_workloads.Parsec.nolib_style))
+           (Arde_workloads.Parsec.all ())))
+
 let suite =
   [
     Alcotest.test_case "golden fixtures reproduced bit-for-bit" `Slow
@@ -353,5 +450,7 @@ let suite =
       test_wide_call;
     Alcotest.test_case "64-thread barrier passes exactly once each" `Quick
       test_barrier_64;
+    Alcotest.test_case "spin cache matches its definition" `Quick
+      test_spin_cache_definition;
     prop_sched_determinism;
   ]

@@ -152,6 +152,23 @@ let test_cache_hits_on_repeated_runs () =
   Alcotest.(check bool) "lowering cache hit" true
     (s.Arde.Analysis_cache.lower_hits > 0)
 
+(* Domains missing on one key together may each compute the bundle, but
+   the first one published is what every caller gets, so they share one
+   compiled machine (and its spin cache). *)
+let test_racing_prepares_share_a_bundle () =
+  let p = racy_case "adhoc_flag_w2/8" in
+  Arde.Analysis_cache.clear ();
+  let prepare () =
+    Arde.Analysis_cache.prepare ~style:Arde.Lower.Realistic
+      ~count_callees:true (Arde.Config.Nolib_spin 7) p
+  in
+  let got = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn prepare)) in
+  let kept = prepare () in
+  List.iter
+    (fun (b : Arde.Analysis_cache.prepared) ->
+      Alcotest.(check bool) "racer got the kept bundle" true (b == kept))
+    got
+
 let test_cache_disabled_recomputes () =
   let p = racy_case "racy_counter/2" in
   Arde.Analysis_cache.clear ();
@@ -448,6 +465,8 @@ let suite =
       test_cache_matches_fresh_lowering;
     Alcotest.test_case "cache hits on repeated runs" `Quick
       test_cache_hits_on_repeated_runs;
+    Alcotest.test_case "racing prepares share one bundle" `Quick
+      test_racing_prepares_share_a_bundle;
     Alcotest.test_case "disabled cache recomputes" `Quick
       test_cache_disabled_recomputes;
     Alcotest.test_case "warm Predict run prepares once" `Quick

@@ -342,12 +342,12 @@ let rec rm_rf path =
    the breaker window is kept tiny so deliberate crash storms in these
    tests exercise restarts, not the circuit breaker (which gets its own
    dedicated test). *)
-let start ?tcp ?store_dir ?(workers = 2) ?max_pending ?max_frame ?(jobs = 2)
+let start ?tcp ?(workers = 2) ?max_pending ?max_frame ?(jobs = 2)
     ?default_deadline_ms ?watchdog_ms ?(restart_backoff_ms = 10)
     ?breaker_threshold ?(breaker_window_s = 0.001) ?(chaos_plan = "") () =
   let path = fresh_socket () in
   let cfg =
-    S.config ?tcp ?store_dir ~workers ?max_pending ?max_frame ~jobs
+    S.config ?tcp ~workers ?max_pending ?max_frame ~jobs
       ?default_deadline_ms ?watchdog_ms ~restart_backoff_ms ?breaker_threshold
       ~breaker_window_s ~chaos_plan ~socket_path:path ()
   in
@@ -366,11 +366,11 @@ let stop srv =
   Domain.join srv.runner;
   rm_rf srv.spool
 
-let with_server ?tcp ?store_dir ?workers ?max_pending ?max_frame ?jobs
+let with_server ?tcp ?workers ?max_pending ?max_frame ?jobs
     ?default_deadline_ms ?watchdog_ms ?restart_backoff_ms ?breaker_threshold
     ?breaker_window_s ?chaos_plan f =
   let srv =
-    start ?tcp ?store_dir ?workers ?max_pending ?max_frame ?jobs
+    start ?tcp ?workers ?max_pending ?max_frame ?jobs
       ?default_deadline_ms ?watchdog_ms ?restart_backoff_ms ?breaker_threshold
       ?breaker_window_s ?chaos_plan ()
   in
@@ -935,12 +935,12 @@ let test_sigterm_drain () =
     (fun () ->
       let srv = start ~jobs:1 () in
       S.handle_signals srv.t;
-      let inflight = connect srv in
+      let in_flight = connect srv in
       let idle_pre_drain = connect srv in
       (* A slow request is in flight when the signal lands. *)
       ignore
         (ok_exn "send slow"
-           (C.send_frame inflight
+           (C.send_frame in_flight
               (J.to_string
                  (P.run_request_json ~id:(J.Int 1) ~program:busy_tir
                     ~mode:Arde.Config.Helgrind_lib
@@ -974,10 +974,10 @@ let test_sigterm_drain () =
                     (error_code resp)
               | Error _ -> () (* listener closed first *)));
       (* The in-flight request still completes with a real result. *)
-      let resp = ok_exn "in-flight response" (C.recv inflight) in
+      let resp = ok_exn "in-flight response" (C.recv in_flight) in
       checkb "in-flight request finished" true (P.response_ok resp);
       checkb "carried a result" true (J.member "result" resp <> None);
-      C.close inflight;
+      C.close in_flight;
       C.close idle_pre_drain;
       (* And the server loop returns (exit 0 in the CLI). *)
       Domain.join srv.runner;
@@ -1508,267 +1508,20 @@ let test_client_disconnect_mid_response () =
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
-(* Persistent bundle store                                             *)
+(* Restart                                                             *)
 
-module St = Arde_server.Store
-module AC = Arde.Analysis_cache
-
-let store_counter = ref 0
-
-let fresh_store_dir () =
-  incr store_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "arde-test-store-%d-%d" (Unix.getpid ()) !store_counter)
-
-let with_store_dir f =
-  let dir = fresh_store_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
-(* A spin-mode prepared bundle for one catalog case — exercises the
-   whole entry body including the machine's spin cache. *)
-let store_mode = Arde.Config.Nolib_spin 2
-let store_style = Arde.Lower.Realistic
-
-let store_case () =
-  List.find
-    (fun c -> c.W.Racey.threads <= 4)
-    (W.Racey.all ())
-
-let store_prepared ~digest =
-  AC.prepare ~digest ~style:store_style ~count_callees:false store_mode
-    (store_case ()).W.Racey.program
-
-let store_key ~digest =
-  {
-    AC.sk_digest = digest;
-    sk_mode = store_mode;
-    sk_style = store_style;
-    sk_count_callees = false;
-  }
-
-let store_path st ~digest =
-  St.entry_path st ~digest
-    ~mode_id:(Arde.Config.mode_id store_mode)
-    ~style:store_style ~count_callees:false
-
-let test_store_roundtrip () =
-  with_store_dir @@ fun dir ->
-  let st = ok_exn "store create" (St.create ~dir ()) in
-  let hooks = St.analysis_store st in
-  let p = store_prepared ~digest:"rt" in
-  let enc q =
-    St.encode ~digest:"rt"
-      ~mode_id:(Arde.Config.mode_id store_mode)
-      ~style:store_style ~count_callees:false q
-  in
-  (* Deterministic bytes are what make concurrent worker write-backs
-     benign (last writer wins with identical content). *)
-  checks "encoding is deterministic" (enc p) (enc p);
-  checkb "miss before any save" true (hooks.AC.store_load (store_key ~digest:"rt") = None);
-  hooks.AC.store_save (store_key ~digest:"rt") p;
-  (match hooks.AC.store_load (store_key ~digest:"rt") with
-  | None -> Alcotest.fail "expected a disk hit after save"
-  | Some q ->
-      checks "program text survives the disk"
-        (Arde.Pretty.program_to_string p.AC.p_program)
-        (Arde.Pretty.program_to_string q.AC.p_program);
-      checkb "cv mutexes survive" true (p.AC.p_cv_mutexes = q.AC.p_cv_mutexes);
-      checkb "inferred locks survive" true
-        (p.AC.p_inferred_locks = q.AC.p_inferred_locks);
-      (* Round-trip stability: a reloaded bundle re-encodes to the same
-         bytes, which covers the spin-cache arrays without reaching into
-         machine internals. *)
-      checks "encode(decode(x)) = encode(x)" (enc p) (enc q));
-  let s = St.stats st in
-  check Alcotest.int "one save" 1 s.St.st_saves;
-  check Alcotest.int "one hit" 1 s.St.st_hits;
-  check Alcotest.int "one miss" 1 s.St.st_misses;
-  check Alcotest.int "nothing corrupt" 0 s.St.st_corrupt
-
-let test_store_corruption_recovery () =
-  with_store_dir @@ fun dir ->
-  let st = ok_exn "store create" (St.create ~dir ()) in
-  let hooks = St.analysis_store st in
-  let key = store_key ~digest:"corrupt" in
-  let p = store_prepared ~digest:"corrupt" in
-  let path = store_path st ~digest:"corrupt" in
-  let mangle f =
-    hooks.AC.store_save key p;
-    let bytes = ok_exn "read entry" (Arde_server.Util.read_file path) in
-    let b = Bytes.of_string bytes in
-    f b;
-    (match hooks.AC.store_load key with
-    | None -> ()
-    | Some _ -> Alcotest.fail "loaded a mangled entry");
-    checkb "mangled entry deleted" false (Sys.file_exists path)
-  in
-  (* Truncation. *)
-  mangle (fun b ->
-      let oc = open_out_bin path in
-      output_bytes oc (Bytes.sub b 0 (Bytes.length b / 2));
-      close_out oc);
-  (* A flipped body byte must fail the checksum. *)
-  mangle (fun b ->
-      let i = Bytes.length b / 2 in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5a));
-      let oc = open_out_bin path in
-      output_bytes oc b;
-      close_out oc);
-  (* A future format version is recomputed, not trusted. *)
-  mangle (fun b ->
-      Bytes.set b 8 '\x63';
-      let oc = open_out_bin path in
-      output_bytes oc b;
-      close_out oc);
-  check Alcotest.int "every mangling recovered" 3 (St.stats st).St.st_corrupt;
-  (* The slot is usable again afterwards. *)
-  hooks.AC.store_save key p;
-  checkb "save after recovery works" true (hooks.AC.store_load key <> None)
-
-let test_store_write_failure_degrades () =
-  with_store_dir @@ fun dir ->
-  let st = ok_exn "store create" (St.create ~dir ()) in
-  let hooks = St.analysis_store st in
-  let p = store_prepared ~digest:"gone" in
-  (* The directory vanishing mid-flight is the portable stand-in for
-     ENOSPC: every write failure takes the same degrade path. *)
-  rm_rf dir;
-  hooks.AC.store_save (store_key ~digest:"gone") p;
-  check Alcotest.int "write failure counted" 1 (St.stats st).St.st_errors;
-  checkb "lookup is a plain miss" true
-    (hooks.AC.store_load (store_key ~digest:"gone") = None);
-  check Alcotest.int "no phantom save" 0 (St.stats st).St.st_saves
-
-let test_store_lru_bound () =
-  with_store_dir @@ fun dir ->
-  let st = ok_exn "store create" (St.create ~dir ()) in
-  let hooks = St.analysis_store st in
-  let digests = [ "lru-a"; "lru-b"; "lru-c"; "lru-d" ] in
-  List.iter
-    (fun d ->
-      hooks.AC.store_save (store_key ~digest:d) (store_prepared ~digest:d);
-      (* Distinct mtimes order the eviction scan deterministically. *)
-      Unix.sleepf 0.02)
-    digests;
-  let _, bytes = St.usage st in
-  let per_entry = bytes / List.length digests in
-  (* Freshen the oldest entry: LRU must now prefer evicting lru-b. *)
-  checkb "touch hit" true (hooks.AC.store_load (store_key ~digest:"lru-a") <> None);
-  Unix.sleepf 0.02;
-  let evicted = St.gc st ~max_bytes:(per_entry * 2) in
-  check Alcotest.int "evicted down to bound" 2 evicted;
-  let n, bytes' = St.usage st in
-  check Alcotest.int "two entries remain" 2 n;
-  checkb "bound respected" true (bytes' <= per_entry * 2);
-  checkb "recently used entry survived" true
-    (Sys.file_exists (store_path st ~digest:"lru-a"));
-  checkb "most recent entry survived" true
-    (Sys.file_exists (store_path st ~digest:"lru-d"));
-  checkb "LRU victims were the stale ones" false
-    (Sys.file_exists (store_path st ~digest:"lru-b")
-    || Sys.file_exists (store_path st ~digest:"lru-c"))
-
-(* Satellite guarantee: within one process, concurrent prepares of a
-   cold key compute (and write back) exactly once; everyone else waits
-   on the single flight and shares the published bundle. *)
-let test_store_single_flight () =
-  let saves = Atomic.make 0 in
-  let loads = Atomic.make 0 in
-  AC.set_store
-    (Some
-       {
-         AC.store_load =
-           (fun _ ->
-             Atomic.incr loads;
-             (* A slow miss widens the window concurrent callers race
-                into. *)
-             Unix.sleepf 0.02;
-             None);
-         AC.store_save = (fun _ _ -> Atomic.incr saves);
-       });
-  Fun.protect ~finally:(fun () -> AC.set_store None) @@ fun () ->
-  AC.clear ();
-  let program = (store_case ()).W.Racey.program in
-  let ds =
-    List.init 6 (fun _ ->
-        Domain.spawn (fun () ->
-            AC.prepare ~digest:"single-flight" ~style:store_style
-              ~count_callees:false store_mode program))
-  in
-  let ps = List.map Domain.join ds in
-  check Alcotest.int "exactly one store lookup" 1 (Atomic.get loads);
-  check Alcotest.int "exactly one write-back" 1 (Atomic.get saves);
-  match ps with
-  | first :: rest ->
-      List.iter
-        (fun p ->
-          checkb "all callers share one compiled bundle" true
-            (p.AC.p_compiled == first.AC.p_compiled))
-        rest
-  | [] -> Alcotest.fail "no domains ran"
-
-(* Sibling workers racing a write-back: both encode byte-identically, so
-   last-writer-wins leaves exactly the bytes either would have written. *)
-let test_store_cross_worker_write_back () =
-  with_store_dir @@ fun dir ->
-  let st1 = ok_exn "store 1" (St.create ~dir ()) in
-  let st2 = ok_exn "store 2" (St.create ~dir ()) in
-  let p1 = store_prepared ~digest:"xw" in
-  AC.clear ();
-  let p2 = store_prepared ~digest:"xw" in
-  checkb "independent computes" true (p1.AC.p_compiled != p2.AC.p_compiled);
-  let enc p =
-    St.encode ~digest:"xw"
-      ~mode_id:(Arde.Config.mode_id store_mode)
-      ~style:store_style ~count_callees:false p
-  in
-  checks "independent computes encode identically" (enc p1) (enc p2);
-  (St.analysis_store st1).AC.store_save (store_key ~digest:"xw") p1;
-  (St.analysis_store st2).AC.store_save (store_key ~digest:"xw") p2;
-  let on_disk =
-    ok_exn "read entry"
-      (Arde_server.Util.read_file (store_path st1 ~digest:"xw"))
-  in
-  checks "last writer left identical bytes" (enc p1) on_disk
-
-(* The tentpole end to end: a daemon is killed and a fresh one on the
-   same store answers previously-seen programs from disk, byte-identical
-   to the cold compute. *)
-let test_store_restart_warm_identity () =
-  with_store_dir @@ fun store_dir ->
+(* A daemon is stopped and a fresh one answers a previously-served
+   program from a cold start: nothing carries over between daemons, and
+   the recomputed result is byte-identical to the first daemon's. *)
+let test_restart_identity () =
   let case = List.hd (identity_cases ()) in
   let mode = Arde.Config.Nolib_spin 7 in
-  let cold =
-    with_server ~store_dir ~workers:1 (fun srv ->
+  let serve () =
+    with_server ~workers:1 (fun srv ->
         with_client srv (fun cl -> served_result_string cl case mode))
   in
-  (* [stop] tore the whole daemon down (workers included); only the
-     store directory carries state across. *)
-  with_server ~store_dir ~workers:1 (fun srv ->
-      with_client srv (fun cl ->
-          let resp =
-            ok_exn "restart-warm run"
-              (C.run cl
-                 ~program:(Arde.Pretty.program_to_string case.W.Racey.program)
-                 ~mode ~options:identity_options ())
-          in
-          checkb "restart-warm run ok" true (P.response_ok resp);
-          checks "restart-warm result is byte-identical to cold"
-            cold
-            (J.to_string
-               (Option.value ~default:J.Null (J.member "result" resp)));
-          (* The response's own store delta proves the bundle came off
-             disk, not from a recompute. *)
-          let store_int k =
-            Option.bind
-              (Option.bind (J.member "store" resp) (J.member k))
-              J.to_int
-          in
-          check (Alcotest.option Alcotest.int) "one disk hit" (Some 1)
-            (store_int "disk_hits");
-          check (Alcotest.option Alcotest.int) "no save on the warm path"
-            (Some 0) (store_int "saves")))
+  let first = serve () in
+  checks "restarted daemon's first result is byte-identical" first (serve ())
 
 (* ------------------------------------------------------------------ *)
 (* TCP listener                                                        *)
@@ -1885,20 +1638,8 @@ let suite =
       test_drain_races_cold_fill;
     Alcotest.test_case "client disconnect mid-response is survivable" `Quick
       test_client_disconnect_mid_response;
-    Alcotest.test_case "store entries round-trip deterministically" `Quick
-      test_store_roundtrip;
-    Alcotest.test_case "corrupt store entries are recomputed, never fatal"
-      `Quick test_store_corruption_recovery;
-    Alcotest.test_case "store write failures degrade to compute-only" `Quick
-      test_store_write_failure_degrades;
-    Alcotest.test_case "store eviction is LRU and respects the bound" `Quick
-      test_store_lru_bound;
-    Alcotest.test_case "concurrent prepares single-flight the compute" `Quick
-      test_store_single_flight;
-    Alcotest.test_case "racing write-backs leave identical bytes" `Quick
-      test_store_cross_worker_write_back;
-    Alcotest.test_case "restarted daemon serves byte-identical results warm"
-      `Quick test_store_restart_warm_identity;
+    Alcotest.test_case "restarted daemon serves byte-identical results"
+      `Quick test_restart_identity;
     Alcotest.test_case "tcp endpoints parse" `Quick test_parse_tcp_endpoint;
     Alcotest.test_case "tcp listener is byte-identical on both wires" `Quick
       test_tcp_end_to_end;
