@@ -13,6 +13,7 @@ type prepared = {
   p_cv_mutexes : string list;
   p_inferred_locks : string list;
   p_compiled : Arde_runtime.Machine.compiled;
+  p_cv_hazards : Cv_checker.diagnostic list;
 }
 
 module Fifo = Arde_util.Fifo_table
@@ -153,15 +154,31 @@ let compute_prepared ~digest ~style ~count_callees mode program =
     p_cv_mutexes = cv_mutexes;
     p_inferred_locks = inferred_locks;
     p_compiled = compiled;
+    p_cv_hazards = (try Cv_checker.static_check program with _ -> []);
   }
+
+let prep_key ~digest ~style ~count_callees mode =
+  (digest, Config.mode_id mode, style, count_callees)
 
 let prepare ?digest ~style ~count_callees mode program =
   let digest =
     match digest with Some d -> d | None -> digest_of_program program
   in
   memo prep_tbl prep_hits prep_misses
-    (digest, Config.mode_id mode, style, count_callees)
+    (prep_key ~digest ~style ~count_callees mode)
     (fun () -> compute_prepared ~digest ~style ~count_callees mode program)
+
+(* A lookup that never computes: it counts its hits, and leaves a miss
+   to the {!prepare} the caller makes once it has a program. *)
+let find_prepared ~digest ~style ~count_callees mode =
+  locked (fun () ->
+      if not !on then None
+      else
+        let found =
+          Fifo.find_opt prep_tbl (prep_key ~digest ~style ~count_callees mode)
+        in
+        if Option.is_some found then incr prep_hits;
+        found)
 
 let stats () =
   locked (fun () ->

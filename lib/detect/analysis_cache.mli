@@ -10,11 +10,13 @@
 
     - {!prepare} is keyed by [(digest, mode, style, count_callees)] and
       caches the {e whole} pre-seed bundle — lowered program,
-      instrumentation, condition-variable scan, lock inference, and the
-      compiled machine.  A prepared hit is what lets a repeat submission
-      skip straight to per-seed execution: the compiled form also
-      carries the machine's per-instrumentation spin cache, so even that
-      one-time cost survives across requests.
+      instrumentation, condition-variable scan, lock inference, the
+      static spurious-wakeup hazards and the compiled machine.  A
+      prepared hit is what lets a repeat submission skip straight to
+      per-seed execution: the compiled form also carries the machine's
+      per-instrumentation spin cache, so even that one-time cost
+      survives across requests.  {!find_prepared} looks a bundle up by
+      key alone, which is how a text input that hits is never parsed.
     - {!lowered} is keyed by [(digest, style)];
     - {!instrumented} is keyed by [(digest, lowering, k, count_callees)],
       where [lowering] is the style the analyzed program was lowered
@@ -52,6 +54,9 @@ type prepared = {
   p_cv_mutexes : string list;
   p_inferred_locks : string list;
   p_compiled : Arde_runtime.Machine.compiled;
+  p_cv_hazards : Cv_checker.diagnostic list;
+      (** {!Cv_checker.static_check} of [p_program], run once per
+          bundle rather than once per run *)
 }
 
 val prepare :
@@ -68,6 +73,17 @@ val prepare :
     pretty-print).  Concurrent misses on one key may each compute; the
     first bundle published is kept and, while the cache is enabled,
     every caller gets that one. *)
+
+val find_prepared :
+  digest:string ->
+  style:Arde_tir.Lower.style ->
+  count_callees:bool ->
+  Config.mode ->
+  prepared option
+(** The bundle {!prepare} would return under the same key, if one is
+    cached — without a program in hand.  A hit counts one prepare hit;
+    a miss counts nothing, since the caller's {!prepare} that follows
+    counts it.  Always [None] while the cache is disabled. *)
 
 val digest_of_program : Arde_tir.Types.program -> string
 (** Digest of the program's canonical pretty-printed form.  Equal to

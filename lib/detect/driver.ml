@@ -194,23 +194,53 @@ let describe_exn = function
   | e -> (None, Printexc.to_string e)
 
 (* Everything that happens before the per-seed fan-out: lowering, the
-   instrumentation phase, lock inference, compilation.  The whole bundle
-   goes through {!Analysis_cache.prepare}, so a harness that runs the
-   same program many times (suite, chaos storm, bench sweep, a serve
-   daemon's repeat submissions) pays for the static analysis once and a
-   warm run skips straight to per-seed execution.  A crash here means no
-   seed can run at all — the caller turns it into a [Failed] health
-   record rather than letting the exception escape [Arde.detect]. *)
+   instrumentation phase, lock inference, the static hazard scan,
+   compilation.  The whole bundle goes through {!Analysis_cache.prepare},
+   so a harness that runs the same program many times (suite, chaos
+   storm, bench sweep, a serve daemon's repeat submissions) pays for the
+   static analysis once and a warm run skips straight to per-seed
+   execution.  A crash here means no seed can run at all — the caller
+   turns it into a [Failed] health record rather than letting the
+   exception escape [Arde.detect]. *)
 let prepare ?digest (options : Options.t) mode program =
-  let p =
-    Analysis_cache.prepare ?digest ~style:options.Options.lower_style
-      ~count_callees:options.Options.count_callee_blocks mode program
+  Analysis_cache.prepare ?digest ~style:options.Options.lower_style
+    ~count_callees:options.Options.count_callee_blocks mode program
+
+(* One seed's detector: a fresh engine and condition-variable checker
+   over the prepared bundle, teed into the observer the stream feeds. *)
+let seed_detector (options : Options.t) mode ~engine_factory
+    (p : Analysis_cache.prepared) =
+  let detector_cfg =
+    Config.make ~sensitivity:options.Options.sensitivity
+      ~cap:options.Options.cap mode
   in
-  ( p.Analysis_cache.p_program,
-    p.Analysis_cache.p_instrument,
-    p.Analysis_cache.p_cv_mutexes,
-    p.Analysis_cache.p_inferred_locks,
-    p.Analysis_cache.p_compiled )
+  let engine =
+    engine_factory detector_cfg ~cv_mutexes:p.Analysis_cache.p_cv_mutexes
+      ~inferred_locks:p.Analysis_cache.p_inferred_locks
+      ~instrument:p.Analysis_cache.p_instrument
+  in
+  let cv_checker = Cv_checker.create () in
+  ( engine,
+    cv_checker,
+    Observer.tee engine.e_observer (Cv_checker.observer cv_checker) )
+
+(* A seed's record from what its engine and checker hold.  Every read is
+   guarded: after a crash, the warnings found on the trace prefix are
+   still valid observations and are salvaged. *)
+let seed_record ~seed engine cv_checker outcome ~steps ~check_failures =
+  let rep = try Some (engine.e_report ()) with _ -> None in
+  ( {
+      sr_seed = seed;
+      sr_outcome = outcome;
+      sr_steps = steps;
+      sr_contexts = (match rep with Some r -> Report.n_contexts r | None -> 0);
+      sr_capped = (match rep with Some r -> Report.capped r | None -> false);
+      sr_spin_edges = (try engine.e_spin_edges () with _ -> 0);
+      sr_memory_words = (try engine.e_memory_words () with _ -> 0);
+      sr_check_failures = check_failures;
+      sr_cv_diagnostics = (try Cv_checker.finalize cv_checker with _ -> []);
+    },
+    rep )
 
 (* The pure per-seed stage.  Runs one seed inside a sandbox and returns
    the seed's record together with its private report — no shared state
@@ -221,26 +251,17 @@ let prepare ?digest (options : Options.t) mode program =
    [Crashed] outcome carrying whatever partial report the engine had
    accumulated.  One sick seed never takes down the others.
 
-   When a [sink] is supplied, it is teed {e between} the chaos injector
-   and the engine: the recorded stream is exactly the stream the engine
-   saw (an injector raising mid-run truncates both identically), which
-   is what makes replay reproduce even crashed seeds byte for byte. *)
-let run_seed (options : Options.t) mode ~engine_factory ~instrument
-    ~cv_mutexes ~inferred_locks ?sink compiled seed =
-  let detector_cfg =
-    Config.make ~sensitivity:options.Options.sensitivity
-      ~cap:options.Options.cap mode
+   A [tap] (a codec sink recording the seed, or the event collector a
+   prediction reads) sits {e between} the chaos injector and the engine:
+   the tapped stream is exactly the stream the engine saw (an injector
+   raising mid-run truncates both identically), which is what makes
+   replay reproduce even crashed seeds byte for byte. *)
+let run_seed (options : Options.t) mode ~engine_factory ?(tap = Observer.none)
+    (p : Analysis_cache.prepared) seed =
+  let engine, cv_checker, observer =
+    seed_detector options mode ~engine_factory p
   in
-  let engine = engine_factory detector_cfg ~cv_mutexes ~inferred_locks ~instrument in
-  let cv_checker = Cv_checker.create () in
-  let observer =
-    Observer.tee engine.e_observer (Cv_checker.observer cv_checker)
-  in
-  let observer =
-    match sink with
-    | None -> observer
-    | Some s -> Observer.tee (Codec.sink_observer s) observer
-  in
+  let observer = Observer.tee tap observer in
   let observer =
     match options.Options.inject with
     | None -> observer
@@ -251,44 +272,19 @@ let run_seed (options : Options.t) mode ~engine_factory ~instrument
       Machine.policy = options.Options.policy;
       seed;
       fuel = options.Options.fuel;
-      instrument;
+      instrument = p.Analysis_cache.p_instrument;
       spurious_wakeups = options.Options.spurious_wakeups;
       observer;
     }
   in
-  match Machine.run mcfg compiled with
+  match Machine.run mcfg p.Analysis_cache.p_compiled with
   | res ->
-      let rep = engine.e_report () in
-      ( {
-          sr_seed = seed;
-          sr_outcome = Completed res.Machine.outcome;
-          sr_steps = res.Machine.steps;
-          sr_contexts = Report.n_contexts rep;
-          sr_capped = Report.capped rep;
-          sr_spin_edges = engine.e_spin_edges ();
-          sr_memory_words = engine.e_memory_words ();
-          sr_check_failures = res.Machine.check_failures;
-          sr_cv_diagnostics = Cv_checker.finalize cv_checker;
-        },
-        Some rep )
+      seed_record ~seed engine cv_checker (Completed res.Machine.outcome)
+        ~steps:res.Machine.steps ~check_failures:res.Machine.check_failures
   | exception e ->
       let floc, msg = describe_exn e in
-      (* Salvage what the engine saw before the crash; warnings found on
-         the trace prefix are still valid observations. *)
-      let rep = try Some (engine.e_report ()) with _ -> None in
-      ( {
-          sr_seed = seed;
-          sr_outcome = Crashed (floc, msg);
-          sr_steps = 0;
-          sr_contexts =
-            (match rep with Some r -> Report.n_contexts r | None -> 0);
-          sr_capped = (match rep with Some r -> Report.capped r | None -> false);
-          sr_spin_edges = (try engine.e_spin_edges () with _ -> 0);
-          sr_memory_words = (try engine.e_memory_words () with _ -> 0);
-          sr_check_failures = [];
-          sr_cv_diagnostics = (try Cv_checker.finalize cv_checker with _ -> []);
-        },
-        rep )
+      seed_record ~seed engine cv_checker (Crashed (floc, msg)) ~steps:0
+        ~check_failures:[]
 
 (* A seed the run never started: the cancellation hook (a server
    deadline, a drain) fired before this seed's slot came up.  No machine
@@ -403,11 +399,11 @@ let fan_out (c : ctx) options body seeds =
       let jobs = Options.effective_jobs options ~n_seeds:(List.length seeds) in
       Arde_util.Domain_pool.map ~jobs body seeds
 
-let finish_result mode ~program ~instrument ~notes per_seed =
+let finish_result mode (p : Analysis_cache.prepared) ~notes per_seed =
   let merged = merge_reports per_seed in
   let runs = List.map fst per_seed in
   let n_spin_loops =
-    match instrument with
+    match p.Analysis_cache.p_instrument with
     | Some inst -> List.length (Arde_cfg.Instrument.spins inst)
     | None -> 0
   in
@@ -416,48 +412,45 @@ let finish_result mode ~program ~instrument ~notes per_seed =
     merged;
     runs;
     n_spin_loops;
-    static_cv_hazards = (try Cv_checker.static_check program with _ -> []);
+    static_cv_hazards = p.Analysis_cache.p_cv_hazards;
     health = health_of ~notes runs;
     prediction = None;
   }
 
-(* Execute the live pipeline; with [record] also seal one codec section
-   per seed.  Returns the sections in seed order, matching [runs], and
-   the instrumentation the prepare step produced (for [predict_into]). *)
-let run_live (c : ctx) mode program ~record =
-  match prepare ?digest:c.c_program_digest c.c_options mode program with
-  | exception e -> (failed_result mode (snd (describe_exn e)), [], None)
-  | program, instrument, cv_mutexes, inferred_locks, compiled ->
-      let options = c.c_options in
-      let notes = clamp_notes options in
-      (* Cooperative cancellation: the hook is consulted once per seed,
-         before that seed's machine is built.  Seeds already executing
-         run to completion (their findings are salvaged); seeds whose
-         slot comes up after the hook fires become [Cancelled]. *)
-      let seed_body seed =
-        if c.c_should_stop () then
-          ( cancelled_run seed,
-            if record then Some (Codec.cancelled_section ~seed) else None )
-        else begin
-          let sink = if record then Some (Codec.sink ()) else None in
-          let ((sr, _) as seed_res) =
-            run_seed options mode ~engine_factory:c.c_engine ~instrument
-              ~cv_mutexes ~inferred_locks ?sink compiled seed
-          in
-          let section =
-            Option.map
-              (fun s -> Codec.section_of_sink s ~seed (trailer_of_seed_run sr))
-              sink
-          in
-          (seed_res, section)
-        end
+(* How a seed's event stream is used besides detection: the observer
+   {!run_seed} splices in as its tap, and what to make of the stream
+   once the seed has run.  [t_finish] runs inside the per-seed body, so
+   whatever the tap holds is garbage as soon as its seed is done. *)
+type 'a tap = { t_observer : Observer.t; t_finish : seed_run -> 'a }
+
+(* Execute the live pipeline over a prepared bundle.  [tap ~pos seed]
+   (the seed's position in the seed list, and the seed) says whether and
+   how to tap a seed; a cancelled seed contributes [on_cancel seed]
+   instead.  Returns the result and what the taps made, in seed order. *)
+let run_live (c : ctx) mode p ~tap ~on_cancel =
+  let options = c.c_options in
+  let notes = clamp_notes options in
+  (* Cooperative cancellation: the hook is consulted once per seed,
+     before that seed's machine is built.  Seeds already executing run
+     to completion (their findings are salvaged); seeds whose slot comes
+     up after the hook fires become [Cancelled]. *)
+  let seed_body (pos, seed) =
+    if c.c_should_stop () then (cancelled_run seed, on_cancel seed)
+    else
+      let run ?tap () =
+        run_seed options mode ~engine_factory:c.c_engine ?tap p seed
       in
-      let out = fan_out c options seed_body options.Options.seeds in
-      let per_seed = List.map fst out in
-      let sections = List.filter_map snd out in
-      ( finish_result mode ~program ~instrument ~notes per_seed,
-        sections,
-        instrument )
+      match tap ~pos seed with
+      | None -> (run (), None)
+      | Some t ->
+          let ((sr, _) as seed_res) = run ~tap:t.t_observer () in
+          (seed_res, Some (t.t_finish sr))
+  in
+  let out =
+    fan_out c options seed_body
+      (List.mapi (fun pos seed -> (pos, seed)) options.Options.seeds)
+  in
+  (finish_result mode p ~notes (List.map fst out), List.filter_map snd out)
 
 (* ------------------------------------------------------------------ *)
 (* Inputs                                                             *)
@@ -475,39 +468,18 @@ let resolve_text text =
 (* ------------------------------------------------------------------ *)
 (* Replay: the detection half alone, fed from a recording             *)
 
-let replay_section (options : Options.t) mode ~engine_factory ~instrument
-    ~cv_mutexes ~inferred_locks (sec : Codec.section) =
+let replay_section (options : Options.t) mode ~engine_factory p
+    (sec : Codec.section) =
   let trailer = sec.Codec.s_trailer in
   if trailer.Codec.t_outcome = Codec.Cancelled then
     cancelled_run sec.Codec.s_seed
   else
-    let detector_cfg =
-      Config.make ~sensitivity:options.Options.sensitivity
-        ~cap:options.Options.cap mode
+    let engine, cv_checker, observer =
+      seed_detector options mode ~engine_factory p
     in
-    let engine =
-      engine_factory detector_cfg ~cv_mutexes ~inferred_locks ~instrument
-    in
-    let cv_checker = Cv_checker.create () in
-    let observer =
-      Observer.tee engine.e_observer (Cv_checker.observer cv_checker)
-    in
-    let seed = sec.Codec.s_seed in
     let finish outcome check_failures steps =
-      let rep = try Some (engine.e_report ()) with _ -> None in
-      ( {
-          sr_seed = seed;
-          sr_outcome = outcome;
-          sr_steps = steps;
-          sr_contexts =
-            (match rep with Some r -> Report.n_contexts r | None -> 0);
-          sr_capped = (match rep with Some r -> Report.capped r | None -> false);
-          sr_spin_edges = (try engine.e_spin_edges () with _ -> 0);
-          sr_memory_words = (try engine.e_memory_words () with _ -> 0);
-          sr_check_failures = check_failures;
-          sr_cv_diagnostics = (try Cv_checker.finalize cv_checker with _ -> []);
-        },
-        rep )
+      seed_record ~seed:sec.Codec.s_seed engine cv_checker outcome ~steps
+        ~check_failures
     in
     match Codec.decode_events sec (fun ev -> Observer.emit observer ev) with
     | Ok () ->
@@ -523,7 +495,7 @@ let replay_section (options : Options.t) mode ~engine_factory ~instrument
         let floc, msg = describe_exn e in
         finish (Crashed (floc, msg)) [] 0
 
-(* The replayed result plus the instrumentation its prepare produced. *)
+(* The replayed result plus the bundle its prepare produced. *)
 let replay_with ctx recorded =
   (* Everything that shapes detection comes from the recording — mode,
      sensitivity, cap, seeds — so a replayed result is comparable byte
@@ -537,30 +509,31 @@ let replay_with ctx recorded =
   let digest = Digest.from_hex (Recorded.digest_hex recorded) in
   match prepare ~digest options mode program with
   | exception e -> (failed_result mode (snd (describe_exn e)), None)
-  | program, instrument, cv_mutexes, inferred_locks, _compiled ->
+  | p ->
       let notes = clamp_notes options in
       let section_body sec =
         if ctx.c_should_stop () then cancelled_run sec.Codec.s_seed
-        else
-          replay_section options mode ~engine_factory:ctx.c_engine ~instrument
-            ~cv_mutexes ~inferred_locks sec
+        else replay_section options mode ~engine_factory:ctx.c_engine p sec
       in
       let per_seed =
         fan_out ctx options section_body (Recorded.sections recorded)
       in
-      (finish_result mode ~program ~instrument ~notes per_seed, instrument)
+      (finish_result mode p ~notes per_seed, Some p)
 
 let replay ?(ctx = default_ctx) recorded = fst (replay_with ctx recorded)
 
 (* ------------------------------------------------------------------ *)
-(* Prediction: sync-preserving races from recorded sections           *)
+(* Prediction: sync-preserving races from a seed's event stream       *)
 
 module Sp = Arde_predict.Sp_predict
 
-(* How many recorded executions a [Predict] analysis consumes.  The
-   differential gate promises every sweep-found race from at most this
-   many recordings, so the number is part of the contract, not a
-   tuning knob. *)
+(* How many executions a [Predict] analysis consumes.  The differential
+   gate promises every sweep-found race from at most this many
+   recordings, so the number is part of the contract, not a tuning
+   knob.  The predicted seeds are those at the first [predict_limit]
+   positions of the seed list; a cancelled one among them is skipped,
+   not replaced, which is what lets a live seed know from its position
+   alone whether to collect its events. *)
 let predict_limit = 2
 
 let take n xs =
@@ -570,65 +543,62 @@ let take n xs =
   in
   go n xs
 
-(* Predict over the first [predict_limit] non-cancelled sections.  Never
-   raises: an undecodable section (a salvaged chaos trace, a truncated
-   stream) is skipped with a note — prediction only ever reads events
-   that survived the codec's hash check, so a sick recording degrades
-   coverage, never correctness. *)
-let predict_from_sections ~instrument sections =
+(* A growable event array: what a predicting seed collects live, and
+   what a recorded section decodes into. *)
+module Event_buf = struct
+  type t = { mutable evs : Arde_runtime.Event.t array; mutable len : int }
+
+  let create () = { evs = [||]; len = 0 }
+
+  let push b ev =
+    if b.len = Array.length b.evs then begin
+      let evs = Array.make (max 256 (2 * b.len)) ev in
+      Array.blit b.evs 0 evs 0 b.len;
+      b.evs <- evs
+    end;
+    Array.unsafe_set b.evs b.len ev;
+    b.len <- b.len + 1
+
+  let to_array b =
+    if b.len = Array.length b.evs then b.evs else Array.sub b.evs 0 b.len
+end
+
+(* The predictor suppresses exactly the spin-condition bases the
+   bundle's instrumentation vouches for, as the engine does. *)
+let predict_config (p : Analysis_cache.prepared) =
   let suppress =
-    match instrument with
+    match p.Analysis_cache.p_instrument with
     | Some inst -> fun b -> Arde_cfg.Instrument.is_sync_base inst b
     | None -> fun _ -> false
   in
-  let config = { Sp.default_config with suppress } in
-  let chosen =
-    take predict_limit
-      (List.filter
-         (fun (s : Codec.section) ->
-           s.Codec.s_trailer.Codec.t_outcome <> Codec.Cancelled)
-         sections)
-  in
-  let races = ref [] and notes = ref [] in
-  let sections_used = ref 0
-  and events = ref 0
-  and cands = ref 0
-  and predicted = ref 0
-  and steps = ref 0
-  and hits = ref 0 in
-  List.iter
+  { Sp.default_config with suppress }
+
+(* One seed's prediction, tagged with the seed.  Never raises: a failure
+   becomes the note that says the seed was skipped. *)
+let predict_seed ~config seed events =
+  match Sp.predict ~config events with
+  | v -> (seed, Ok v)
+  | exception e -> (seed, Error (snd (describe_exn e)))
+
+(* Predict over the chosen sections of a recording, each decoded into a
+   buffer and dropped once predicted.  An undecodable section (a
+   salvaged chaos trace, a truncated stream) is skipped with a note —
+   prediction only ever reads events that survived the codec's hash
+   check, so a sick recording degrades coverage, never correctness. *)
+let predict_sections p sections =
+  let config = predict_config p in
+  List.map
     (fun (sec : Codec.section) ->
-      let skip msg =
-        notes :=
-          Printf.sprintf "predict: seed %d skipped: %s" sec.Codec.s_seed msg
-          :: !notes
-      in
-      match Codec.decode_events_list sec with
-      | Error e -> skip (Codec.error_to_string e)
-      | exception e -> skip (snd (describe_exn e))
-      | Ok evs -> (
-          match Sp.predict ~config (Array.of_list evs) with
-          | rs, st ->
-              incr sections_used;
-              events := !events + st.Sp.s_events;
-              cands := !cands + st.Sp.s_candidates;
-              predicted := !predicted + st.Sp.s_predicted;
-              steps := !steps + st.Sp.s_closure_steps;
-              hits := !hits + st.Sp.s_budget_hits;
-              races := !races @ rs
-          | exception e -> skip (snd (describe_exn e))))
-    chosen;
-  ( !races,
-    {
-      pr_sections = !sections_used;
-      pr_events = !events;
-      pr_candidates = !cands;
-      pr_predicted = !predicted;
-      pr_new_contexts = 0;
-      pr_closure_steps = !steps;
-      pr_budget_hits = !hits;
-      pr_notes = List.rev !notes;
-    } )
+      let seed = sec.Codec.s_seed in
+      let buf = Event_buf.create () in
+      match Codec.decode_events sec (Event_buf.push buf) with
+      | Ok () -> predict_seed ~config seed (Event_buf.to_array buf)
+      | Error e -> (seed, Error (Codec.error_to_string e))
+      | exception e -> (seed, Error (snd (describe_exn e))))
+    (List.filter
+       (fun (s : Codec.section) ->
+         s.Codec.s_trailer.Codec.t_outcome <> Codec.Cancelled)
+       (take predict_limit sections))
 
 let race_of_predicted (p : Sp.race) =
   {
@@ -643,47 +613,108 @@ let race_of_predicted (p : Sp.race) =
     r_predicted = true;
   }
 
-(* Fold predicted races into the merged report {e after} every observed
-   one: {!Report.add} keeps the first representative per context, so a
-   context the sweep already saw stays an observed race and only
-   genuinely new contexts carry the [predicted] tag.  Sections are
+(* Fold the per-seed predictions (in seed order) into [result]: their
+   statistics summed, their races added to the merged report {e after}
+   every observed one.  {!Report.add} keeps the first representative per
+   context, so a context the sweep already saw stays an observed race
+   and only genuinely new contexts carry the [predicted] tag.  Seeds are
    visited in seed order and contexts in discovery order, so the merged
-   report stays byte-stable. *)
-let merge_predicted result (races, p) =
-  let before = Report.n_contexts result.merged in
-  List.iter (fun r -> Report.add result.merged (race_of_predicted r)) races;
-  let p = { p with pr_new_contexts = Report.n_contexts result.merged - before } in
-  { result with prediction = Some p }
+   report stays byte-stable.  A run where nothing ran gets no
+   prediction. *)
+let merge_predictions result per_seed =
+  if result.runs = [] then result
+  else
+    let before = Report.n_contexts result.merged in
+    let zero =
+      {
+        pr_sections = 0;
+        pr_events = 0;
+        pr_candidates = 0;
+        pr_predicted = 0;
+        pr_new_contexts = 0;
+        pr_closure_steps = 0;
+        pr_budget_hits = 0;
+        pr_notes = [];
+      }
+    in
+    let p =
+      List.fold_left
+        (fun acc (seed, outcome) ->
+          match outcome with
+          | Error msg ->
+              let note =
+                Printf.sprintf "predict: seed %d skipped: %s" seed msg
+              in
+              { acc with pr_notes = note :: acc.pr_notes }
+          | Ok (races, (st : Sp.stats)) ->
+              List.iter
+                (fun r -> Report.add result.merged (race_of_predicted r))
+                races;
+              {
+                acc with
+                pr_sections = acc.pr_sections + 1;
+                pr_events = acc.pr_events + st.Sp.s_events;
+                pr_candidates = acc.pr_candidates + st.Sp.s_candidates;
+                pr_predicted = acc.pr_predicted + st.Sp.s_predicted;
+                pr_closure_steps = acc.pr_closure_steps + st.Sp.s_closure_steps;
+                pr_budget_hits = acc.pr_budget_hits + st.Sp.s_budget_hits;
+              })
+        zero per_seed
+    in
+    let p =
+      {
+        p with
+        pr_new_contexts = Report.n_contexts result.merged - before;
+        pr_notes = List.rev p.pr_notes;
+      }
+    in
+    { result with prediction = Some p }
 
-(* Attach a prediction computed from [sections] to [result].
-   [instrument] is what the run or replay that produced [result]
-   prepared, so the predictor suppresses exactly the spin-condition
-   bases the engine did. *)
-let predict_into ~instrument result sections =
-  if result.runs = [] || sections = [] then result
-  else merge_predicted result (predict_from_sections ~instrument sections)
+(* The live prediction tap: each of the first [predict_limit] seeds
+   collects the events its engine sees into a buffer and predicts from
+   it inside its own per-seed body, so at most one buffer per pool
+   worker is alive at a time and no trace is encoded or decoded. *)
+let predict_tap p =
+  let config = predict_config p in
+  fun ~pos seed ->
+    if pos >= predict_limit then None
+    else
+      let buf = Event_buf.create () in
+      Some
+        {
+          t_observer = Observer.of_fn (Event_buf.push buf);
+          t_finish = (fun _ -> predict_seed ~config seed (Event_buf.to_array buf));
+        }
 
-(* The analysis-aware live pipeline: [Sweep] is the classic path,
-   [Predict] trims the run to [predict_limit] recorded seeds and
-   predicts from their traces, [Both] sweeps every seed and predicts
-   from the first recordings (the differential configuration). *)
-let run_live_analyzed (c : ctx) mode program =
-  let predicted c =
-    let result, sections, instrument = run_live c mode program ~record:true in
-    predict_into ~instrument result sections
-  in
-  match c.c_options.Options.analysis with
-  | Options.Sweep ->
-      let result, _, _ = run_live c mode program ~record:false in
-      result
-  | Options.Predict ->
-      let options =
-        Options.with_seeds
-          (take predict_limit c.c_options.Options.seeds)
-          c.c_options
+let no_tap ~pos:_ _ = None
+let nothing_on_cancel _ = None
+
+(* The analysis-aware live pipeline over a bundle [prep] yields (it may
+   raise: the pipeline then fails): [Sweep] is the classic path,
+   [Predict] trims the run to [predict_limit] seeds and predicts from
+   their events, [Both] sweeps every seed and predicts from the first
+   ones (the differential configuration). *)
+let run_live_analyzed (c : ctx) mode prep =
+  match prep () with
+  | exception e -> failed_result mode (snd (describe_exn e))
+  | p -> (
+      let predicted c =
+        let result, per_seed =
+          run_live c mode p ~tap:(predict_tap p) ~on_cancel:nothing_on_cancel
+        in
+        merge_predictions result per_seed
       in
-      predicted { c with c_options = options }
-  | Options.Both -> predicted c
+      match c.c_options.Options.analysis with
+      | Options.Sweep ->
+          fst (run_live c mode p ~tap:no_tap ~on_cancel:nothing_on_cancel)
+      | Options.Predict ->
+          let options =
+            Options.with_seeds
+              (take predict_limit c.c_options.Options.seeds)
+              c.c_options
+          in
+          predicted { c with c_options = options }
+      | Options.Both -> predicted c)
 
 (* ------------------------------------------------------------------ *)
 (* The front door                                                     *)
@@ -702,33 +733,45 @@ let run ?(ctx = default_ctx) ?mode input =
       | Some m when m <> Recorded.mode r ->
           failed_result m (mode_conflict m (Recorded.mode r))
       | _ -> (
-          (* [instrument] comes from replay's prepare under the RECORDED
+          (* the bundle comes from replay's prepare under the RECORDED
              mode/options: the predictor must suppress exactly the bases
              the recorded run's engine did *)
-          let result, instrument = replay_with ctx r in
+          let result, p = replay_with ctx r in
           (* Replay itself is pinned to the recording; whether to ALSO
              predict from it is the caller's choice, so the analysis
              knob is read from [ctx], not the recorded options. *)
-          match ctx.c_options.Options.analysis with
-          | Options.Sweep -> result
-          | Options.Predict | Options.Both ->
-              predict_into ~instrument result (Recorded.sections r)))
+          match (ctx.c_options.Options.analysis, p) with
+          | Options.Sweep, _ | _, None -> result
+          | (Options.Predict | Options.Both), Some p ->
+              merge_predictions result
+                (predict_sections p (Recorded.sections r))))
   | Input.Program program ->
       let mode = Option.value mode ~default:default_mode in
-      run_live_analyzed ctx mode program
+      run_live_analyzed ctx mode (fun () ->
+          prepare ?digest:ctx.c_program_digest ctx.c_options mode program)
   | Input.Text text -> (
       let mode = Option.value mode ~default:default_mode in
-      match resolve_text text with
-      | Error msg -> failed_result mode msg
-      | Ok program ->
-          (* The text determines the program, so its bytes are a cache
-             key: the run never prints the program to digest it. *)
-          let ctx =
-            match ctx.c_program_digest with
-            | Some _ -> ctx
-            | None -> { ctx with c_program_digest = Some (Digest.string text) }
-          in
-          run_live_analyzed ctx mode program)
+      (* The text determines the program, so its bytes are a cache key:
+         a run that finds its bundle neither parses nor prints the
+         program, and only a miss pays for the parse. *)
+      let digest =
+        match ctx.c_program_digest with
+        | Some d -> d
+        | None -> Digest.string text
+      in
+      let options = ctx.c_options in
+      match
+        Analysis_cache.find_prepared ~digest
+          ~style:options.Options.lower_style
+          ~count_callees:options.Options.count_callee_blocks mode
+      with
+      | Some p -> run_live_analyzed ctx mode (fun () -> p)
+      | None -> (
+          match resolve_text text with
+          | Error msg -> failed_result mode msg
+          | Ok program ->
+              run_live_analyzed ctx mode (fun () ->
+                  prepare ~digest options mode program)))
 
 (* ------------------------------------------------------------------ *)
 (* Recording                                                          *)
@@ -738,7 +781,7 @@ type recording = { rec_trace : string; rec_result : result option }
 (* The record-only per-seed body: no engine, no checker — just the chaos
    injector (if any) and the sink, which is as close to the quiet fast
    path as an observing run gets. *)
-let record_seed (options : Options.t) ~instrument compiled seed =
+let record_seed (options : Options.t) (p : Analysis_cache.prepared) seed =
   let sink = Codec.sink () in
   let observer = Codec.sink_observer sink in
   let observer =
@@ -751,13 +794,13 @@ let record_seed (options : Options.t) ~instrument compiled seed =
       Machine.policy = options.Options.policy;
       seed;
       fuel = options.Options.fuel;
-      instrument;
+      instrument = p.Analysis_cache.p_instrument;
       spurious_wakeups = options.Options.spurious_wakeups;
       observer;
     }
   in
   let trailer =
-    match Machine.run mcfg compiled with
+    match Machine.run mcfg p.Analysis_cache.p_compiled with
     | res ->
         {
           Codec.t_outcome = codec_outcome (Completed res.Machine.outcome);
@@ -773,6 +816,17 @@ let record_seed (options : Options.t) ~instrument compiled seed =
         }
   in
   Codec.section_of_sink sink ~seed trailer
+
+(* The recording tap of [record ~detect]: every seed's stream is sealed
+   into a codec section, a cancelled seed into an empty one. *)
+let record_tap ~pos:_ seed =
+  let sink = Codec.sink () in
+  Some
+    {
+      t_observer = Codec.sink_observer sink;
+      t_finish =
+        (fun sr -> Codec.section_of_sink sink ~seed (trailer_of_seed_run sr));
+    }
 
 let record ?(ctx = default_ctx) ?(mode = default_mode) ?(detect = false)
     ?(source = "") input =
@@ -801,37 +855,40 @@ let record ?(ctx = default_ctx) ?(mode = default_mode) ?(detect = false)
           h_program = text;
         }
       in
-      let ctx = { ctx with c_program_digest = Some digest } in
-      if detect then begin
-        let result, sections, _ = run_live ctx mode program ~record:true in
-        if result.runs = [] then
-          (* the pipeline itself failed: nothing was recorded *)
-          Error
-            (match result.health.h_notes with
-            | n :: _ -> n
-            | [] -> "record: pipeline failed")
-        else
-          Ok
-            {
-              rec_trace = Codec.assemble header sections;
-              rec_result = Some result;
-            }
-      end
-      else
-        match prepare ?digest:ctx.c_program_digest ctx.c_options mode program
-        with
-        | exception e -> Error (snd (describe_exn e))
-        | _program, instrument, _cv_mutexes, _inferred_locks, compiled ->
-            let options = ctx.c_options in
+      let options = ctx.c_options in
+      match prepare ~digest options mode program with
+      | exception e ->
+          let msg = snd (describe_exn e) in
+          (* with [detect], the failure reads as the failed run's note *)
+          Error (if detect then "pipeline: " ^ msg else msg)
+      | p ->
+          if detect then begin
+            let result, sections =
+              run_live ctx mode p ~tap:record_tap
+                ~on_cancel:(fun seed -> Some (Codec.cancelled_section ~seed))
+            in
+            if result.runs = [] then
+              (* no seed: nothing was recorded *)
+              Error
+                (match result.health.h_notes with
+                | n :: _ -> n
+                | [] -> "record: pipeline failed")
+            else
+              Ok
+                {
+                  rec_trace = Codec.assemble header sections;
+                  rec_result = Some result;
+                }
+          end
+          else begin
             ignore (clamp_notes options);
             let seed_body seed =
               if ctx.c_should_stop () then Codec.cancelled_section ~seed
-              else record_seed options ~instrument compiled seed
+              else record_seed options p seed
             in
-            let sections =
-              fan_out ctx options seed_body options.Options.seeds
-            in
-            Ok { rec_trace = Codec.assemble header sections; rec_result = None })
+            let sections = fan_out ctx options seed_body options.Options.seeds in
+            Ok { rec_trace = Codec.assemble header sections; rec_result = None }
+          end)
 
 let mean_contexts r =
   match r.runs with

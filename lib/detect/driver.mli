@@ -22,7 +22,9 @@
     half alone, streaming a recording through a fresh engine without
     re-executing the program.  Replaying a recording produces results
     byte-identical to the live run that made it — that identity is the
-    subsystem's correctness oracle. *)
+    subsystem's correctness oracle.  The codec is used only where a
+    trace is the artifact: a live prediction reads its seeds' events
+    from memory (see {!run}). *)
 
 open Arde_tir.Types
 
@@ -83,7 +85,9 @@ type ctx = {
           is keyed by one digest of what the input already holds:
           [Digest.string] of a [Text] input's bytes, the canonical
           digest of a [Program] (computed once, by the prepare), the
-          header digest of a [Recorded_trace]. *)
+          header digest of a [Recorded_trace].  A [Text] input is
+          looked up under this key before it is parsed, so the key must
+          identify the program the text parses to. *)
 }
 
 val ctx :
@@ -156,8 +160,12 @@ type health = {
     program or the injected perturbations do. *)
 
 type prediction = {
-  pr_sections : int;  (** recorded sections actually predicted from *)
-  pr_events : int;  (** decoded events consumed across them *)
+  pr_sections : int;
+      (** seeds actually predicted from: live seeds, or the sections of a
+          recording *)
+  pr_events : int;
+      (** events consumed across them — collected live, or decoded from
+          the recording's sections *)
   pr_candidates : int;
   pr_predicted : int;
       (** races the predictor reported (per-section, before the merge
@@ -168,8 +176,9 @@ type prediction = {
   pr_closure_steps : int;
   pr_budget_hits : int;
   pr_notes : string list;
-      (** skipped sections (undecodable or crashed recordings) — a
-          salvaged chaos trace degrades coverage, never correctness *)
+      (** skipped seeds (an undecodable section, a predictor that
+          raised) — a salvaged chaos trace degrades coverage, never
+          correctness *)
 }
 (** What a predictive analysis did: {!Sp_predict} statistics summed over
     the sections consumed, plus how many merged contexts are new. *)
@@ -185,40 +194,53 @@ type result = {
       (* waits without a predicate re-check loop *)
   health : health;
   prediction : prediction option;
-      (* [Some] iff the run's analysis was [Predict] or [Both] and at
-         least one seed ran *)
+      (* [Some] iff the run's analysis was [Predict] or [Both] and the
+         run had at least one seed (cancelled seeds count) *)
 }
 
 (** {1 Entry points} *)
 
 val predict_limit : int
-(** Recorded executions a [Predict] analysis consumes (2).  The
-    differential gate promises every race the full sweep finds from at
-    most this many recordings, so it is contract, not tuning. *)
+(** Executions a [Predict] analysis consumes (2).  The differential
+    gate promises every race the full sweep finds from at most this
+    many executions, so it is contract, not tuning.  The predicted
+    seeds are those at the first [predict_limit] positions of the seed
+    list (of a recording's sections, for a trace); a cancelled one
+    among them is skipped, not replaced by a later seed. *)
 
 val run : ?ctx:ctx -> ?mode:Config.mode -> Input.t -> result
-(** The one front door.  [Text] input is parsed and validated ([Failed]
-    health on errors), [Program] runs as is, and [Recorded_trace] is
-    dispatched to {!replay} — the machine never executes for a trace,
-    and [mode] (if given) must agree with the recorded one.  [mode]
-    defaults to {!default_mode} for text/program inputs and to the
-    recorded mode for traces.
+(** The one front door.  [Text] input is looked up in the analysis
+    cache by its digest first and parsed and validated only on a miss
+    ([Failed] health on errors); [Program] runs as is; and
+    [Recorded_trace] is dispatched to {!replay} — the machine never
+    executes for a trace, and [mode] (if given) must agree with the
+    recorded one.  [mode] defaults to {!default_mode} for text/program
+    inputs and to the recorded mode for traces.
 
     [Options.analysis] selects how races are found.  [Sweep] (default)
     is the pure dynamic path.  [Predict] runs only the first
-    {!predict_limit} seeds with recording on and predicts
-    sync-preserving races from their traces
-    ({!Arde_predict.Sp_predict}); [Both] sweeps every seed and predicts
-    from the first recordings.  Either way predicted races are merged
-    after the observed ones with [r_predicted] set on genuinely new
-    contexts, and [result.prediction] carries the statistics.  For a
-    [Recorded_trace] the analysis knob is read from [ctx] — a [Predict]
-    request predicts from the recording's existing sections on top of
-    the pinned replay, executing nothing.
+    {!predict_limit} seeds and predicts sync-preserving races from
+    their events ({!Arde_predict.Sp_predict}); [Both] sweeps every seed
+    and predicts from the first {!predict_limit}.  A predicting seed
+    collects the events its engine sees (after the chaos injector, where
+    {!record}'s sink sits) into an in-memory array and predicts from it
+    inside its own per-seed body, dropping the array when done: no
+    trace is encoded or decoded, and the prediction is byte-identical
+    to one made from a recording of the same run.  Either way predicted
+    races are merged after the observed ones with [r_predicted] set on
+    genuinely new contexts, and [result.prediction] carries the
+    statistics.  For a [Recorded_trace] the analysis knob is read from
+    [ctx] — a [Predict] request decodes the recording's existing
+    sections and predicts from them on top of the pinned replay,
+    executing nothing.
 
-    Every run makes one {!Analysis_cache.prepare} lookup under one
-    digest ([c_program_digest]); prediction reuses the instrumentation
-    that lookup returned.
+    Every run makes one analysis-cache lookup under one digest
+    ([c_program_digest]): a [Text] hit counts one prepare hit and
+    parses nothing, a miss counts one prepare miss, and a text that
+    does not parse counts neither.  The prepared bundle carries
+    everything the run reads besides the seeds' own work — the
+    instrumentation the predictor suppresses by, and the static
+    spurious-wakeup hazards, scanned once per bundle.
 
     Fault-isolated and parallel: each seed executes in a sandbox on the
     domain pool, so one seed crashing (or the whole pipeline failing to

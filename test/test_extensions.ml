@@ -106,6 +106,20 @@ let test_static_unsafe_wait () =
   | [ Arde.Cv_checker.Unsafe_wait _ ] -> ()
   | ds -> Alcotest.failf "expected one unsafe wait, got %d" (List.length ds)
 
+(* The hazard scan is part of the prepared bundle: two runs of one
+   program share the very list the first prepare computed. *)
+let test_static_hazards_once_per_bundle () =
+  Arde.Analysis_cache.clear ();
+  let run () =
+    Arde.detect ~mode:Arde.Config.Helgrind_lib
+      (Arde.Input.Program (gate_program ~recheck:false))
+  in
+  let first = run () and second = run () in
+  Alcotest.(check int) "one unsafe wait" 1
+    (List.length first.Arde.Driver.static_cv_hazards);
+  Alcotest.(check bool) "the second run reuses the bundle's scan" true
+    (first.Arde.Driver.static_cv_hazards == second.Arde.Driver.static_cv_hazards)
+
 let test_lost_signal_detected () =
   (* An unlocked predicate write makes the signal racy with the check:
      across enough seeds some run loses the wake-up and deadlocks — the
@@ -180,6 +194,8 @@ let suite =
     Alcotest.test_case "mode string parsing" `Quick test_mode_parsing;
     Alcotest.test_case "static unsafe-wait detection" `Quick
       test_static_unsafe_wait;
+    Alcotest.test_case "static hazards scanned once per bundle" `Quick
+      test_static_hazards_once_per_bundle;
     Alcotest.test_case "lost signal detected" `Slow test_lost_signal_detected;
     Alcotest.test_case "correct gate has no diagnostics" `Quick
       test_no_lost_signal_when_correct;

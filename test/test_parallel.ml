@@ -46,23 +46,32 @@ let run_with_jobs ~jobs ?(options = O.default) mode p =
 let catalog_sample () =
   List.filteri (fun i _ -> i mod 12 = 0) (Arde_workloads.Racey.all ())
 
+(* Every analysis: [Predict] and [Both] predict inside the per-seed
+   stage, so their predictions must not depend on the pool width
+   either. *)
 let test_jobs_determinism () =
-  let options = O.make ~seeds:[ 1; 2; 3; 4; 5; 6 ] ~fuel:400_000 () in
   List.iter
-    (fun (c : Arde_workloads.Racey.case) ->
+    (fun analysis ->
+      let options =
+        O.make ~seeds:[ 1; 2; 3; 4; 5; 6 ] ~fuel:400_000 ()
+        |> O.with_analysis analysis
+      in
       List.iter
-        (fun mode ->
-          let seq = run_with_jobs ~jobs:1 ~options mode c.program in
-          let par = run_with_jobs ~jobs:8 ~options mode c.program in
-          Alcotest.(check string)
-            (Printf.sprintf "%s under %s: jobs=1 = jobs=8" c.name
-               (Arde.Config.mode_name mode))
-            (result_bytes seq) (result_bytes par);
-          Alcotest.(check (list string))
-            (c.name ^ ": racy bases agree") (D.racy_bases seq)
-            (D.racy_bases par))
-        [ Arde.Config.Helgrind_lib; Arde.Config.Helgrind_spin 7 ])
-    (catalog_sample ())
+        (fun (c : Arde_workloads.Racey.case) ->
+          List.iter
+            (fun mode ->
+              let seq = run_with_jobs ~jobs:1 ~options mode c.program in
+              let par = run_with_jobs ~jobs:8 ~options mode c.program in
+              Alcotest.(check string)
+                (Printf.sprintf "%s under %s, %s: jobs=1 = jobs=8" c.name
+                   (Arde.Config.mode_name mode) (O.analysis_name analysis))
+                (result_bytes seq) (result_bytes par);
+              Alcotest.(check (list string))
+                (c.name ^ ": racy bases agree") (D.racy_bases seq)
+                (D.racy_bases par))
+            [ Arde.Config.Helgrind_lib; Arde.Config.Helgrind_spin 7 ])
+        (catalog_sample ()))
+    [ O.Sweep; O.Predict; O.Both ]
 
 let racy_case name =
   match Arde_workloads.Racey.find name with
@@ -216,6 +225,51 @@ let test_warm_predict_prepares_once () =
       ("program", Arde.Input.Program p);
       ("text", Arde.Input.Text (Arde.Pretty.program_to_string p));
     ]
+
+(* A text input looks its bundle up by digest before parsing, so a hit
+   parses nothing: a text that is not a program, run under the digest a
+   real program primed, gives the primed run's bytes. *)
+let test_text_hit_parses_nothing () =
+  let p = racy_case "adhoc_flag_w2/8" in
+  let options =
+    O.make ~seeds:[ 1; 2; 3 ] ~fuel:100_000 () |> O.with_analysis O.Both
+  in
+  let d = Digest.string "primed under a caller-chosen digest" in
+  let run text =
+    cache_delta (fun () ->
+        Arde.detect
+          ~ctx:(D.ctx ~options ~program_digest:d ())
+          ~mode:(Arde.Config.Helgrind_spin 7) (Arde.Input.Text text))
+  in
+  AC.clear ();
+  let primed, _ = run (Arde.Pretty.program_to_string p) in
+  let hit, delta = run "<not a program>" in
+  Alcotest.(check string) "a hit gives the primed run's bytes"
+    (J.to_string (D.result_to_json primed))
+    (J.to_string (D.result_to_json hit));
+  Alcotest.(check int) "one prepare hit" 1 delta.AC.prepare_hits;
+  Alcotest.(check int) "no prepare miss" 0 delta.AC.prepare_misses
+
+(* On a miss the text is parsed as before: an unparseable one still
+   fails with the parser's message, and, since nothing was prepared,
+   counts neither a prepare hit nor a miss. *)
+let test_unparseable_text_fails_uncounted () =
+  let text = "<not a program>" in
+  let parser_msg =
+    match Arde.Parse.program text with
+    | Error e -> Arde.Parse.error_to_string e
+    | Ok _ -> Alcotest.fail "the probe text parsed"
+  in
+  AC.clear ();
+  let r, delta =
+    cache_delta (fun () ->
+        Arde.detect ~mode:(Arde.Config.Helgrind_spin 7) (Arde.Input.Text text))
+  in
+  Alcotest.(check bool) "failed" true (r.D.health.D.h_verdict = D.Failed);
+  Alcotest.(check (list string)) "the parser's message"
+    [ "pipeline: " ^ parser_msg ] r.D.health.D.h_notes;
+  Alcotest.(check int) "no prepare hit" 0 delta.AC.prepare_hits;
+  Alcotest.(check int) "no prepare miss" 0 delta.AC.prepare_misses
 
 (* Same program text with a comment, blank lines and trailing blanks:
    a different digest, the same program. *)
@@ -471,6 +525,10 @@ let suite =
       test_cache_disabled_recomputes;
     Alcotest.test_case "warm Predict run prepares once" `Quick
       test_warm_predict_prepares_once;
+    Alcotest.test_case "a text hit parses nothing" `Quick
+      test_text_hit_parses_nothing;
+    Alcotest.test_case "unparseable text fails, uncounted" `Quick
+      test_unparseable_text_fails_uncounted;
     Alcotest.test_case "text, variant text and program agree" `Slow
       test_input_kinds_agree;
     Alcotest.test_case "lowering styles never share an inner key" `Quick

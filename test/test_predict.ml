@@ -255,6 +255,121 @@ let test_predict_never_sees_corrupt_events () =
       in
       ignore result.D.merged
 
+(* -- live events = decoded sections --------------------------------- *)
+
+let result_bytes r = J.to_string (D.result_to_json r)
+
+(* Record a run (the record-only path: injector and sink, no engine),
+   load the trace back, and predict from it: the codec round trip a live
+   prediction no longer makes. *)
+let replayed_prediction ?should_stop ~options ~mode program =
+  match
+    Arde.record
+      ~ctx:(D.ctx ~options ?should_stop ())
+      ~mode (Arde.Input.Program program)
+  with
+  | Error e -> Alcotest.failf "record: %s" e
+  | Ok { D.rec_trace; _ } -> (
+      match Arde.Recorded.of_string rec_trace with
+      | Error e -> Alcotest.failf "recording failed to load: %s" e
+      | Ok recorded ->
+          Arde.detect ~ctx:predict_ctx (Arde.Input.Recorded_trace recorded))
+
+let take n xs = List.filteri (fun i _ -> i < n) xs
+
+(* A live [Predict] or [Both] run predicts from the events its seeds'
+   engines saw, collected in memory; predicting from the sections a
+   recording of the same run decodes must give the same bytes.  The
+   chaos case crashes every seed mid-run, which pins the collector
+   between the injector and the engine, where the codec sink sits. *)
+let test_live_events_equal_decoded_sections () =
+  let base = Arde.Options.make ~seeds:[ 1; 2; 3 ] ~fuel:100_000 () in
+  let slice = List.filteri (fun i _ -> i mod 12 = 0) (W.Racey.all ()) in
+  let crashing =
+    ( Arde.Chaos.apply base (Arde.Chaos.Crash_at 20),
+      [ racy_case "racy_counter/2" ] )
+  in
+  List.iter
+    (fun (options, cases) ->
+      let first =
+        Arde.Options.with_seeds
+          (take D.predict_limit options.Arde.Options.seeds)
+          options
+      in
+      List.iter
+        (fun (c : W.Racey.case) ->
+          List.iter
+            (fun mode ->
+              let live analysis =
+                Arde.detect
+                  ~ctx:
+                    (D.ctx
+                       ~options:(Arde.Options.with_analysis analysis options)
+                       ())
+                  ~mode (Arde.Input.Program c.W.Racey.program)
+              in
+              let label analysis =
+                Printf.sprintf "%s under %s, %s%s: live = recorded" c.W.Racey.name
+                  (Arde.Config.mode_name mode)
+                  (Arde.Options.analysis_name analysis)
+                  (if options.Arde.Options.inject = None then "" else ", crash_at 20")
+              in
+              let predicted = live Arde.Options.Predict in
+              checkb (label Arde.Options.Predict ^ " (predicted)") true
+                (predicted.D.prediction <> None);
+              Alcotest.(check string) (label Arde.Options.Predict)
+                (result_bytes
+                   (replayed_prediction ~options:first ~mode c.W.Racey.program))
+                (result_bytes predicted);
+              Alcotest.(check string) (label Arde.Options.Both)
+                (result_bytes (replayed_prediction ~options ~mode c.W.Racey.program))
+                (result_bytes (live Arde.Options.Both)))
+            [ Arde.Config.Helgrind_spin 7; Arde.Config.Nolib_spin 7 ])
+        cases)
+    [ (base, slice); crashing ];
+  let crashed =
+    Arde.detect
+      ~ctx:(D.ctx ~options:(Arde.Options.with_analysis Arde.Options.Predict (fst crashing)) ())
+      ~mode:(Arde.Config.Helgrind_spin 7)
+      (Arde.Input.Program (racy_case "racy_counter/2").W.Racey.program)
+  in
+  checkb "the chaos case crashes its seeds" true
+    (crashed.D.health.D.h_crashed > 0)
+
+(* The predicted seeds are those at the first [predict_limit] positions
+   of the seed list; a cancelled one among them is skipped, not replaced
+   by a later seed.  Cancelling only the first of four seeds therefore
+   leaves one seed to predict from — live, and from a recording of the
+   same run. *)
+let test_cancelled_predicted_seed_not_replaced () =
+  let case = racy_case "racy_counter/2" in
+  let options = Arde.Options.make ~seeds:[ 1; 2; 3; 4 ] ~fuel:50_000 ~jobs:1 () in
+  let mode = Arde.Config.Helgrind_spin 7 in
+  let stop_first_seed () =
+    let calls = ref 0 in
+    fun () ->
+      incr calls;
+      !calls = 1
+  in
+  let live =
+    Arde.detect
+      ~ctx:
+        (D.ctx
+           ~options:(Arde.Options.with_analysis Arde.Options.Both options)
+           ~should_stop:(stop_first_seed ()) ())
+      ~mode (Arde.Input.Program case.W.Racey.program)
+  in
+  checki "one seed cancelled" 1 live.D.health.D.h_cancelled;
+  checki "three seeds finished" 3 live.D.health.D.h_finished;
+  (match live.D.prediction with
+  | Some p -> checki "only the second seed predicted" 1 p.D.pr_sections
+  | None -> Alcotest.fail "no prediction");
+  Alcotest.(check string) "a recording of the run predicts the same"
+    (result_bytes
+       (replayed_prediction ~should_stop:(stop_first_seed ()) ~options ~mode
+          case.W.Racey.program))
+    (result_bytes live)
+
 (* -- the wire form -------------------------------------------------- *)
 
 let fixture_race predicted =
@@ -368,6 +483,10 @@ let suite =
       test_predict_salvaged_chaos;
     Alcotest.test_case "prediction over cancelled recordings" `Quick
       test_predict_salvaged_cancellation;
+    Alcotest.test_case "live events = decoded sections" `Slow
+      test_live_events_equal_decoded_sections;
+    Alcotest.test_case "a cancelled predicted seed is not replaced" `Quick
+      test_cancelled_predicted_seed_not_replaced;
     Alcotest.test_case "corrupt sections never reach the predictor" `Quick
       test_predict_never_sees_corrupt_events;
     Alcotest.test_case "predicted tag round-trips race json" `Quick
