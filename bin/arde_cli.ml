@@ -337,7 +337,7 @@ let render_result ~format ~workload ?case ?analysis_cache result =
       | None -> ()
       | Some p ->
           Printf.printf
-            "prediction: %d section(s), %d events, %d candidate pair(s), %d \
+            "prediction: %d seed(s), %d events, %d candidate pair(s), %d \
              predicted, %d new context(s)\n"
             p.Arde.Driver.pr_sections p.Arde.Driver.pr_events
             p.Arde.Driver.pr_candidates p.Arde.Driver.pr_predicted
@@ -467,26 +467,6 @@ let record_cmd =
       const run $ name_arg $ mode_arg $ common_opts $ out_arg $ detect_arg
       $ format_arg)
 
-let wire_arg =
-  let wire_conv =
-    Arg.conv
-      ( (fun s ->
-          Result.map_error
-            (fun e -> `Msg e)
-            (Arde_server.Protocol.parse_wire s)),
-        fun ppf w ->
-          Format.pp_print_string ppf (Arde_server.Protocol.wire_name w) )
-  in
-  Arg.(
-    value
-    & opt wire_conv Arde_server.Protocol.Json
-    & info [ "wire" ] ~docv:"WIRE"
-        ~doc:
-          "Request encoding on the serve socket: $(b,json) (default) or \
-           $(b,binary).  Binary negotiates via a hello handshake and \
-           carries programs and traces as raw bytes; responses and exit \
-           codes are byte-identical either way.")
-
 let replay_cmd =
   let file_arg =
     Arg.(
@@ -512,7 +492,7 @@ let replay_cmd =
             "Like $(b,--socket), but over the daemon's TCP listener \
              (started with $(b,arde serve --tcp)).")
   in
-  let run file socket connect wire format =
+  let run file socket connect format =
     match read_binary_file file with
     | Error e ->
         prerr_endline ("replay: " ^ e);
@@ -548,7 +528,7 @@ let replay_cmd =
             in
             let reply, _attempts =
               Arde_server.Client.submit_trace_with_retry ~endpoint
-                ~policy:Arde_server.Client.no_retry ~wire ~trace ()
+                ~policy:Arde_server.Client.no_retry ~trace ()
             in
             match reply with
             | Error e ->
@@ -603,8 +583,7 @@ let replay_cmd =
           byte-identical to the run that recorded it.  Exit 4 on an \
           unreadable trace or a transport error.")
     Term.(
-      const run $ file_arg $ socket_opt_arg $ connect_opt_arg $ wire_arg
-      $ format_arg)
+      const run $ file_arg $ socket_opt_arg $ connect_opt_arg $ format_arg)
 
 (* ---- predict ---- *)
 
@@ -1109,8 +1088,8 @@ let connect_arg =
         ~doc:
           "Reach the daemon over its TCP listener (started with \
            $(b,arde serve --tcp)) instead of the Unix socket.  The host \
-           part is optional and defaults to localhost.  Frames, wires \
-           and responses are identical on both transports.")
+           part is optional and defaults to localhost.  Frames and \
+           responses are identical on both transports.")
 
 let endpoint_of ~cmd socket connect =
   match (socket, connect) with
@@ -1194,8 +1173,7 @@ let serve_cmd =
           ~doc:
             "Frame-size cap in MiB (default 8).  An oversized frame is \
              refused with a structured $(b,bad_frame) error naming the \
-             limit; binary clients learn the cap from the hello \
-             handshake.")
+             limit.")
   in
   let tcp_arg =
     Arg.(
@@ -1204,7 +1182,7 @@ let serve_cmd =
       & info [ "tcp" ] ~docv:"HOST:PORT"
           ~doc:
             "Also listen on this TCP endpoint, speaking the identical \
-             frame protocol and wires as the Unix socket; clients reach \
+             frame protocol as the Unix socket; clients reach \
              it with $(b,--connect).  The host part is optional (default \
              localhost); port 0 binds an ephemeral port, logged at \
              startup.")
@@ -1297,8 +1275,7 @@ let submit_cmd =
             "First retry delay; doubles per retry (capped at 40x) with \
              deterministic jitter in [0.5, 1.5) of the nominal delay.")
   in
-  let run socket connect name mode opts deadline_ms retries retry_backoff_ms
-      wire =
+  let run socket connect name mode opts deadline_ms retries retry_backoff_ms =
     let endpoint = endpoint_of ~cmd:"submit" socket connect in
     match find_program name with
     | Error e ->
@@ -1314,7 +1291,7 @@ let submit_cmd =
             ~jitter_seed:(Unix.getpid ()) ()
         in
         let reply, attempts =
-          Arde_server.Client.submit_with_retry ~endpoint ~policy ~wire
+          Arde_server.Client.submit_with_retry ~endpoint ~policy
             ?deadline_ms ~program ~mode ~options ()
         in
         if attempts > 0 then
@@ -1361,8 +1338,7 @@ let submit_cmd =
           an exhausted retry budget).")
     Term.(
       const run $ client_socket_arg $ connect_arg $ name_arg $ mode_arg
-      $ common_opts $ deadline_arg $ retries_arg $ retry_backoff_arg
-      $ wire_arg)
+      $ common_opts $ deadline_arg $ retries_arg $ retry_backoff_arg)
 
 let stats_cmd =
   let run socket connect =
@@ -1421,15 +1397,14 @@ let postmortem_cmd =
             exit 1
         | Ok raw_request -> (
             (* Replay through the production request parser: the bundle
-               stores the verbatim wire request (on either wire), so a
-               replay exercises exactly the path the crashed worker
-               took. *)
+               stores the journaled request, so a replay exercises exactly
+               the path the crashed worker took. *)
             match P.parse_request raw_request with
             | Error (_, code, msg) ->
                 Printf.eprintf "postmortem: unreplayable request (%s): %s\n"
                   (P.code_name code) msg;
                 exit 1
-            | Ok (P.Ping _ | P.Stats _ | P.Hello) ->
+            | Ok (P.Ping _ | P.Stats _) ->
                 prerr_endline "postmortem: bundle holds a non-run request";
                 exit 1
             | Ok (P.Run req) ->
@@ -1528,7 +1503,7 @@ let postmortem_cmd =
     (Cmd.info "postmortem"
        ~doc:
          "Replay a crash bundle sealed by $(b,arde serve): parse the \
-          journaled wire request with the production parser, re-run the \
+          journaled request with the production parser, re-run the \
           detection locally, and print the bundle metadata together with \
           the response the crashed worker would have produced.  Exit 0 \
           when the replay completes, 3 when it yields an error response, \

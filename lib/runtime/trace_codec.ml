@@ -398,7 +398,6 @@ let encode_event s (ev : Event.t) =
 let sink_observer s = Observer.of_fn (fun ev -> encode_event s ev)
 let sink_events s = s.n_events
 let sink_size s = s.len
-let sink_contents s = Bytes.sub_string s.buf 0 s.len
 
 (* ------------------------------------------------------------------ *)
 (* Hashing: FNV-1a-ish, matching [Trace.hash]'s mixing constants       *)
@@ -547,12 +546,11 @@ type reader = {
          sink's first-occurrence definitions *)
 }
 
-let reader ?(off = 0) ?limit data =
-  let limit = match limit with Some l -> l | None -> String.length data in
+let reader data =
   {
     data;
-    pos = off;
-    limit;
+    pos = 0;
+    limit = String.length data;
     rstrs = Array.make 64 "";
     rn_strs = 0;
     rbases = Array.make 64 None;
@@ -590,19 +588,6 @@ let get_lpstr r what =
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
-
-(* Length-prefixed bytes bounded only by the reader's window — the serve
-   wire carries whole programs and traces, whose sizes are already policed
-   by the frame cap, so [max_lpstr] would be the wrong ceiling. *)
-let get_lpbytes r what =
-  let n = get_len r what in
-  if r.pos + n > r.limit then truncated what;
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let reader_pos r = r.pos
-let reader_left r = r.limit - r.pos
 
 let get_strref r what =
   let k = get_len r what in

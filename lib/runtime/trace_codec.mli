@@ -185,52 +185,3 @@ val decode_events_list : section -> (Event.t list, error) result
 val encode_events : Event.t list -> string * int
 (** [events → (bytes, hash)] through a fresh sink — the codec-test and
     bench path; recording proper uses {!sink_observer}. *)
-
-(** {1 Wire primitives}
-
-    The varint/zigzag/length-prefix building blocks, exposed so other
-    binary codecs (the serve socket's binary wire, [Arde_server]) share
-    one implementation and one set of hostile-input checks instead of
-    reinventing them.  A {!sink} doubles as a plain byte builder: ignore
-    the interning tables and use only these writers, then take
-    {!sink_contents}. *)
-
-val put_u8 : sink -> int -> unit
-val put_varint : sink -> int -> unit
-(** LEB128 over the int's 63-bit pattern; at most 9 bytes. *)
-
-val put_signed : sink -> int -> unit
-(** Zigzag-folded {!put_varint}. *)
-
-val put_lpstr : sink -> string -> unit
-(** Varint length prefix, then the bytes. *)
-
-val sink_contents : sink -> string
-(** The bytes written so far, as a fresh string. *)
-
-exception Err of error
-(** Raised by the [get_*] readers below (and only by them — the
-    document-level entry points above catch it and return [result]). *)
-
-type reader
-(** A bounded cursor over encoded bytes; all reads check the window and
-    raise {!Err} on truncation or structural garbage. *)
-
-val reader : ?off:int -> ?limit:int -> string -> reader
-val reader_pos : reader -> int
-val reader_left : reader -> int  (** bytes remaining in the window *)
-
-val get_u8 : reader -> string -> int
-val get_varint : reader -> string -> int
-val get_signed : reader -> string -> int
-
-val get_lpstr : reader -> string -> string
-(** Length-prefixed string, capped at the trace format's 16 MiB string
-    limit. *)
-
-val get_lpbytes : reader -> string -> string
-(** Length-prefixed bytes bounded only by the reader's window — for
-    payloads whose size is policed elsewhere (the serve frame cap).
-
-    The [string] argument on every reader names the piece being read,
-    so {!error} messages locate the failure ("truncated … in [what]"). *)

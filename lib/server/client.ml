@@ -25,12 +25,8 @@ let parse_tcp_endpoint s =
 
 type t = {
   cl_fd : Unix.file_descr;
-  mutable cl_dec : P.decoder;
-      (* replaced once a binary hello-ack announces the server's actual
-         frame cap, so the client accepts everything the server may send *)
+  cl_dec : P.decoder;
   cl_buf : Bytes.t; (* per-connection: clients may live on different domains *)
-  cl_wire : P.wire;
-  mutable cl_max_frame : int;
   mutable cl_open : bool;
 }
 
@@ -41,8 +37,6 @@ let close t =
   end
 
 let fd t = t.cl_fd
-let wire t = t.cl_wire
-let max_frame t = t.cl_max_frame
 
 let send_raw t bytes =
   if not t.cl_open then Error "connection closed"
@@ -60,13 +54,13 @@ let send_raw t bytes =
 
 let send_frame t payload = send_raw t (P.frame payload)
 
-(* One complete frame payload off the socket, undecoded. *)
-let recv_payload t =
+let recv t =
   if not t.cl_open then Error "connection closed"
   else
     let rec loop () =
       match P.next_frame t.cl_dec with
-      | P.Frame payload -> Ok payload
+      | P.Frame payload ->
+          Result.map_error (fun e -> "response: " ^ e) (J.parse payload)
       | P.Too_large n ->
           Error (Printf.sprintf "response frame too large (%d bytes)" n)
       | P.Await -> (
@@ -80,24 +74,12 @@ let recv_payload t =
     in
     loop ()
 
-(* Responses are self-describing (the binary magic byte), so either
-   wire's response decodes here and callers stay wire-blind. *)
-let recv t =
-  match recv_payload t with
+let request t json =
+  match send_frame t (J.to_string json) with
   | Error _ as e -> e
-  | Ok payload -> (
-      match P.payload_wire payload with
-      | P.Binary ->
-          Result.map_error (fun e -> "response: " ^ e)
-            (P.response_of_binary payload)
-      | P.Json ->
-          Result.map_error (fun e -> "response: " ^ e) (J.parse payload))
+  | Ok () -> recv t
 
-let request_payload t payload =
-  match send_frame t payload with Error _ as e -> e | Ok () -> recv t
-let request t json = request_payload t (J.to_string json)
-
-let connect ?(wire = P.Json) ?max_frame ~endpoint () =
+let connect ?(max_frame = P.default_max_frame) ~endpoint () =
   match
     match endpoint with
     | Unix_socket path ->
@@ -126,76 +108,25 @@ let connect ?(wire = P.Json) ?max_frame ~endpoint () =
       Error
         (Printf.sprintf "cannot connect to %s: %s"
            (endpoint_to_string endpoint) (Unix.error_message err))
-  | () -> (
-      let mf = Option.value max_frame ~default:P.default_max_frame in
-      let t =
+  | () ->
+      Ok
         {
           cl_fd = fd;
-          cl_dec = P.decoder ~max_frame:mf ();
+          cl_dec = P.decoder ~max_frame ();
           cl_buf = Bytes.create 65536;
-          cl_wire = wire;
-          cl_max_frame = mf;
           cl_open = true;
-        }
-      in
-      match wire with
-      | P.Json -> Ok t
-      | P.Binary -> (
-          (* Negotiate: hello, then the ack mirroring the server's frame
-             cap, so our decoder accepts whatever it may legally send. *)
-          match send_frame t (P.binary_hello ()) with
-          | Error e ->
-              close t;
-              Error ("hello: " ^ e)
-          | Ok () -> (
-              match recv_payload t with
-              | Error e ->
-                  close t;
-                  Error ("hello: " ^ e)
-              | Ok payload -> (
-                  match P.parse_hello_ack payload with
-                  | Error e ->
-                      close t;
-                      Error ("hello: " ^ e)
-                  | Ok negotiated ->
-                      t.cl_max_frame <- negotiated;
-                      (* The server speaks request/response, so nothing
-                         can be buffered behind the ack; guard anyway. *)
-                      if
-                        negotiated <> mf
-                        && P.decoder_pending t.cl_dec = 0
-                      then t.cl_dec <- P.decoder ~max_frame:negotiated ();
-                      Ok t)))))
+        })
 
 let run t ?id ?deadline_ms ?retry ?record ~program ~mode ~options () =
-  request_payload t
-    (match t.cl_wire with
-    | P.Json ->
-        J.to_string
-          (P.run_request_json ?id ?deadline_ms ?retry ?record ~program ~mode
-             ~options ())
-    | P.Binary ->
-        P.binary_run_request ?id ?deadline_ms ?retry ?record ~program ~mode
-          ~options ())
+  request t
+    (P.run_request_json ?id ?deadline_ms ?retry ?record ~program ~mode
+       ~options ())
 
 let replay t ?id ?deadline_ms ?retry ~trace () =
-  request_payload t
-    (match t.cl_wire with
-    | P.Json ->
-        J.to_string (P.replay_request_json ?id ?deadline_ms ?retry ~trace ())
-    | P.Binary -> P.binary_replay_request ?id ?deadline_ms ?retry ~trace ())
+  request t (P.replay_request_json ?id ?deadline_ms ?retry ~trace ())
 
-let stats t =
-  request_payload t
-    (match t.cl_wire with
-    | P.Json -> J.to_string (P.stats_request ())
-    | P.Binary -> P.binary_stats_request ())
-
-let ping t =
-  request_payload t
-    (match t.cl_wire with
-    | P.Json -> J.to_string (P.ping_request ())
-    | P.Binary -> P.binary_ping_request ())
+let stats t = request t (P.stats_request ())
+let ping t = request t (P.ping_request ())
 
 (* ------------------------------------------------------------------ *)
 (* Retry policy                                                       *)
@@ -242,18 +173,17 @@ type attempt_outcome =
   | Final of (J.t, string) result
   | Retryable of (J.t, string) result
 
-(* [build ~retry] builds the wire request payload for one attempt — the
-   retry loop is payload-agnostic, shared by program and trace submits
-   on either wire. *)
-let attempt_once ~endpoint ~wire ~max_frame ~build ~attempt =
-  match connect ~wire ?max_frame ~endpoint () with
+(* [build ~retry] builds the request for one attempt — the retry loop
+   is payload-agnostic, shared by program and trace submits. *)
+let attempt_once ~endpoint ~max_frame ~build ~attempt =
+  match connect ?max_frame ~endpoint () with
   | Error e ->
-      (* The daemon was not reachable (refused, missing socket, failed
-         handshake): nothing ran, unconditionally safe to retry. *)
+      (* The daemon was not reachable (refused, missing socket): nothing
+         ran, unconditionally safe to retry. *)
       Retryable (Error e)
   | Ok c ->
       let outcome =
-        match request_payload c (build ~retry:attempt) with
+        match request c (build ~retry:attempt) with
         | Error _ as e ->
             (* A transport failure after the request was sent is not
                provably pre-execution, and run requests are answered in
@@ -268,10 +198,10 @@ let attempt_once ~endpoint ~wire ~max_frame ~build ~attempt =
       close c;
       outcome
 
-let with_retry ~endpoint ~wire ~max_frame ~policy build =
+let with_retry ~endpoint ~max_frame ~policy build =
   let prng = Arde.Prng.create policy.rp_jitter_seed in
   let rec go attempt =
-    match attempt_once ~endpoint ~wire ~max_frame ~build ~attempt with
+    match attempt_once ~endpoint ~max_frame ~build ~attempt with
     | Final r -> (r, attempt)
     | Retryable r ->
         if attempt >= policy.rp_attempts then (r, attempt)
@@ -282,22 +212,13 @@ let with_retry ~endpoint ~wire ~max_frame ~policy build =
   in
   go 0
 
-let submit_with_retry ~endpoint ~policy ?(wire = P.Json) ?max_frame ?id
-    ?deadline_ms ?record ~program ~mode ~options () =
-  with_retry ~endpoint ~wire ~max_frame ~policy (fun ~retry ->
-      match wire with
-      | P.Json ->
-          J.to_string
-            (P.run_request_json ?id ?deadline_ms ~retry ?record ~program
-               ~mode ~options ())
-      | P.Binary ->
-          P.binary_run_request ?id ?deadline_ms ~retry ?record ~program ~mode
-            ~options ())
+let submit_with_retry ~endpoint ~policy ?max_frame ?id ?deadline_ms ?record
+    ~program ~mode ~options () =
+  with_retry ~endpoint ~max_frame ~policy (fun ~retry ->
+      P.run_request_json ?id ?deadline_ms ~retry ?record ~program ~mode
+        ~options ())
 
-let submit_trace_with_retry ~endpoint ~policy ?(wire = P.Json) ?max_frame
-    ?id ?deadline_ms ~trace () =
-  with_retry ~endpoint ~wire ~max_frame ~policy (fun ~retry ->
-      match wire with
-      | P.Json ->
-          J.to_string (P.replay_request_json ?id ?deadline_ms ~retry ~trace ())
-      | P.Binary -> P.binary_replay_request ?id ?deadline_ms ~retry ~trace ())
+let submit_trace_with_retry ~endpoint ~policy ?max_frame ?id ?deadline_ms
+    ~trace () =
+  with_retry ~endpoint ~max_frame ~policy (fun ~retry ->
+      P.replay_request_json ?id ?deadline_ms ~retry ~trace ())

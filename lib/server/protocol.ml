@@ -115,31 +115,7 @@ type run_request = {
   rq_retry : int; (* which retry attempt this is; 0 = first send *)
 }
 
-type request = Run of run_request | Stats of J.t | Ping of J.t | Hello
-
-(* ------------------------------------------------------------------ *)
-(* Wire selection                                                     *)
-
-(* Every frame payload is self-describing: JSON documents open with
-   whitespace or a structural character, never 0xB7, so one byte picks
-   the codec and JSON-only clients never see a negotiation step. *)
-
-type wire = Json | Binary
-
-let binary_magic = 0xB7
-let binary_version = 1
-
-let payload_wire payload =
-  if String.length payload > 0 && Char.code payload.[0] = binary_magic then
-    Binary
-  else Json
-
-let wire_name = function Json -> "json" | Binary -> "binary"
-
-let parse_wire = function
-  | "json" -> Ok Json
-  | "binary" -> Ok Binary
-  | s -> Error (Printf.sprintf "unknown wire %S (expected json or binary)" s)
+type request = Run of run_request | Stats of J.t | Ping of J.t
 
 let run_json ?(id = J.Null) ?deadline_ms ?retry payload_fields =
   J.Obj
@@ -178,7 +154,7 @@ let ping_request ?(id = J.Null) () =
    parser's own default would. *)
 let request_max_depth = 64
 
-let parse_json_request payload =
+let parse_request payload =
   match J.parse_checked ~max_depth:request_max_depth payload with
   | Error e -> Error (J.Null, Bad_frame, J.error_to_string e)
   | Ok j -> (
@@ -253,210 +229,6 @@ let parse_json_request payload =
                  Printf.sprintf "unknown request type %S" other)
       | None -> Error (id, Bad_request, "missing field \"type\""))
 
-(* ------------------------------------------------------------------ *)
-(* The binary wire                                                    *)
-
-(* Length-prefixed binary bodies sharing the trace codec's varint /
-   zigzag / lpstr primitives.  The layout (see DESIGN.md §6):
-
-     payload  := 0xB7 · u8 version · u8 kind · body
-     kind 1   hello       (client→server; empty body)
-     kind 2   hello-ack   (server→client; varint max_frame)
-     kind 3   run-program id · u8 flags · [varint deadline_ms]
-                          · varint retry · lpstr mode_id
-                          · lpstr options_json · lpstr program
-     kind 4   run-trace   id · u8 flags · [varint deadline_ms]
-                          · varint retry · lpbytes trace
-     kind 5   stats       id
-     kind 6   ping        id
-     kind 7   ok          id · u8 body_kind
-                          body 0: pong (empty)
-                          body 1: lpstr result_json · u8 has_cache
-                                  · [lpstr cache_json] · u8 has_trace
-                                  · [lpbytes trace]
-                          body 2: lpstr stats_json
-     kind 8   error       id · lpstr code · lpstr message
-
-   flags: bit 0 = record, bit 1 = deadline_ms follows.  Request ids are
-   arbitrary JSON values in the JSON wire, so they travel as their JSON
-   text ("" encodes null).  Detection results stay JSON {e inside} the
-   binary envelope: the result document is the cross-wire identity
-   anchor ([arde run --format json] must agree byte-for-byte), and what
-   the binary wire actually buys is raw traces and programs — the bulk
-   payloads — riding without base64 or JSON-string escaping. *)
-
-module Tc = Arde.Trace_codec
-
-let bsink kind =
-  let s = Tc.sink ~capacity:256 () in
-  Tc.put_u8 s binary_magic;
-  Tc.put_u8 s binary_version;
-  Tc.put_u8 s kind;
-  s
-
-let put_id s (id : J.t) =
-  Tc.put_lpstr s (match id with J.Null -> "" | j -> J.to_string j)
-
-let get_id r =
-  match Tc.get_lpstr r "request id" with
-  | "" -> J.Null
-  | txt -> (
-      match J.parse txt with
-      | Ok j -> j
-      | Error _ ->
-          raise
-            (Tc.Err
-               (Tc.Corrupt
-                  { at = Tc.reader_pos r; what = "id is not a JSON value" })))
-
-let put_run_common s ~id ~deadline_ms ~retry ~record =
-  put_id s id;
-  let flags =
-    (if record then 1 else 0)
-    lor match deadline_ms with Some _ -> 2 | None -> 0
-  in
-  Tc.put_u8 s flags;
-  (match deadline_ms with Some d -> Tc.put_varint s d | None -> ());
-  Tc.put_varint s (match retry with Some n when n > 0 -> n | _ -> 0)
-
-let binary_run_request ?(id = J.Null) ?deadline_ms ?retry ?(record = false)
-    ~program ~mode ~options () =
-  let s = bsink 3 in
-  put_run_common s ~id ~deadline_ms ~retry ~record;
-  Tc.put_lpstr s (Arde.Config.mode_id mode);
-  Tc.put_lpstr s (J.to_string (Arde.Options.to_json options));
-  Tc.put_lpstr s program;
-  Tc.sink_contents s
-
-let binary_replay_request ?(id = J.Null) ?deadline_ms ?retry ~trace () =
-  let s = bsink 4 in
-  put_run_common s ~id ~deadline_ms ~retry ~record:false;
-  Tc.put_lpstr s trace;
-  Tc.sink_contents s
-
-let binary_stats_request ?(id = J.Null) () =
-  let s = bsink 5 in
-  put_id s id;
-  Tc.sink_contents s
-
-let binary_ping_request ?(id = J.Null) () =
-  let s = bsink 6 in
-  put_id s id;
-  Tc.sink_contents s
-
-let binary_hello () = Tc.sink_contents (bsink 1)
-
-let binary_hello_ack ~max_frame =
-  let s = bsink 2 in
-  Tc.put_varint s max_frame;
-  Tc.sink_contents s
-
-(* Decoding.  A reader positioned after the magic byte; every structural
-   failure is a [Bad_frame] naming the offending piece, mirroring the
-   JSON parser's error triple so callers need not care which wire the
-   garbage arrived on. *)
-
-let binary_envelope payload =
-  let r = Tc.reader ~off:1 payload in
-  let v = Tc.get_u8 r "wire version" in
-  if v <> binary_version then
-    raise
-      (Tc.Err
-         (Tc.Corrupt
-            {
-              at = 1;
-              what = Printf.sprintf "unsupported binary wire version %d" v;
-            }));
-  (r, Tc.get_u8 r "message kind")
-
-let reject_trailing r =
-  if Tc.reader_left r <> 0 then
-    raise
-      (Tc.Err
-         (Tc.Corrupt
-            { at = Tc.reader_pos r; what = "trailing bytes after message" }))
-
-let get_run_common r =
-  let id = get_id r in
-  let flags = Tc.get_u8 r "run flags" in
-  let deadline_ms =
-    if flags land 2 <> 0 then Some (Tc.get_varint r "deadline_ms") else None
-  in
-  let retry = Tc.get_varint r "retry" in
-  (id, flags, deadline_ms, retry)
-
-let parse_binary_request payload =
-  match
-    let r, kind = binary_envelope payload in
-    match kind with
-    | 1 ->
-        reject_trailing r;
-        Ok Hello
-    | 5 ->
-        let id = get_id r in
-        reject_trailing r;
-        Ok (Stats id)
-    | 6 ->
-        let id = get_id r in
-        reject_trailing r;
-        Ok (Ping id)
-    | 3 ->
-        let id, flags, rq_deadline_ms, rq_retry = get_run_common r in
-        let mode_s = Tc.get_lpstr r "mode" in
-        let options_s = Tc.get_lpstr r "options" in
-        let rp_program = Tc.get_lpbytes r "program" in
-        reject_trailing r;
-        let ( let* ) = Result.bind in
-        let* () =
-          match rq_deadline_ms with
-          | Some ms when ms <= 0 ->
-              Error (id, Bad_request, "deadline_ms must be a positive integer")
-          | _ -> Ok ()
-        in
-        let* rp_mode =
-          Result.map_error
-            (fun e -> (id, Bad_request, e))
-            (Arde.Config.parse_mode mode_s)
-        in
-        let* rp_options =
-          match J.parse options_s with
-          | Error e -> Error (id, Bad_request, "options: " ^ e)
-          | Ok o ->
-              Result.map_error
-                (fun e -> (id, Bad_request, "options: " ^ e))
-                (Arde.Options.of_json o)
-        in
-        Ok
-          (Run
-             {
-               rq_id = id;
-               rq_payload =
-                 Rq_program
-                   { rp_program; rp_mode; rp_options; rp_record = flags land 1 <> 0 };
-               rq_deadline_ms;
-               rq_retry;
-             })
-    | 4 ->
-        let id, _flags, rq_deadline_ms, rq_retry = get_run_common r in
-        let trace = Tc.get_lpbytes r "trace" in
-        reject_trailing r;
-        if match rq_deadline_ms with Some ms -> ms <= 0 | None -> false then
-          Error (id, Bad_request, "deadline_ms must be a positive integer")
-        else
-          Ok (Run { rq_id = id; rq_payload = Rq_trace trace; rq_deadline_ms; rq_retry })
-    | k ->
-        Error
-          (J.Null, Bad_request, Printf.sprintf "unknown binary request kind %d" k)
-  with
-  | r -> r
-  | exception Tc.Err e ->
-      Error (J.Null, Bad_frame, "binary request: " ^ Tc.error_to_string e)
-
-let parse_request payload =
-  match payload_wire payload with
-  | Binary -> parse_binary_request payload
-  | Json -> parse_json_request payload
-
 let ok_response ~id fields =
   J.Obj
     ([ ("type", J.String "response"); ("id", id); ("ok", J.Bool true) ]
@@ -488,146 +260,11 @@ let response_error j =
       in
       Some (f "code", f "message")
 
-(* Binary responses.  Encoders take the canonical JSON response object —
-   every response producer already builds one — and re-package it, so
-   the two wires cannot drift: there is exactly one place deciding what
-   a response {e means}.  [raw_trace] short-circuits the base64 decode
-   when the producer still holds the raw bytes (the record-mode worker). *)
+(* Responses have one encoding; the [wire] label survives only for
+   callers written against the two-wire interface (see protocol.mli). *)
+type wire = Json
 
-let binary_error_fields ~id ~code ~msg =
-  let s = bsink 8 in
-  put_id s id;
-  Tc.put_lpstr s code;
-  Tc.put_lpstr s msg;
-  Tc.sink_contents s
-
-let binary_response ?raw_trace resp =
-  let id = Option.value (J.member "id" resp) ~default:J.Null in
-  match response_error resp with
-  | Some (code, msg) -> binary_error_fields ~id ~code ~msg
-  | None -> (
-      let s = bsink 7 in
-      put_id s id;
-      match J.member "result" resp with
-      | Some result ->
-          Tc.put_u8 s 1;
-          Tc.put_lpstr s (J.to_string result);
-          (match J.member "analysis_cache" resp with
-          | Some c ->
-              Tc.put_u8 s 1;
-              Tc.put_lpstr s (J.to_string c)
-          | None -> Tc.put_u8 s 0);
-          let trace =
-            match raw_trace with
-            | Some _ as t -> t
-            | None -> (
-                match J.member "trace" resp with
-                | Some (J.String b64) -> (
-                    match Arde.Base64.decode b64 with
-                    | Ok raw -> Some raw
-                    | Error _ -> None)
-                | _ -> None)
-          in
-          (match trace with
-          | Some raw ->
-              Tc.put_u8 s 1;
-              Tc.put_lpstr s raw
-          | None -> Tc.put_u8 s 0);
-          Tc.sink_contents s
-      | None -> (
-          match J.member "stats" resp with
-          | Some stats ->
-              Tc.put_u8 s 2;
-              Tc.put_lpstr s (J.to_string stats);
-              Tc.sink_contents s
-          | None ->
-              Tc.put_u8 s 0;
-              Tc.sink_contents s))
-
-let encode_response ?raw_trace ~wire resp =
-  match wire with
-  | Json -> J.to_string resp
-  | Binary -> binary_response ?raw_trace resp
-
-(* The client-side inverse: rebuild the canonical JSON response object,
-   so everything downstream of [recv] — retry classification,
-   [run_output], byte-identity with [arde run] — is wire-blind.  A
-   recovered trace is re-encoded base64 to keep the object shape
-   identical to the JSON wire's. *)
-
-let response_of_binary payload =
-  let parse_field what txt =
-    match J.parse txt with
-    | Ok j -> j
-    | Error e ->
-        raise (Tc.Err (Tc.Corrupt { at = 0; what = what ^ ": " ^ e }))
-  in
-  match
-    let r, kind = binary_envelope payload in
-    match kind with
-    | 7 -> (
-        let id = get_id r in
-        match Tc.get_u8 r "ok body kind" with
-        | 0 ->
-            reject_trailing r;
-            Ok (ok_response ~id [ ("pong", J.Bool true) ])
-        | 1 ->
-            let result = parse_field "result" (Tc.get_lpbytes r "result") in
-            let cache =
-              if Tc.get_u8 r "cache flag" <> 0 then
-                [ ( "analysis_cache",
-                    parse_field "analysis_cache"
-                      (Tc.get_lpstr r "analysis_cache") ) ]
-              else []
-            in
-            let trace =
-              if Tc.get_u8 r "trace flag" <> 0 then
-                [ ( "trace",
-                    J.String (Arde.Base64.encode (Tc.get_lpbytes r "trace")) )
-                ]
-              else []
-            in
-            reject_trailing r;
-            Ok (ok_response ~id ([ ("result", result) ] @ cache @ trace))
-        | 2 ->
-            let stats = parse_field "stats" (Tc.get_lpstr r "stats") in
-            reject_trailing r;
-            Ok (ok_response ~id [ ("stats", stats) ])
-        | k -> Error (Printf.sprintf "unknown ok body kind %d" k))
-    | 8 ->
-        let id = get_id r in
-        let code = Tc.get_lpstr r "error code" in
-        let msg = Tc.get_lpstr r "error message" in
-        reject_trailing r;
-        Ok
-          (J.Obj
-             [
-               ("type", J.String "response");
-               ("id", id);
-               ("ok", J.Bool false);
-               ( "error",
-                 J.Obj
-                   [ ("code", J.String code); ("message", J.String msg) ] );
-             ])
-    | k -> Error (Printf.sprintf "unexpected binary response kind %d" k)
-  with
-  | r -> r
-  | exception Tc.Err e -> Error ("binary response: " ^ Tc.error_to_string e)
-
-let parse_hello_ack payload =
-  match
-    let r, kind = binary_envelope payload in
-    if kind <> 2 then
-      Error (Printf.sprintf "expected hello-ack, got message kind %d" kind)
-    else begin
-      let max_frame = Tc.get_varint r "max_frame" in
-      reject_trailing r;
-      if max_frame <= 0 then Error "hello-ack with a non-positive max_frame"
-      else Ok max_frame
-    end
-  with
-  | r -> r
-  | exception Tc.Err e -> Error ("hello-ack: " ^ Tc.error_to_string e)
+let encode_response ~wire:Json resp = J.to_string resp
 
 (* ------------------------------------------------------------------ *)
 (* The supervisor <-> worker wire                                     *)

@@ -112,32 +112,6 @@ type request =
   | Run of run_request
   | Stats of Arde.Json.t  (** id *)
   | Ping of Arde.Json.t  (** id *)
-  | Hello
-      (** a binary client announcing itself; the server answers with a
-          hello-ack carrying its frame cap and speaks binary to this
-          connection's unframeable errors from then on *)
-
-(** {1 Wires}
-
-    Two payload encodings share the framing layer: minified JSON (the
-    original wire, always accepted) and a length-prefixed binary form
-    built on {!Arde.Trace_codec}'s varint primitives (DESIGN.md §6).
-    Every payload is self-describing — binary messages open with the
-    [0xB7] magic byte, which no JSON document can start with — so the
-    server answers each request on the wire it arrived on, and JSON
-    clients never see a negotiation step.  Detection results stay JSON
-    inside the binary envelope (the cross-wire identity anchor); what
-    binary buys is programs and traces riding as raw bytes instead of
-    JSON-escaped or base64 text. *)
-
-type wire = Json | Binary
-
-val payload_wire : string -> wire
-(** Classify a frame payload by its first byte. *)
-
-val wire_name : wire -> string
-val parse_wire : string -> (wire, string) result
-(** ["json"] / ["binary"], the CLI flag vocabulary. *)
 
 val run_request_json :
   ?id:Arde.Json.t ->
@@ -170,53 +144,13 @@ val replay_request_json :
 val stats_request : ?id:Arde.Json.t -> unit -> Arde.Json.t
 val ping_request : ?id:Arde.Json.t -> unit -> Arde.Json.t
 
-(** {2 Binary requests}
-
-    The binary counterparts of the builders above; each returns the
-    complete frame payload (magic, version, kind, body) as bytes. *)
-
-val binary_run_request :
-  ?id:Arde.Json.t ->
-  ?deadline_ms:int ->
-  ?retry:int ->
-  ?record:bool ->
-  program:string ->
-  mode:Arde.Config.mode ->
-  options:Arde.Options.t ->
-  unit ->
-  string
-
-val binary_replay_request :
-  ?id:Arde.Json.t ->
-  ?deadline_ms:int ->
-  ?retry:int ->
-  trace:string ->
-  unit ->
-  string
-(** [trace] is the raw recorded bytes — they travel verbatim, the
-    binary wire's whole point. *)
-
-val binary_stats_request : ?id:Arde.Json.t -> unit -> string
-val binary_ping_request : ?id:Arde.Json.t -> unit -> string
-
-val binary_hello : unit -> string
-(** The client's first frame on a binary connection. *)
-
-val binary_hello_ack : max_frame:int -> string
-(** The server's reply, mirroring its frame cap so the client can size
-    its own decoder to match. *)
-
-val parse_hello_ack : string -> (int, string) result
-(** The negotiated frame cap out of a hello-ack payload. *)
-
 val parse_request :
   string -> (request, Arde.Json.t * error_code * string) result
-(** Parse one frame payload on either wire (dispatched by
-    {!payload_wire}).  The error carries the request id when one could
-    be recovered ([Null] otherwise), so the server can still correlate
-    the error response.  Structurally unparsable payloads — invalid
-    JSON, or truncated/corrupt/trailing binary bytes — are [Bad_frame];
-    everything else wrong is [Bad_request]. *)
+(** Parse one frame payload.  The error carries the request id when one
+    could be recovered ([Null] otherwise), so the server can still
+    correlate the error response.  Invalid JSON (or JSON beyond the
+    parser's limits) is [Bad_frame]; everything else wrong is
+    [Bad_request]. *)
 
 (** {1 Responses} *)
 
@@ -232,21 +166,14 @@ val response_ok : Arde.Json.t -> bool
 val response_error : Arde.Json.t -> (string * string) option
 (** [(code, message)] when the response is an error. *)
 
-val binary_response : ?raw_trace:string -> Arde.Json.t -> string
-(** Re-package a canonical JSON response object as a binary payload.
-    The encoders take the JSON object — every producer already builds
-    one — so the two wires cannot drift.  [raw_trace] short-circuits
-    the base64 decode of a ["trace"] field when the producer still
-    holds the raw bytes (the record-mode worker). *)
+type wire = Json
+(** Responses have a single encoding, minified JSON.  The type and the
+    [~wire] label of {!encode_response} stay only so that callers written
+    against the former two-wire interface ([perfbench/traced.ml]'s
+    traced rebuild) keep compiling. *)
 
-val encode_response : ?raw_trace:string -> wire:wire -> Arde.Json.t -> string
-(** The frame payload for a response on the given wire:
-    [Arde.Json.to_string] or {!binary_response}. *)
-
-val response_of_binary : string -> (Arde.Json.t, string) result
-(** The client-side inverse of {!binary_response}: rebuild the canonical
-    JSON response object (a recovered trace is re-encoded base64), so
-    everything downstream of the client's receive path is wire-blind. *)
+val encode_response : wire:wire -> Arde.Json.t -> string
+(** [Arde.Json.to_string]: the frame payload for a response. *)
 
 (** {1 The supervisor <-> worker wire}
 

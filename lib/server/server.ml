@@ -59,10 +59,6 @@ type conn = {
   c_dec : P.decoder;
   c_out : Util.outbuf;
   mutable c_alive : bool;
-  mutable c_wire : P.wire;
-      (* responses follow each request's own wire; this is the fallback
-         for errors with no request behind them (an oversized frame),
-         flipped to [Binary] once the client says hello *)
 }
 
 type counters = {
@@ -84,7 +80,6 @@ type counters = {
 type job = {
   j_id : int;
   j_conn : conn;
-  j_wire : P.wire; (* the wire the request arrived on, for error replies *)
   j_req : P.run_request;
   j_raw : string; (* the wire request bytes, forwarded verbatim *)
   j_digest : string;
@@ -136,8 +131,8 @@ let send_bytes t conn payload =
       | Util.Peer_gone -> close_conn t conn
   end
 
-let send ?(wire = P.Json) t conn json =
-  send_bytes t conn (P.encode_response ~wire json);
+let send t conn json =
+  send_bytes t conn (J.to_string json);
   t.cfg.log
     (if P.response_ok json then "sent ok response"
      else
@@ -272,25 +267,18 @@ let count_code t = function
 
 let handle_payload t conn payload =
   t.counters.received <- t.counters.received + 1;
-  let wire = P.payload_wire payload in
   match P.parse_request payload with
   | Error (id, code, msg) ->
       (match code with
       | P.Bad_frame -> t.counters.bad_frame <- t.counters.bad_frame + 1
       | _ -> t.counters.bad_request <- t.counters.bad_request + 1);
-      send ~wire t conn (P.error_response ~id code msg)
-  | Ok P.Hello ->
-      (* Negotiation: remember the wire for request-less errors and
-         mirror the frame cap so the client can size its decoder. *)
-      conn.c_wire <- P.Binary;
-      send_bytes t conn (P.binary_hello_ack ~max_frame:t.cfg.max_frame);
-      t.cfg.log "negotiated binary wire"
+      send t conn (P.error_response ~id code msg)
   | Ok (P.Ping id) ->
       t.counters.pings <- t.counters.pings + 1;
-      send ~wire t conn (P.ok_response ~id [ ("pong", J.Bool true) ])
+      send t conn (P.ok_response ~id [ ("pong", J.Bool true) ])
   | Ok (P.Stats id) ->
       t.counters.stats_reqs <- t.counters.stats_reqs + 1;
-      send ~wire t conn (P.ok_response ~id [ ("stats", stats_json t) ])
+      send t conn (P.ok_response ~id [ ("stats", stats_json t) ])
   | Ok (P.Run req) -> (
       if req.P.rq_retry > 0 then
         t.counters.retries <- t.counters.retries + 1;
@@ -315,7 +303,7 @@ let handle_payload t conn payload =
           (* Every slot's circuit is open: refuse fast and honestly
              rather than queueing behind a cooldown. *)
           t.counters.worker_crashed <- t.counters.worker_crashed + 1;
-          send ~wire t conn
+          send t conn
             (P.error_response ~id:req.P.rq_id P.Worker_crashed
                "all worker slots are broken (restart circuit open); retry \
                 later")
@@ -328,7 +316,6 @@ let handle_payload t conn payload =
                 (t.job_seq <- t.job_seq + 1;
                  t.job_seq);
               j_conn = conn;
-              j_wire = wire;
               j_req = req;
               j_raw = payload;
               j_digest = digest;
@@ -347,14 +334,14 @@ let handle_payload t conn payload =
           | Scheduler.Accepted -> dispatch t
           | Scheduler.Overloaded ->
               t.counters.overloaded <- t.counters.overloaded + 1;
-              send ~wire t conn
+              send t conn
                 (P.error_response ~id:req.P.rq_id P.Overloaded
                    (Printf.sprintf "queue full (%d pending)"
                       t.cfg.max_pending))
           | Scheduler.Draining ->
               t.counters.rejected_draining <-
                 t.counters.rejected_draining + 1;
-              send ~wire t conn
+              send t conn
                 (P.error_response ~id:req.P.rq_id P.Draining
                    "server is draining and refuses new work")))
 
@@ -377,7 +364,7 @@ let handle_conn_readable t conn =
         | P.Too_large announced ->
             t.counters.received <- t.counters.received + 1;
             t.counters.bad_frame <- t.counters.bad_frame + 1;
-            send ~wire:conn.c_wire t conn
+            send t conn
               (P.error_response ~id:J.Null P.Bad_frame
                  (Printf.sprintf
                     "frame of %d bytes exceeds the %d-byte limit" announced
@@ -405,7 +392,6 @@ let accept_conn t listen_fd =
           c_dec = P.decoder ~max_frame:t.cfg.max_frame ();
           c_out = Util.outbuf ();
           c_alive = true;
-          c_wire = P.Json;
         }
       in
       if Scheduler.draining t.sched then begin
@@ -539,7 +525,7 @@ let reroute_queued t ~dead:i ~draining =
       | Some slot -> Scheduler.enqueue t.sched ~slot job
       | None ->
           t.counters.worker_crashed <- t.counters.worker_crashed + 1;
-          send ~wire:job.j_wire t job.j_conn
+          send t job.j_conn
             (P.error_response ~id:job.j_req.P.rq_id P.Worker_crashed
                "the worker slot for this request died and no other slot can \
                 take it"))
@@ -565,7 +551,7 @@ let handle_deaths t deaths ~draining =
                 | Some path -> "; request journaled to " ^ path
                 | None -> "")
             in
-            send ~wire:job.j_wire t job.j_conn
+            send t job.j_conn
               (P.error_response ~id:job.j_req.P.rq_id P.Worker_crashed msg)
         | None -> ());
         reroute_queued t ~dead:i ~draining
@@ -583,7 +569,7 @@ let expire_queued_deadlines t ~now =
   List.iter
     (fun job ->
       t.counters.deadline_expired <- t.counters.deadline_expired + 1;
-      send ~wire:job.j_wire t job.j_conn
+      send t job.j_conn
         (P.error_response ~id:job.j_req.P.rq_id P.Deadline_expired
            "deadline elapsed before the request was dispatched to a worker"))
     expired

@@ -34,7 +34,7 @@
 type config = {
   socket_path : string;
   tcp : (string * int) option;
-      (** also listen on this TCP endpoint, sharing the frame and wire
+      (** also listen on this TCP endpoint, sharing the frame and protocol
           code with the Unix socket; port [0] binds an ephemeral port
           (see {!tcp_endpoint}) *)
   workers : int;  (** worker processes; [<= 0] means 2 *)

@@ -73,19 +73,11 @@ let read_journal t ~worker =
           let raw =
             String.sub text (nl + 1) (String.length text - nl - 1)
           in
-          match J.parse header with
-          | Ok (J.Obj fields) ->
-              (* A JSON-wire request is embedded as parsed JSON (bundles
-                 stay human-readable); a binary-wire request cannot be,
-                 so it rides base64 — either way the exact bytes are
-                 recoverable for the production parser. *)
-              let request_field =
-                match J.parse raw with
-                | Ok request -> [ ("request", request) ]
-                | Error _ ->
-                    [ ("request_b64", J.String (Arde.Base64.encode raw)) ]
-              in
-              Some (J.Obj (fields @ request_field))
+          (* The worker journals only requests it has already parsed, so
+             the request embeds as JSON and the bundle stays readable. *)
+          match (J.parse header, J.parse raw) with
+          | Ok (J.Obj fields), Ok request ->
+              Some (J.Obj (fields @ [ ("request", request) ]))
           | _ -> None))
 
 let seal t ~worker ~reason =
@@ -155,13 +147,7 @@ let load path =
 let bundle_request j =
   match J.member "request" j with
   | Some r -> Ok (J.to_string r)
-  | None -> (
-      match Option.bind (J.member "request_b64" j) J.to_str with
-      | Some b64 ->
-          Result.map_error
-            (fun e -> "bundle request: " ^ e)
-            (Arde.Base64.decode b64)
-      | None -> Error "bundle carries no request")
+  | None -> Error "bundle carries no request"
 
 let bundle_trace j =
   match Option.bind (J.member "trace" j) J.to_str with

@@ -2,7 +2,7 @@
 
     Before a worker executes a run request it journals the request to
     [SPOOL/worker-N.journal.json] via write-tmp-then-rename — one JSON
-    header line of identity metadata, then the exact wire payload bytes
+    header line of identity metadata, then the exact request payload bytes
     (journaling is on the per-request hot path, so the request is never
     re-serialized) — and removes the journal after responding.  When the supervisor reaps a
     crashed or watchdog-killed worker it {!seal}s the surviving journal
@@ -62,9 +62,8 @@ val load : string -> (Arde.Json.t, string) result
 (** Load and schema-check a crash bundle. *)
 
 val bundle_request : Arde.Json.t -> (string, string) result
-(** The journaled wire request inside a loaded bundle, as the raw frame
-    payload bytes — re-serialized JSON for a JSON-wire request, decoded
-    base64 for a binary-wire one — ready for [Protocol.parse_request]. *)
+(** The journaled request inside a loaded bundle, re-serialized as a
+    frame payload ready for [Protocol.parse_request]. *)
 
 val bundle_trace : Arde.Json.t -> (string option, string) result
 (** The binary trace sealed into a loaded bundle, when the crashed

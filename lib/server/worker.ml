@@ -114,9 +114,6 @@ let lookup_program programs ~digest text =
               Arde.Fifo_table.add programs digest p;
               Ok p))
 
-(* Returns the canonical JSON response plus, in record mode, the raw
-   trace bytes — so a binary-wire response can carry them without
-   round-tripping through the JSON object's base64 field. *)
 let execute st ~digest (req : P.run_request) =
   let before = Arde.Analysis_cache.stats () in
   let started = Unix.gettimeofday () in
@@ -144,22 +141,20 @@ let execute st ~digest (req : P.run_request) =
          repeated replays of the same program skip the static phase. *)
       match Arde.Recorded.of_string trace with
       | Error msg ->
-          (P.error_response ~id:req.P.rq_id P.Bad_request ("trace: " ^ msg),
-           None)
+          P.error_response ~id:req.P.rq_id P.Bad_request ("trace: " ^ msg)
       | Ok recorded -> (
           let ctx =
             Arde.Driver.ctx ~pool:st.pool ~should_stop ~program_digest:digest
               ()
           in
           match Arde.detect ~ctx (Arde.Input.Recorded_trace recorded) with
-          | result -> (respond result [], None)
+          | result -> respond result []
           | exception e ->
-              (P.error_response ~id:req.P.rq_id P.Internal
-                 (Printexc.to_string e),
-               None)))
+              P.error_response ~id:req.P.rq_id P.Internal
+                (Printexc.to_string e)))
   | P.Rq_program { rp_program; rp_mode; rp_options; rp_record } -> (
       match lookup_program st.programs ~digest rp_program with
-      | Error msg -> (P.error_response ~id:req.P.rq_id P.Bad_request msg, None)
+      | Error msg -> P.error_response ~id:req.P.rq_id P.Bad_request msg
       | Ok program -> (
           let ctx =
             Arde.Driver.ctx ~options:rp_options ~pool:st.pool ~should_stop
@@ -167,11 +162,10 @@ let execute st ~digest (req : P.run_request) =
           in
           if not rp_record then
             match Arde.detect ~ctx ~mode:rp_mode (Arde.Input.Program program) with
-            | result -> (respond result [], None)
+            | result -> respond result []
             | exception e ->
-                (P.error_response ~id:req.P.rq_id P.Internal
-                   (Printexc.to_string e),
-                 None)
+                P.error_response ~id:req.P.rq_id P.Internal
+                  (Printexc.to_string e)
           else
             (* Record-mode: the record/replay split live.  The cheap
                recording pass runs first and the trace lands in the
@@ -184,7 +178,7 @@ let execute st ~digest (req : P.run_request) =
               Arde.record ~ctx ~mode:rp_mode ~source:"serve"
                 (Arde.Input.Program program)
             with
-            | Error msg -> (P.error_response ~id:req.P.rq_id P.Internal msg, None)
+            | Error msg -> P.error_response ~id:req.P.rq_id P.Internal msg
             | Ok { Arde.Driver.rec_trace; _ } -> (
                 (* Best-effort, like the request journal. *)
                 (match
@@ -194,25 +188,21 @@ let execute st ~digest (req : P.run_request) =
                 | Ok () | Error _ -> ());
                 match Arde.Recorded.of_string rec_trace with
                 | Error msg ->
-                    (P.error_response ~id:req.P.rq_id P.Internal
-                       ("recorded trace: " ^ msg),
-                     None)
+                    P.error_response ~id:req.P.rq_id P.Internal
+                      ("recorded trace: " ^ msg)
                 | Ok recorded -> (
                     match
                       Arde.detect ~ctx (Arde.Input.Recorded_trace recorded)
                     with
                     | result ->
-                        (respond result
-                           [ ("trace", J.String (Arde.Base64.encode rec_trace)) ],
-                         Some rec_trace)
+                        respond result
+                          [ ("trace", J.String (Arde.Base64.encode rec_trace)) ]
                     | exception e ->
-                        (P.error_response ~id:req.P.rq_id P.Internal
-                           (Printexc.to_string e),
-                         None)))
+                        P.error_response ~id:req.P.rq_id P.Internal
+                          (Printexc.to_string e)))
             | exception e ->
-                (P.error_response ~id:req.P.rq_id P.Internal
-                   (Printexc.to_string e),
-                 None)))
+                P.error_response ~id:req.P.rq_id P.Internal
+                  (Printexc.to_string e)))
 
 (* ------------------------------------------------------------------ *)
 (* The frame loop.  The supervisor hands us its socketpair end as our
@@ -258,27 +248,17 @@ let send_done_json ?faults ~job ~spool_error resp =
   send_done ?faults ~job ~spool_error ~code:(response_code resp)
     (J.to_string resp)
 
-(* A response leaves on the wire its request arrived on. *)
-let send_done_resp ?faults ?raw_trace ~job ~spool_error ~wire resp =
-  send_done ?faults ~job ~spool_error ~code:(response_code resp)
-    (P.encode_response ?raw_trace ~wire resp)
-
 (* [raw] is the client's request exactly as it crossed the public
    socket: parsed once here (the supervisor never parses bodies), and
    journaled byte-for-byte. *)
 let handle_job st ~job ~digest raw =
   let module CS = Arde.Chaos.Serve in
-  let wire = P.payload_wire raw in
   match P.parse_request raw with
   | Error (id, code, msg) ->
-      send_done_resp ~job ~spool_error:false ~wire (P.error_response ~id code msg)
+      send_done_json ~job ~spool_error:false (P.error_response ~id code msg)
   | Ok (P.Ping id | P.Stats id) ->
-      send_done_resp ~job ~spool_error:false ~wire
+      send_done_json ~job ~spool_error:false
         (P.error_response ~id P.Internal "worker received a non-run request")
-  | Ok P.Hello ->
-      send_done_resp ~job ~spool_error:false ~wire
-        (P.error_response ~id:J.Null P.Internal
-           "worker received a non-run request")
   | Ok (P.Run req) ->
       st.count <- st.count + 1;
       let faults = CS.fires st.args.a_chaos ~count:st.count in
@@ -304,10 +284,9 @@ let handle_job st ~job ~digest raw =
         while true do
           Util.sleepf 3600.
         done;
-      let response, raw_trace = execute st ~digest req in
+      let response = execute st ~digest req in
       Spool.clear st.spool ~worker:st.args.a_index;
-      send_done_resp ~faults ?raw_trace ~job ~spool_error ~wire
-        response
+      send_done_json ~faults ~job ~spool_error response
 
 let main args =
   (* The supervisor owns our lifecycle: drain arrives as stdin EOF,

@@ -22,9 +22,30 @@ let law ?(count = 60) name f =
 let prop_base64_roundtrip =
   law "base64 decode ∘ encode = id" (fun seed ->
       let rng = Prng.create seed in
-      let n = Prng.int rng 80 in
+      let n = Prng.int rng 2000 in
       let s = String.init n (fun _ -> Char.chr (Prng.int rng 256)) in
       Arde.Base64.decode (Arde.Base64.encode s) = Ok s)
+
+(* One corrupted byte anywhere in a valid encoding — a byte outside the
+   alphabet, or '=' before the final quad — must be rejected. *)
+let prop_base64_corruption =
+  law "base64 rejects a corrupted byte" (fun seed ->
+      let rng = Prng.create seed in
+      let n = 1 + Prng.int rng 2000 in
+      let s = String.init n (fun _ -> Char.chr (Prng.int rng 256)) in
+      let enc = Bytes.of_string (Arde.Base64.encode s) in
+      let n = Bytes.length enc in
+      (if n > 4 && Prng.int rng 2 = 0 then
+         Bytes.set enc (Prng.int rng (n - 4)) '='
+       else
+         let rec non_alphabet () =
+           match Char.chr (Prng.int rng 256) with
+           | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '+' | '/' | '=' ->
+               non_alphabet ()
+           | c -> c
+         in
+         Bytes.set enc (Prng.int rng n) (non_alphabet ()));
+      Result.is_error (Arde.Base64.decode (Bytes.to_string enc)))
 
 let test_base64_strict () =
   let reject what s =
@@ -542,6 +563,7 @@ let test_trace_info () =
 let suite =
   [
     prop_base64_roundtrip;
+    prop_base64_corruption;
     Alcotest.test_case "base64 strict decode" `Quick test_base64_strict;
     prop_events_roundtrip;
     prop_file_roundtrip;

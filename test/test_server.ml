@@ -122,138 +122,6 @@ let test_mode_id_roundtrip () =
     (Arde.Config.Nolib_spin_locks 3 :: Arde.Config.all_table1_modes)
 
 (* ------------------------------------------------------------------ *)
-(* Binary wire unit tests (no socket)                                  *)
-
-let test_binary_request_roundtrip () =
-  let options = Arde.Options.make ~seeds:[ 3; 1 ] ~fuel:1234 ~jobs:2 () in
-  let mode = Arde.Config.Nolib_spin 5 in
-  let payload =
-    P.binary_run_request ~id:(J.Int 42) ~deadline_ms:750 ~retry:3
-      ~record:true ~program:"entry = m\n" ~mode ~options ()
-  in
-  checkb "classified binary" true (P.payload_wire payload = P.Binary);
-  (match P.parse_request payload with
-  | Ok (P.Run r) -> (
-      checks "id" "42" (J.to_string r.P.rq_id);
-      check (Alcotest.option Alcotest.int) "deadline" (Some 750)
-        r.P.rq_deadline_ms;
-      check Alcotest.int "retry" 3 r.P.rq_retry;
-      match r.P.rq_payload with
-      | P.Rq_program p ->
-          checks "program" "entry = m\n" p.P.rp_program;
-          checks "mode" "nolib+spin:5" (Arde.Config.mode_id p.P.rp_mode);
-          checkb "record" true p.P.rp_record;
-          checks "options survive the wire"
-            (J.to_string (Arde.Options.to_json options))
-            (J.to_string (Arde.Options.to_json p.P.rp_options))
-      | P.Rq_trace _ -> Alcotest.fail "parsed as a trace request")
-  | Ok _ -> Alcotest.fail "parsed as a non-run request"
-  | Error (_, _, e) -> Alcotest.failf "parse_request: %s" e);
-  (* A replay request's trace is raw bytes — any bytes at all. *)
-  let trace = String.init 512 (fun i -> Char.chr (i * 7 mod 256)) in
-  (match
-     P.parse_request (P.binary_replay_request ~id:(J.String "r") ~trace ())
-   with
-  | Ok (P.Run { P.rq_payload = P.Rq_trace t; rq_id; _ }) ->
-      checks "trace travels verbatim" trace t;
-      checks "id" {|"r"|} (J.to_string rq_id)
-  | Ok _ -> Alcotest.fail "parsed as a non-trace request"
-  | Error (_, _, e) -> Alcotest.failf "replay: %s" e);
-  (match P.parse_request (P.binary_stats_request ~id:(J.Int 7) ()) with
-  | Ok (P.Stats id) -> checks "stats id" "7" (J.to_string id)
-  | _ -> Alcotest.fail "stats request");
-  (match P.parse_request (P.binary_ping_request ()) with
-  | Ok (P.Ping id) -> checks "ping default id" "null" (J.to_string id)
-  | _ -> Alcotest.fail "ping request");
-  match P.parse_request (P.binary_hello ()) with
-  | Ok P.Hello -> ()
-  | _ -> Alcotest.fail "hello request"
-
-let test_binary_request_errors () =
-  let expect_code want payload =
-    match P.parse_request payload with
-    | Ok _ -> Alcotest.failf "accepted %S" payload
-    | Error (_, code, _) ->
-        checks (String.escaped payload) want (P.code_name code)
-  in
-  (* Every proper prefix of a valid request is structural garbage. *)
-  let good = P.binary_ping_request ~id:(J.Int 1) () in
-  for i = 1 to String.length good - 1 do
-    expect_code "bad_frame" (String.sub good 0 i)
-  done;
-  (* Unsupported version byte. *)
-  expect_code "bad_frame" "\xB7\x63\x06\x011";
-  (* Trailing bytes after a well-formed message. *)
-  expect_code "bad_frame" (good ^ "x");
-  (* Truncated mid-varint: a length whose continuation bit never ends. *)
-  expect_code "bad_frame" "\xB7\x01\x06\xFF";
-  (* Structurally sound envelope, meaningless kind. *)
-  expect_code "bad_request" "\xB7\x01\x63\x011";
-  (* Semantic errors inside a sound envelope are bad_request, like JSON. *)
-  let opts = Arde.Options.make () in
-  expect_code "bad_request"
-    (P.binary_run_request ~deadline_ms:0 ~program:"x"
-       ~mode:Arde.Config.Helgrind_lib ~options:opts ());
-  (* The id still comes back for correlation, as on the JSON wire. *)
-  match
-    P.parse_request
-      (P.binary_run_request ~id:(J.Int 7) ~deadline_ms:(-5) ~program:"x"
-         ~mode:Arde.Config.Helgrind_lib ~options:opts ())
-  with
-  | Error (id, _, _) -> checks "echoed id" "7" (J.to_string id)
-  | Ok _ -> Alcotest.fail "accepted a non-positive deadline"
-
-let test_binary_response_roundtrip () =
-  let trace = String.init 300 (fun i -> Char.chr ((i * 13) mod 256)) in
-  let resps =
-    [
-      P.ok_response ~id:(J.Int 1) [ ("pong", J.Bool true) ];
-      P.ok_response ~id:(J.String "a")
-        [
-          ("result", J.Obj [ ("races", J.List [ J.Int 1; J.Int 2 ]) ]);
-          ("analysis_cache", J.Obj [ ("hits", J.Int 3) ]);
-          ("trace", J.String (Arde.Base64.encode trace));
-        ];
-      P.ok_response ~id:J.Null [ ("result", J.Obj []) ];
-      P.ok_response ~id:(J.Int 2)
-        [ ("stats", J.Obj [ ("queue", J.Int 0) ]) ];
-      P.error_response ~id:(J.Int 9) P.Bad_request "no such mode";
-      P.error_response ~id:J.Null P.Worker_crashed "worker 3 lost";
-    ]
-  in
-  List.iter
-    (fun resp ->
-      let bin = P.encode_response ~wire:P.Binary resp in
-      checkb "classified binary" true (P.payload_wire bin = P.Binary);
-      let back =
-        match P.response_of_binary bin with
-        | Ok j -> j
-        | Error e -> Alcotest.failf "response_of_binary: %s" e
-      in
-      checks "round-trips byte-identically" (J.to_string resp)
-        (J.to_string back))
-    resps;
-  (* The worker's raw-trace short circuit must not change the bytes. *)
-  let with_trace = List.nth resps 1 in
-  checks "raw_trace short-circuit is byte-identical"
-    (P.encode_response ~wire:P.Binary with_trace)
-    (P.encode_response ~raw_trace:trace ~wire:P.Binary with_trace);
-  (* JSON encoding is untouched by the dual-wire encoder. *)
-  checks "json wire unchanged"
-    (J.to_string with_trace)
-    (P.encode_response ~wire:P.Json with_trace)
-
-let test_hello_ack () =
-  (match P.parse_hello_ack (P.binary_hello_ack ~max_frame:123_456) with
-  | Ok n -> check Alcotest.int "negotiated cap" 123_456 n
-  | Error e -> Alcotest.failf "hello_ack: %s" e);
-  checkb "non-ack rejected" true
-    (Result.is_error (P.parse_hello_ack (P.binary_hello ())));
-  checkb "json rejected" true (Result.is_error (P.parse_hello_ack "{}"));
-  checkb "truncated rejected" true
-    (Result.is_error (P.parse_hello_ack "\xB7\x01"))
-
-(* ------------------------------------------------------------------ *)
 (* Scheduler unit tests                                                *)
 
 let test_scheduler_admission () =
@@ -483,93 +351,6 @@ let test_byte_identity () =
                 Arde.Config.all_table1_modes)
             cases))
 
-(* The binary wire end to end: a client that negotiated binary framing
-   must see byte-identical results, stats, pings and record-mode traces
-   to a JSON client of the same server — the wire changes framing cost,
-   never meaning — and structural garbage on the binary wire must come
-   back as a structured bad_frame without poisoning the server. *)
-let test_binary_wire_end_to_end () =
-  let case = List.hd (identity_cases ()) in
-  let mode = Arde.Config.Helgrind_spin 7 in
-  with_server (fun srv ->
-      let cb =
-        ok_exn "binary connect"
-          (C.connect ~wire:P.Binary ~endpoint:(C.Unix_socket srv.path) ())
-      in
-      Fun.protect
-        ~finally:(fun () -> C.close cb)
-        (fun () ->
-          checkb "client is on the binary wire" true (C.wire cb = P.Binary);
-          check Alcotest.int "hello-ack mirrors the server's frame cap"
-            P.default_max_frame (C.max_frame cb);
-          checkb "ping over binary" true
-            (P.response_ok (ok_exn "ping" (C.ping cb)));
-          (match J.member "stats" (ok_exn "stats" (C.stats cb)) with
-          | Some (J.Obj _) -> ()
-          | _ -> Alcotest.fail "stats over binary lacks a stats object");
-          with_client srv (fun cj ->
-              checks "served results identical across wires"
-                (served_result_string cj case mode)
-                (served_result_string cb case mode);
-              (* Record-mode results and traces must be identical on
-                 both wires (the cache-delta field is per-worker state,
-                 so it is excluded). *)
-              let program =
-                Arde.Pretty.program_to_string case.W.Racey.program
-              in
-              let record cl =
-                let resp =
-                  ok_exn "record run"
-                    (C.run cl ~record:true ~program ~mode
-                       ~options:identity_options ())
-                in
-                if not (P.response_ok resp) then
-                  Alcotest.failf "record run refused: %s" (error_code resp);
-                let at k =
-                  J.to_string
-                    (Option.value ~default:J.Null (J.member k resp))
-                in
-                (at "result", at "trace")
-              in
-              let jr, jt = record cj and br, bt = record cb in
-              checks "record-mode results identical across wires" jr br;
-              checks "record-mode traces identical across wires" jt bt);
-          (* A trace recorded over binary replays over binary. *)
-          let resp =
-            ok_exn "record"
-              (C.run cb ~record:true
-                 ~program:(Arde.Pretty.program_to_string case.W.Racey.program)
-                 ~mode ~options:identity_options ())
-          in
-          let trace =
-            match Option.bind (J.member "trace" resp) J.to_str with
-            | Some b64 -> ok_exn "trace base64" (Arde.Base64.decode b64)
-            | None -> Alcotest.fail "record response without trace"
-          in
-          let replayed = ok_exn "replay" (C.replay cb ~trace ()) in
-          checks "binary replay reproduces the recorded result"
-            (J.to_string
-               (Option.value ~default:J.Null (J.member "result" resp)))
-            (J.to_string
-               (Option.value ~default:J.Null (J.member "result" replayed))));
-      (* Structural garbage framed as binary: structured bad_frame, and
-         the connection keeps serving. *)
-      with_client srv (fun cl ->
-          ignore (ok_exn "send" (C.send_frame cl "\xB7\x01\x03trunc"));
-          checks "binary garbage" "bad_frame"
-            (error_code (ok_exn "recv" (C.recv cl)));
-          ignore (ok_exn "send" (C.send_frame cl "\xB7\x01\x63\x011"));
-          checks "unknown binary kind" "bad_request"
-            (error_code (ok_exn "recv" (C.recv cl)));
-          (* ... and the same connection still serves JSON. *)
-          let resp =
-            ok_exn "request"
-              (C.run cl ~program:busy_tir ~mode:Arde.Config.Helgrind_lib
-                 ~options:(Arde.Options.make ~seeds:[ 1 ] ~fuel:100 ())
-                 ())
-          in
-          checkb "healthy after binary abuse" true (P.response_ok resp)))
-
 (* The replay farm: a record-mode run returns the binary trace in its
    response, and submitting that trace back — with no program, mode or
    options of its own — reproduces the result byte-for-byte, as does a
@@ -745,6 +526,10 @@ let test_malformed_frames () =
                   (let bomb = String.make 80 '[' in
                    ignore (ok_exn "send" (C.send_frame cl bomb));
                    C.recv cl)));
+          (* Bytes a former binary-wire client would send are not JSON. *)
+          ignore (ok_exn "send" (C.send_frame cl "\xB7\x01\x06\x00"));
+          checks "binary payload" "bad_frame"
+            (error_code (ok_exn "recv" (C.recv cl)));
           let resp =
             ok_exn "request"
               (C.request cl
@@ -1551,23 +1336,16 @@ let test_tcp_end_to_end () =
       let unix_result =
         with_client srv (fun cl -> served_result_string cl case mode)
       in
-      List.iter
-        (fun wire ->
-          let c =
-            ok_exn "tcp connect"
-              (C.connect ~wire ~endpoint:(C.Tcp (host, port)) ())
-          in
-          Fun.protect
-            ~finally:(fun () -> C.close c)
-            (fun () ->
-              checkb "ping over tcp" true
-                (P.response_ok (ok_exn "ping" (C.ping c)));
-              checks
-                (Printf.sprintf "tcp %s wire matches the unix socket"
-                   (P.wire_name wire))
-                unix_result
-                (served_result_string c case mode)))
-        [ P.Json; P.Binary ])
+      let c =
+        ok_exn "tcp connect" (C.connect ~endpoint:(C.Tcp (host, port)) ())
+      in
+      Fun.protect
+        ~finally:(fun () -> C.close c)
+        (fun () ->
+          checkb "ping over tcp" true
+            (P.response_ok (ok_exn "ping" (C.ping c)));
+          checks "tcp matches the unix socket" unix_result
+            (served_result_string c case mode)))
 
 let suite =
   [
@@ -1581,22 +1359,21 @@ let suite =
       test_request_roundtrip;
     Alcotest.test_case "malformed requests map to structured errors" `Quick
       test_request_errors;
-    Alcotest.test_case "binary requests round-trip the option surface"
-      `Quick test_binary_request_roundtrip;
-    Alcotest.test_case "malformed binary requests map to structured errors"
-      `Quick test_binary_request_errors;
-    Alcotest.test_case "binary responses round-trip byte-identically" `Quick
-      test_binary_response_roundtrip;
-    Alcotest.test_case "hello-ack negotiates the frame cap" `Quick
-      test_hello_ack;
     Alcotest.test_case "mode wire form round-trips" `Quick
       test_mode_id_roundtrip;
+    Alcotest.test_case "tcp endpoints parse" `Quick test_parse_tcp_endpoint;
+    Alcotest.test_case "worker program table evicts oldest" `Quick
+      test_worker_programs_bounded;
     Alcotest.test_case "scheduler admission control and drain" `Quick
       test_scheduler_admission;
     Alcotest.test_case "served results are byte-identical to the driver"
       `Quick test_byte_identity;
-    Alcotest.test_case "binary wire is byte-identical end to end" `Quick
-      test_binary_wire_end_to_end;
+    Alcotest.test_case "tcp listener is byte-identical on both transports"
+      `Quick test_tcp_end_to_end;
+    Alcotest.test_case "restarted daemon serves byte-identical results"
+      `Quick test_restart_identity;
+    Alcotest.test_case "client disconnect mid-response is survivable" `Quick
+      test_client_disconnect_mid_response;
     Alcotest.test_case "record-mode run replays identically on the farm"
       `Quick test_record_then_server_replay;
     Alcotest.test_case "8 concurrent clients, mixed valid and invalid"
@@ -1636,13 +1413,4 @@ let suite =
       test_deadline_expires_in_queue;
     Alcotest.test_case "drain races a cold-cache fill" `Quick
       test_drain_races_cold_fill;
-    Alcotest.test_case "client disconnect mid-response is survivable" `Quick
-      test_client_disconnect_mid_response;
-    Alcotest.test_case "restarted daemon serves byte-identical results"
-      `Quick test_restart_identity;
-    Alcotest.test_case "tcp endpoints parse" `Quick test_parse_tcp_endpoint;
-    Alcotest.test_case "tcp listener is byte-identical on both wires" `Quick
-      test_tcp_end_to_end;
-    Alcotest.test_case "worker program table evicts oldest" `Quick
-      test_worker_programs_bounded;
   ]
