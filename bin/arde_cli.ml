@@ -1384,120 +1384,37 @@ let postmortem_cmd =
   in
   let run bundle jobs =
     let module S = Arde_server.Spool in
-    let module P = Arde_server.Protocol in
     let module J = Arde.Json in
+    let fail e =
+      prerr_endline ("postmortem: " ^ e);
+      exit 1
+    in
     match S.load bundle with
-    | Error e ->
-        prerr_endline ("postmortem: " ^ e);
-        exit 1
+    | Error e -> fail e
     | Ok meta -> (
-        match S.bundle_request meta with
-        | Error e ->
-            prerr_endline ("postmortem: " ^ e);
-            exit 1
-        | Ok raw_request -> (
-            (* Replay through the production request parser: the bundle
-               stores the journaled request, so a replay exercises exactly
-               the path the crashed worker took. *)
-            match P.parse_request raw_request with
-            | Error (_, code, msg) ->
-                Printf.eprintf "postmortem: unreplayable request (%s): %s\n"
-                  (P.code_name code) msg;
-                exit 1
-            | Ok (P.Ping _ | P.Stats _) ->
-                prerr_endline "postmortem: bundle holds a non-run request";
-                exit 1
-            | Ok (P.Run req) ->
-                let meta_field name =
-                  match J.member name meta with
-                  | Some ((J.String _ | J.Int _ | J.Float _) as v) ->
-                      [ (name, v) ]
-                  | _ -> []
-                in
-                (* Prefer the sealed trace: a record-mode request that
-                   died during detection left one, and replaying it
-                   reproduces exactly the detection the worker was in
-                   the middle of — no machine re-execution, no schedule
-                   doubt.  Fall back to re-running the journaled
-                   request. *)
-                let sealed_trace =
-                  match S.bundle_trace meta with
-                  | Ok t -> t
-                  | Error e ->
-                      Printf.eprintf "postmortem: %s (ignoring it)\n" e;
-                      None
-                in
-                let replay_source, input =
-                  match (sealed_trace, req.P.rq_payload) with
-                  | Some trace, _ -> ("sealed-trace", `Trace trace)
-                  | None, P.Rq_trace trace -> ("request-trace", `Trace trace)
-                  | None, P.Rq_program p -> ("program", `Program p)
-                in
-                let pool =
-                  Arde.Domain_pool.create
-                    ~jobs:
-                      (match jobs with
-                      | Some j when j > 0 -> j
-                      | _ -> Arde.Domain_pool.default_jobs ())
-                in
-                let started = Unix.gettimeofday () in
-                let should_stop =
-                  match req.P.rq_deadline_ms with
-                  | None -> fun () -> false
-                  | Some ms ->
-                      fun () ->
-                        (Unix.gettimeofday () -. started) *. 1000.
-                        > float_of_int ms
-                in
-                let detect ?options ?program_digest ?mode input =
-                  match
-                    Arde.detect
-                      ~ctx:
-                        (Arde.Driver.ctx ?options ~pool ~should_stop
-                           ?program_digest ())
-                      ?mode input
-                  with
-                  | result ->
-                      P.ok_response ~id:req.P.rq_id
-                        [ ("result", Arde.Driver.result_to_json result) ]
-                  | exception e ->
-                      P.error_response ~id:req.P.rq_id P.Internal
-                        (Printexc.to_string e)
-                in
-                let response =
-                  match input with
-                  | `Trace trace -> (
-                      match Arde.Recorded.of_string trace with
-                      | Error e ->
-                          P.error_response ~id:req.P.rq_id P.Bad_request
-                            ("trace: " ^ e)
-                      | Ok recorded ->
-                          detect (Arde.Input.Recorded_trace recorded))
-                  | `Program { P.rp_program; rp_mode; rp_options; _ } -> (
-                      match Arde.Parse.program rp_program with
-                      | Error e ->
-                          Printf.eprintf "postmortem: program: %s\n"
-                            (Arde.Parse.error_to_string e);
-                          exit 1
-                      | Ok program ->
-                          detect ~options:rp_options
-                            ~program_digest:(Digest.string rp_program)
-                            ~mode:rp_mode (Arde.Input.Program program))
-                in
-                Arde.Domain_pool.shutdown pool;
-                print_json
-                  (J.Obj
-                     ([ ("bundle", J.String bundle) ]
-                     @ meta_field "crash_reason"
-                     @ meta_field "sealed_at"
-                     @ meta_field "worker"
-                     @ meta_field "pid"
-                     @ meta_field "digest"
-                     @ [
-                         ("replayed_from", J.String replay_source);
-                         ("response", response);
-                       ]));
-                exit (if P.response_ok response then 0 else 3)))
+        let warn e = prerr_endline ("postmortem: " ^ e) in
+        match S.replay ?jobs ~warn meta with
+        | Error e -> fail e
+        | Ok { S.source; response } ->
+            let meta_field name =
+              match J.member name meta with
+              | Some ((J.String _ | J.Int _ | J.Float _) as v) -> [ (name, v) ]
+              | _ -> []
+            in
+            print_json
+              (J.Obj
+                 ([ ("bundle", J.String bundle) ]
+                 @ meta_field "crash_reason"
+                 @ meta_field "sealed_at"
+                 @ meta_field "worker"
+                 @ meta_field "pid"
+                 @ meta_field "digest"
+                 @ [
+                     ("replayed_from", J.String source);
+                     ("response", response);
+                   ]));
+            exit
+              (if Arde_server.Protocol.response_ok response then 0 else 3))
   in
   Cmd.v
     (Cmd.info "postmortem"

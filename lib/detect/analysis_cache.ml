@@ -53,7 +53,6 @@ let inst_hits = ref 0
 let inst_misses = ref 0
 let prep_hits = ref 0
 let prep_misses = ref 0
-let on = ref true
 
 let locked f =
   Mutex.lock lock;
@@ -69,29 +68,21 @@ let digest_of_program prog =
 let memo tbl hits misses key compute =
   let cached =
     locked (fun () ->
-        if !on then
-          match Fifo.find_opt tbl key with
-          | Some v ->
-              incr hits;
-              Some v
-          | None ->
-              incr misses;
-              None
-        else begin
-          incr misses;
-          None
-        end)
+        match Fifo.find_opt tbl key with
+        | Some v ->
+            incr hits;
+            Some v
+        | None ->
+            incr misses;
+            None)
   in
   match cached with
   | Some v -> v
   | None ->
       let v = compute () in
       locked (fun () ->
-          if !on then begin
-            Fifo.add tbl key v;
-            Option.value (Fifo.find_opt tbl key) ~default:v
-          end
-          else v)
+          Fifo.add tbl key v;
+          Option.value (Fifo.find_opt tbl key) ~default:v)
 
 let lower_keyed ~digest ~style prog =
   memo lower_tbl lower_hits lower_misses (digest, style) (fun () ->
@@ -172,13 +163,11 @@ let prepare ?digest ~style ~count_callees mode program =
    to the {!prepare} the caller makes once it has a program. *)
 let find_prepared ~digest ~style ~count_callees mode =
   locked (fun () ->
-      if not !on then None
-      else
-        let found =
-          Fifo.find_opt prep_tbl (prep_key ~digest ~style ~count_callees mode)
-        in
-        if Option.is_some found then incr prep_hits;
-        found)
+      let found =
+        Fifo.find_opt prep_tbl (prep_key ~digest ~style ~count_callees mode)
+      in
+      if Option.is_some found then incr prep_hits;
+      found)
 
 let stats () =
   locked (fun () ->
@@ -226,6 +215,3 @@ let clear () =
       Fifo.clear lower_tbl;
       Fifo.clear inst_tbl;
       Fifo.clear prep_tbl)
-
-let set_enabled b = locked (fun () -> on := b)
-let enabled () = locked (fun () -> !on)

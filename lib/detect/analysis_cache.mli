@@ -41,12 +41,7 @@
     Every table is bounded, oldest entry evicted first: 128 prepared
     bundles (each pins a compiled machine) and {!max_inner} entries in
     each inner table, enough for the inner entries of a workload that
-    cycles through more prepare keys than the prepared table holds.
-
-    The cache is on by default.  [set_enabled false] makes all lookups
-    recompute (and record misses) — used by the bench harness to measure
-    the cache's contribution, and by tests comparing cached against
-    fresh results. *)
+    cycles through more prepare keys than the prepared table holds. *)
 
 type prepared = {
   p_program : Arde_tir.Types.program;  (** lowered iff the mode lowers *)
@@ -130,6 +125,3 @@ val reset_stats : unit -> unit
 
 val clear : unit -> unit
 (** Drop every entry (counters survive; use {!reset_stats} for those). *)
-
-val set_enabled : bool -> unit
-val enabled : unit -> bool

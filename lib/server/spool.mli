@@ -61,11 +61,24 @@ val bundles : t -> string list
 val load : string -> (Arde.Json.t, string) result
 (** Load and schema-check a crash bundle. *)
 
-val bundle_request : Arde.Json.t -> (string, string) result
-(** The journaled request inside a loaded bundle, re-serialized as a
-    frame payload ready for [Protocol.parse_request]. *)
+(** {1 Replay} *)
 
-val bundle_trace : Arde.Json.t -> (string option, string) result
-(** The binary trace sealed into a loaded bundle, when the crashed
-    request had recorded one ([Ok None] otherwise); [Error] on a
-    corrupted base64 field. *)
+type replay = {
+  source : string;
+      (** What the detection re-ran from: ["sealed-trace"] (the trace a
+          record-mode request left before dying), ["request-trace"] (a
+          replay request's own trace) or ["program"]. *)
+  response : Arde.Json.t;
+      (** The response the crashed worker would have produced: ok with a
+          ["result"], or a structured error carrying the request id. *)
+}
+
+val replay :
+  ?jobs:int -> ?warn:(string -> unit) -> Arde.Json.t -> (replay, string) result
+(** Replay a {!load}ed bundle: parse its journaled request with
+    [Protocol.parse_request] and run detection locally on a pool of
+    [jobs] domains (default: the host's), preferring the sealed trace
+    over re-executing the request.  A corrupted sealed trace is reported
+    to [warn] and skipped.  [Error] when the bundle has no request, the
+    request does not parse or is not a run request, or its program does
+    not parse. *)

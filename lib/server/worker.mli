@@ -16,7 +16,7 @@
     domain — and both detection and the test harness create domains
     freely.  So workers are launched by re-executing the {e host
     binary} with {!marker} as [argv.(1)]: every executable that may
-    host a supervisor (the CLI, the test runner, the benchmark) calls
+    host a supervisor (the CLI and the test runner) calls
     {!hook} as the very first thing in [main], and an invocation
     carrying the marker becomes a worker and never returns. *)
 

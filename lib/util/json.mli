@@ -1,8 +1,8 @@
 (** A minimal JSON tree, printer and parser.
 
     Just enough for the machine-readable report surface ([Report.to_json],
-    [Driver.health_to_json], the [--format json] CLI flag and the bench
-    harness's [BENCH_parallel.json]) without pulling an external
+    [Driver.health_to_json], the [--format json] CLI flag, the serve
+    protocol and the bench artifacts) without pulling an external
     dependency.  The printer emits deterministic output — object fields
     in the order given — so serialized reports can be compared
     byte-for-byte, and [parse] accepts everything [to_string] emits

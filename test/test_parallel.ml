@@ -178,22 +178,6 @@ let test_racing_prepares_share_a_bundle () =
       Alcotest.(check bool) "racer got the kept bundle" true (b == kept))
     got
 
-let test_cache_disabled_recomputes () =
-  let p = racy_case "racy_counter/2" in
-  Arde.Analysis_cache.clear ();
-  Arde.Analysis_cache.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Arde.Analysis_cache.set_enabled true)
-    (fun () ->
-      Arde.Analysis_cache.reset_stats ();
-      ignore (Arde.Analysis_cache.instrumented ~count_callees:true ~k:7 p);
-      ignore (Arde.Analysis_cache.instrumented ~count_callees:true ~k:7 p);
-      let s = Arde.Analysis_cache.stats () in
-      Alcotest.(check int) "no hits while disabled" 0
-        s.Arde.Analysis_cache.instrument_hits;
-      Alcotest.(check int) "both lookups miss" 2
-        s.Arde.Analysis_cache.instrument_misses)
-
 (* The cache's keying: one digest per run, taken from the input. *)
 
 module AC = Arde.Analysis_cache
@@ -329,9 +313,11 @@ let test_styles_do_not_collide () =
   AC.clear ();
   let cached = List.map run styles in
   let fresh =
-    AC.set_enabled false;
-    Fun.protect ~finally:(fun () -> AC.set_enabled true) (fun () ->
-        List.map run styles)
+    List.map
+      (fun style ->
+        AC.clear ();
+        run style)
+      styles
   in
   List.iter2
     (fun c f -> Alcotest.(check (list string)) "cached = uncached" f c)
@@ -521,8 +507,6 @@ let suite =
       test_cache_hits_on_repeated_runs;
     Alcotest.test_case "racing prepares share one bundle" `Quick
       test_racing_prepares_share_a_bundle;
-    Alcotest.test_case "disabled cache recomputes" `Quick
-      test_cache_disabled_recomputes;
     Alcotest.test_case "warm Predict run prepares once" `Quick
       test_warm_predict_prepares_once;
     Alcotest.test_case "a text hit parses nothing" `Quick

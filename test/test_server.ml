@@ -8,6 +8,7 @@ module J = Arde.Json
 module P = Arde_server.Protocol
 module S = Arde_server.Server
 module C = Arde_server.Client
+module Spool = Arde_server.Spool
 module W = Arde_workloads
 
 let check = Alcotest.check
@@ -914,6 +915,32 @@ let submit_quick ?(attempts = 0) srv case =
     ~program:(Arde.Pretty.program_to_string case.W.Racey.program)
     ~mode:Arde.Config.Helgrind_lib ~options:quick_options ()
 
+(* The direct driver's result JSON for [case] under the quick request. *)
+let quick_result case =
+  J.to_string
+    (Arde.Driver.result_to_json
+       (Arde.detect
+          ~ctx:(Arde.Driver.ctx ~options:quick_options ())
+          ~mode:Arde.Config.Helgrind_lib
+          (Arde.Input.Program case.W.Racey.program)))
+
+let sealed_bundles srv =
+  let spool = ok_exn "spool" (Spool.create ~root:srv.spool) in
+  List.map (fun b -> ok_exn "load bundle" (Spool.load b)) (Spool.bundles spool)
+
+let journaled_program bundle =
+  Option.bind
+    (Option.bind (J.member "request" bundle) (J.member "program"))
+    J.to_str
+
+(* A bundle replayed as [arde postmortem] does: its result JSON. *)
+let replayed_result bundle =
+  let r = ok_exn "replay" (Spool.replay ~jobs:1 bundle) in
+  checks "replayed from the journaled program" "program" r.Spool.source;
+  match J.member "result" r.Spool.response with
+  | Some result -> J.to_string result
+  | None -> Alcotest.failf "replay failed: %s" (error_code r.Spool.response)
+
 (* A worker SIGKILLed mid-request yields a structured [worker_crashed]
    response on the same connection — never a dropped connection — plus
    a sealed, replayable crash bundle. *)
@@ -933,85 +960,51 @@ let test_worker_crash_structured () =
       (* The journaled request was sealed into a bundle that replays
          through the production parser to the same result the direct
          driver produces. *)
-      let module Spool = Arde_server.Spool in
-      let spool = ok_exn "spool" (Spool.create ~root:srv.spool) in
-      match Spool.bundles spool with
+      match sealed_bundles srv with
       | [] -> Alcotest.fail "no crash bundle sealed"
-      | bundle :: _ -> (
-          let meta = ok_exn "load bundle" (Spool.load bundle) in
-          let raw_req = ok_exn "bundle request" (Spool.bundle_request meta) in
-          match P.parse_request raw_req with
-          | Ok (P.Run { P.rq_payload = P.Rq_program rp; _ }) ->
-              checks "journaled program is verbatim" program rp.P.rp_program;
-              let replayed =
-                Arde.detect
-                  ~ctx:(Arde.Driver.ctx ~options:rp.P.rp_options ())
-                  ~mode:rp.P.rp_mode (Arde.Input.Text rp.P.rp_program)
-              in
-              let local =
-                Arde.detect
-                  ~ctx:(Arde.Driver.ctx ~options:quick_options ())
-                  ~mode:Arde.Config.Helgrind_lib
-                  (Arde.Input.Program case.W.Racey.program)
-              in
-              checks "replay is byte-identical to the direct driver"
-                (J.to_string (Arde.Driver.result_to_json local))
-                (J.to_string (Arde.Driver.result_to_json replayed))
-          | Ok _ -> Alcotest.fail "bundle holds a non-run request"
-          | Error (_, _, e) -> Alcotest.failf "bundle request unparsable: %s" e))
+      | bundle :: _ ->
+          check (Alcotest.option Alcotest.string)
+            "journaled program is verbatim" (Some program)
+            (journaled_program bundle);
+          checks "replay is byte-identical to the direct driver"
+            (quick_result case) (replayed_result bundle))
 
 (* 200 requests against a fleet whose workers are killed every 8th
-   execution: with retries enabled every client completes (none hang),
-   every completed report is byte-identical to the direct driver, and
-   the restart count stays proportional to the injected crashes. *)
+   execution, at per-worker pool widths 1 and 4: with retries enabled
+   every client completes (none hang) and every completed report is
+   byte-identical to the direct driver.  Every restart traces to a
+   crash, every crash sealed a bundle, and every bundle replays to the
+   direct driver's result. *)
 let test_crash_storm () =
   let cases = identity_cases () in
-  let expected =
-    List.map
-      (fun c ->
-        ( c.W.Racey.name,
-          J.to_string
-            (Arde.Driver.result_to_json
-               (Arde.detect
-                  ~ctx:(Arde.Driver.ctx ~options:quick_options ())
-                  ~mode:Arde.Config.Helgrind_lib
-                  (Arde.Input.Program c.W.Racey.program))) ))
-      cases
-  in
-  with_server ~workers:2 ~chaos_plan:"kill:8" (fun srv ->
+  let expected = List.map (fun c -> (c, quick_result c)) cases in
+  let storm jobs =
+    with_server ~jobs ~workers:2 ~chaos_plan:"kill:8" (fun srv ->
       let total = 200 and clients = 4 in
       let per_client = total / clients in
       let client_body ci () =
         let failures = ref [] in
         let retries = ref 0 in
         for r = 1 to per_client do
-          let case =
-            List.nth cases ((ci + r) mod List.length cases)
+          let case, want =
+            List.nth expected ((ci + r) mod List.length expected)
           in
           let outcome, attempts = submit_quick ~attempts:10 srv case in
           retries := !retries + attempts;
+          let fail why =
+            failures :=
+              Printf.sprintf "jobs %d client %d req %d: %s" jobs ci r why
+              :: !failures
+          in
           match outcome with
-          | Error e ->
-              failures :=
-                Printf.sprintf "client %d req %d: %s" ci r e :: !failures
-          | Ok resp when not (P.response_ok resp) ->
-              failures :=
-                Printf.sprintf "client %d req %d: %s" ci r (error_code resp)
-                :: !failures
+          | Error e -> fail e
+          | Ok resp when not (P.response_ok resp) -> fail (error_code resp)
           | Ok resp -> (
               match J.member "result" resp with
-              | None ->
-                  failures :=
-                    Printf.sprintf "client %d req %d: no result" ci r
-                    :: !failures
+              | None -> fail "no result"
               | Some result ->
-                  if
-                    J.to_string result <> List.assoc case.W.Racey.name expected
-                  then
-                    failures :=
-                      Printf.sprintf "client %d req %d: result diverged on %s"
-                        ci r case.W.Racey.name
-                      :: !failures)
+                  if J.to_string result <> want then
+                    fail ("result diverged on " ^ case.W.Racey.name))
         done;
         (List.rev !failures, !retries)
       in
@@ -1022,41 +1015,55 @@ let test_crash_storm () =
       check (Alcotest.list Alcotest.string) "every request completed" []
         failures;
       checkb "the chaos plan actually fired" true (retries > 0);
-      with_client srv (fun cl ->
-          let stats =
-            Option.value ~default:J.Null
-              (J.member "stats" (ok_exn "stats" (C.stats cl)))
-          in
-          let int_at path =
-            match
-              Option.bind
-                (List.fold_left
-                   (fun j k -> Option.bind j (J.member k))
-                   (Some stats) path)
-                J.to_int
-            with
-            | Some n -> n
-            | None -> Alcotest.failf "stats missing %s" (String.concat "." path)
-          in
-          let crashes = int_at [ "supervision"; "crashes" ] in
-          let restarts = int_at [ "supervision"; "restarts" ] in
-          checkb "crashes happened" true (crashes > 0);
-          (* Every injected kill fires once per 8 executions; executions
-             are the 200 requests plus their retries.  Restarts may not
-             exceed the injected crash budget (no restart storms of our
-             own making). *)
-          let execs = total + retries in
-          checkb
-            (Printf.sprintf "restarts bounded (%d restarts, %d crashes, %d \
-                             executions)"
-               restarts crashes execs)
-            true
-            (restarts <= (execs / 8) + 2);
-          check Alcotest.int "server counted the retried requests"
-            retries
-            (int_at [ "requests"; "retries" ]);
-          checkb "bundles sealed for the crashes" true
-            (int_at [ "supervision"; "bundles_sealed" ] > 0)))
+      let stats =
+        with_client srv (fun cl -> J.member "stats" (ok_exn "stats" (C.stats cl)))
+      in
+      let int_at path =
+        match
+          Option.bind
+            (List.fold_left (fun j k -> Option.bind j (J.member k)) stats path)
+            J.to_int
+        with
+        | Some n -> n
+        | None -> Alcotest.failf "stats missing %s" (String.concat "." path)
+      in
+      let crashes = int_at [ "supervision"; "crashes" ] in
+      let restarts = int_at [ "supervision"; "restarts" ] in
+      let label what = Printf.sprintf "jobs %d: %s" jobs what in
+      checkb (label "crashes happened") true (crashes > 0);
+      checkb
+        (label
+           (Printf.sprintf "no unexplained restarts (%d restarts, %d crashes)"
+              restarts crashes))
+        true (restarts <= crashes);
+      check Alcotest.int (label "every crash sealed a bundle") crashes
+        (int_at [ "supervision"; "bundles_sealed" ]);
+      check Alcotest.int (label "server counted the retried requests") retries
+        (int_at [ "requests"; "retries" ]);
+      (* Every sealed bundle replays, as [arde postmortem] does, to the
+         direct driver's result for the program it journaled. *)
+      let bundles = sealed_bundles srv in
+      check Alcotest.int (label "one bundle on disk per crash") crashes
+        (List.length bundles);
+      List.iter
+        (fun bundle ->
+          let program = journaled_program bundle in
+          match
+            List.find_opt
+              (fun (c, _) ->
+                program
+                = Some (Arde.Pretty.program_to_string c.W.Racey.program))
+              expected
+          with
+          | None -> Alcotest.fail (label "bundle journaled an unknown program")
+          | Some (case, want) ->
+              checks
+                (label ("bundle replay of " ^ case.W.Racey.name))
+                want (replayed_result bundle))
+        bundles)
+  in
+  storm 1;
+  storm 4
 
 (* A wedged worker (ignores all cooperative cancellation) trips the
    watchdog, is SIGKILLed, and the request is answered with a
