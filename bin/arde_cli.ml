@@ -1384,6 +1384,7 @@ let postmortem_cmd =
   in
   let run bundle jobs =
     let module S = Arde_server.Spool in
+    let module W = Arde_server.Worker in
     let module J = Arde.Json in
     let fail e =
       prerr_endline ("postmortem: " ^ e);
@@ -1393,9 +1394,9 @@ let postmortem_cmd =
     | Error e -> fail e
     | Ok meta -> (
         let warn e = prerr_endline ("postmortem: " ^ e) in
-        match S.replay ?jobs ~warn meta with
+        match W.replay ?jobs ~warn meta with
         | Error e -> fail e
-        | Ok { S.source; response } ->
+        | Ok { W.source; response } ->
             let meta_field name =
               match J.member name meta with
               | Some ((J.String _ | J.Int _ | J.Float _) as v) -> [ (name, v) ]

@@ -143,91 +143,3 @@ let load path =
                 (Printf.sprintf "%s: unknown bundle schema %S (want %S)" path
                    s schema)
           | None -> Error (path ^ ": not a crash bundle (no schema field)")))
-
-type replay = { source : string; response : J.t }
-
-(* Re-run what the crashed worker was executing, through the production
-   request parser.  A sealed trace (a record-mode request that died
-   during detection) is preferred: replaying it reproduces exactly the
-   detection the worker was in the middle of, with no machine
-   re-execution and no schedule doubt. *)
-let replay ?jobs ?(warn = ignore) bundle =
-  let module P = Protocol in
-  let parsed =
-    match J.member "request" bundle with
-    | None -> Error "bundle carries no request"
-    | Some r -> (
-        match P.parse_request (J.to_string r) with
-        | Error (_, code, msg) ->
-            Error
-              (Printf.sprintf "unreplayable request (%s): %s" (P.code_name code)
-                 msg)
-        | Ok (P.Ping _ | P.Stats _) -> Error "bundle holds a non-run request"
-        | Ok (P.Run req) -> Ok req)
-  in
-  let sealed_trace () =
-    match Option.bind (J.member "trace" bundle) J.to_str with
-    | None -> None
-    | Some b64 -> (
-        match Arde.Base64.decode b64 with
-        | Ok trace -> Some trace
-        | Error e ->
-            warn ("bundle trace: " ^ e ^ " (ignoring it)");
-            None)
-  in
-  Result.bind parsed (fun (req : P.run_request) ->
-      let id = req.P.rq_id in
-      let detect source ?options ?program_digest ?mode input =
-        let pool =
-          Arde.Domain_pool.create
-            ~jobs:
-              (match jobs with
-              | Some j when j > 0 -> j
-              | _ -> Arde.Domain_pool.default_jobs ())
-        in
-        let started = Unix.gettimeofday () in
-        let should_stop =
-          match req.P.rq_deadline_ms with
-          | None -> fun () -> false
-          | Some ms ->
-              fun () ->
-                (Unix.gettimeofday () -. started) *. 1000. > float_of_int ms
-        in
-        let response =
-          match
-            Fun.protect
-              ~finally:(fun () -> Arde.Domain_pool.shutdown pool)
-              (fun () ->
-                Arde.detect
-                  ~ctx:
-                    (Arde.Driver.ctx ?options ~pool ~should_stop
-                       ?program_digest ())
-                  ?mode input)
-          with
-          | result ->
-              P.ok_response ~id
-                [ ("result", Arde.Driver.result_to_json result) ]
-          | exception e -> P.error_response ~id P.Internal (Printexc.to_string e)
-        in
-        Ok { source; response }
-      in
-      let of_trace source trace =
-        match Arde.Recorded.of_string trace with
-        | Error e ->
-            Ok
-              {
-                source;
-                response = P.error_response ~id P.Bad_request ("trace: " ^ e);
-              }
-        | Ok recorded -> detect source (Arde.Input.Recorded_trace recorded)
-      in
-      match (sealed_trace (), req.P.rq_payload) with
-      | Some trace, _ -> of_trace "sealed-trace" trace
-      | None, P.Rq_trace trace -> of_trace "request-trace" trace
-      | None, P.Rq_program { rp_program; rp_mode; rp_options; _ } -> (
-          match Arde.Parse.program rp_program with
-          | Error e -> Error ("program: " ^ Arde.Parse.error_to_string e)
-          | Ok program ->
-              detect "program" ~options:rp_options
-                ~program_digest:(Digest.string rp_program) ~mode:rp_mode
-                (Arde.Input.Program program)))

@@ -60,25 +60,3 @@ val bundles : t -> string list
 
 val load : string -> (Arde.Json.t, string) result
 (** Load and schema-check a crash bundle. *)
-
-(** {1 Replay} *)
-
-type replay = {
-  source : string;
-      (** What the detection re-ran from: ["sealed-trace"] (the trace a
-          record-mode request left before dying), ["request-trace"] (a
-          replay request's own trace) or ["program"]. *)
-  response : Arde.Json.t;
-      (** The response the crashed worker would have produced: ok with a
-          ["result"], or a structured error carrying the request id. *)
-}
-
-val replay :
-  ?jobs:int -> ?warn:(string -> unit) -> Arde.Json.t -> (replay, string) result
-(** Replay a {!load}ed bundle: parse its journaled request with
-    [Protocol.parse_request] and run detection locally on a pool of
-    [jobs] domains (default: the host's), preferring the sealed trace
-    over re-executing the request.  A corrupted sealed trace is reported
-    to [warn] and skipped.  [Error] when the bundle has no request, the
-    request does not parse or is not a run request, or its program does
-    not parse. *)

@@ -86,11 +86,25 @@ let max_programs = 128
 let programs () = Arde.Fifo_table.create max_programs
 let resident programs ~digest = Arde.Fifo_table.mem programs digest
 
+(* A pool [jobs] wide, or one domain per core when [jobs <= 0]. *)
+let create_pool jobs =
+  Arde.Domain_pool.create
+    ~jobs:(if jobs <= 0 then Arde.Domain_pool.default_jobs () else jobs)
+
+(* What a request executes against: the worker loop's long-lived pool
+   and program table, or the fresh ones of a crash-bundle replay. *)
+type env = {
+  pool : Arde.Domain_pool.pool;
+  programs : programs;
+  keep_trace : string -> unit;
+      (* Handed a record-mode request's trace between its recording and
+         detection passes. *)
+}
+
 type state = {
   args : args;
   spool : Spool.t;
-  pool : Arde.Domain_pool.pool;
-  programs : programs;
+  env : env;
   mutable count : int; (* requests executed, drives the chaos plan *)
 }
 
@@ -114,7 +128,13 @@ let lookup_program programs ~digest text =
               Arde.Fifo_table.add programs digest p;
               Ok p))
 
-let execute st ~digest (req : P.run_request) =
+(* The one request executor: the frame loop runs every request through
+   it and {!replay} runs crash bundles through it, so a postmortem
+   reproduces the worker's response exactly.  [sealed_trace] is the
+   recording a record-mode request left in the spool before its worker
+   died; it stands in for the recording pass. *)
+let execute ?sealed_trace env ~digest (req : P.run_request) =
+  let id = req.P.rq_id in
   let before = Arde.Analysis_cache.stats () in
   let started = Unix.gettimeofday () in
   let should_stop =
@@ -126,46 +146,47 @@ let execute st ~digest (req : P.run_request) =
   let respond result extra =
     let after = Arde.Analysis_cache.stats () in
     let delta = Arde.Analysis_cache.stats_delta ~before ~after in
-    P.ok_response ~id:req.P.rq_id
+    P.ok_response ~id
       ([
          ("result", Arde.Driver.result_to_json result);
          ("analysis_cache", Arde.Analysis_cache.stats_to_json delta);
        ]
       @ extra)
   in
+  let internal e = P.error_response ~id P.Internal (Printexc.to_string e) in
+  let detect_trace ~ctx ~on_error ?(extra = []) trace =
+    match Arde.Recorded.of_string trace with
+    | Error msg -> on_error msg
+    | Ok recorded -> (
+        match Arde.detect ~ctx (Arde.Input.Recorded_trace recorded) with
+        | result -> respond result extra
+        | exception e -> internal e)
+  in
   match req.P.rq_payload with
-  | P.Rq_trace trace -> (
+  | P.Rq_trace trace ->
       (* The replay-farm path: detection without the machine.  The
          program comes out of the trace itself; [digest] (from the trace
          header, via the supervisor) still keys the analysis cache, so
          repeated replays of the same program skip the static phase. *)
-      match Arde.Recorded.of_string trace with
-      | Error msg ->
-          P.error_response ~id:req.P.rq_id P.Bad_request ("trace: " ^ msg)
-      | Ok recorded -> (
-          let ctx =
-            Arde.Driver.ctx ~pool:st.pool ~should_stop ~program_digest:digest
-              ()
-          in
-          match Arde.detect ~ctx (Arde.Input.Recorded_trace recorded) with
-          | result -> respond result []
-          | exception e ->
-              P.error_response ~id:req.P.rq_id P.Internal
-                (Printexc.to_string e)))
+      detect_trace
+        ~ctx:
+          (Arde.Driver.ctx ~pool:env.pool ~should_stop ~program_digest:digest
+             ())
+        ~on_error:(fun msg ->
+          P.error_response ~id P.Bad_request ("trace: " ^ msg))
+        trace
   | P.Rq_program { rp_program; rp_mode; rp_options; rp_record } -> (
-      match lookup_program st.programs ~digest rp_program with
-      | Error msg -> P.error_response ~id:req.P.rq_id P.Bad_request msg
+      match lookup_program env.programs ~digest rp_program with
+      | Error msg -> P.error_response ~id P.Bad_request msg
       | Ok program -> (
           let ctx =
-            Arde.Driver.ctx ~options:rp_options ~pool:st.pool ~should_stop
+            Arde.Driver.ctx ~options:rp_options ~pool:env.pool ~should_stop
               ~program_digest:digest ()
           in
           if not rp_record then
             match Arde.detect ~ctx ~mode:rp_mode (Arde.Input.Program program) with
             | result -> respond result []
-            | exception e ->
-                P.error_response ~id:req.P.rq_id P.Internal
-                  (Printexc.to_string e)
+            | exception e -> internal e
           else
             (* Record-mode: the record/replay split live.  The cheap
                recording pass runs first and the trace lands in the
@@ -174,35 +195,28 @@ let execute st ~digest (req : P.run_request) =
                the detection deterministically.  The response's result
                comes from replaying that very trace, which the identity
                oracle guarantees equals the live run's. *)
-            match
-              Arde.record ~ctx ~mode:rp_mode ~source:"serve"
-                (Arde.Input.Program program)
-            with
-            | Error msg -> P.error_response ~id:req.P.rq_id P.Internal msg
-            | Ok { Arde.Driver.rec_trace; _ } -> (
-                (* Best-effort, like the request journal. *)
-                (match
-                   Spool.journal_trace st.spool ~worker:st.args.a_index
-                     ~trace:rec_trace
-                 with
-                | Ok () | Error _ -> ());
-                match Arde.Recorded.of_string rec_trace with
-                | Error msg ->
-                    P.error_response ~id:req.P.rq_id P.Internal
-                      ("recorded trace: " ^ msg)
-                | Ok recorded -> (
-                    match
-                      Arde.detect ~ctx (Arde.Input.Recorded_trace recorded)
-                    with
-                    | result ->
-                        respond result
-                          [ ("trace", J.String (Arde.Base64.encode rec_trace)) ]
-                    | exception e ->
-                        P.error_response ~id:req.P.rq_id P.Internal
-                          (Printexc.to_string e)))
-            | exception e ->
-                P.error_response ~id:req.P.rq_id P.Internal
-                  (Printexc.to_string e)))
+            let recording =
+              match sealed_trace with
+              | Some trace -> Ok trace
+              | None -> (
+                  match
+                    Arde.record ~ctx ~mode:rp_mode ~source:"serve"
+                      (Arde.Input.Program program)
+                  with
+                  | Ok { Arde.Driver.rec_trace; _ } ->
+                      env.keep_trace rec_trace;
+                      Ok rec_trace
+                  | Error msg -> Error (P.error_response ~id P.Internal msg)
+                  | exception e -> Error (internal e))
+            in
+            match recording with
+            | Error response -> response
+            | Ok trace ->
+                detect_trace ~ctx
+                  ~on_error:(fun msg ->
+                    P.error_response ~id P.Internal ("recorded trace: " ^ msg))
+                  ~extra:[ ("trace", J.String (Arde.Base64.encode trace)) ]
+                  trace))
 
 (* ------------------------------------------------------------------ *)
 (* The frame loop.  The supervisor hands us its socketpair end as our
@@ -284,7 +298,7 @@ let handle_job st ~job ~digest raw =
         while true do
           Util.sleepf 3600.
         done;
-      let response = execute st ~digest req in
+      let response = execute st.env ~digest req in
       Spool.clear st.spool ~worker:st.args.a_index;
       send_done_json ~faults ~job ~spool_error response
 
@@ -306,15 +320,21 @@ let main args =
         prerr_endline ("arde-serve worker: " ^ e);
         exit 66
   in
-  let jobs =
-    if args.a_jobs <= 0 then Arde.Domain_pool.default_jobs () else args.a_jobs
+  let keep_trace trace =
+    (* Best-effort, like the request journal. *)
+    match Spool.journal_trace spool ~worker:args.a_index ~trace with
+    | Ok () | Error _ -> ()
   in
   let st =
     {
       args;
       spool;
-      pool = Arde.Domain_pool.create ~jobs;
-      programs = programs ();
+      env =
+        {
+          pool = create_pool args.a_jobs;
+          programs = programs ();
+          keep_trace;
+        };
       count = 0;
     }
   in
@@ -354,7 +374,65 @@ let main args =
         | exception Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) -> ())
   in
   loop ();
-  Arde.Domain_pool.shutdown st.pool
+  Arde.Domain_pool.shutdown st.env.pool
+
+(* ------------------------------------------------------------------ *)
+(* Crash-bundle replay                                                 *)
+
+type replay = { source : string; response : J.t }
+
+let replay ?(jobs = 0) ?(warn = ignore) bundle =
+  let parsed =
+    match J.member "request" bundle with
+    | None -> Error "bundle carries no request"
+    | Some r -> (
+        let text = J.to_string r in
+        match P.parse_request text with
+        | Error (_, code, msg) ->
+            Error
+              (Printf.sprintf "unreplayable request (%s): %s" (P.code_name code)
+                 msg)
+        | Ok (P.Ping _ | P.Stats _) -> Error "bundle holds a non-run request"
+        | Ok (P.Run req) -> Ok (text, req))
+  in
+  Result.map
+    (fun (text, (req : P.run_request)) ->
+      (* The digest the worker was handed; it keys the program table and
+         the analysis cache exactly as it did in the worker. *)
+      let digest =
+        match Option.bind (J.member "digest" bundle) J.to_str with
+        | Some d -> d
+        | None -> Digest.to_hex (Digest.string text)
+      in
+      let sealed_trace =
+        match Option.bind (J.member "trace" bundle) J.to_str with
+        | None -> None
+        | Some b64 -> (
+            match Arde.Base64.decode b64 with
+            | Ok trace -> Some trace
+            | Error e ->
+                warn ("bundle trace: " ^ e ^ " (ignoring it)");
+                None)
+      in
+      let source =
+        match (sealed_trace, req.P.rq_payload) with
+        | Some _, P.Rq_program { rp_record = true; _ } -> "sealed-trace"
+        | _, P.Rq_trace _ -> "request-trace"
+        | _, P.Rq_program _ -> "program"
+      in
+      if sealed_trace <> None && source <> "sealed-trace" then
+        warn
+          "bundle trace: the journaled request is not record-mode (ignoring \
+           it)";
+      let pool = create_pool jobs in
+      let env = { pool; programs = programs (); keep_trace = ignore } in
+      let response =
+        Fun.protect
+          ~finally:(fun () -> Arde.Domain_pool.shutdown pool)
+          (fun () -> execute ?sealed_trace env ~digest req)
+      in
+      { source; response })
+    parsed
 
 let hook () =
   if Array.length Sys.argv >= 2 && Sys.argv.(1) = marker then begin

@@ -9,6 +9,7 @@ module P = Arde_server.Protocol
 module S = Arde_server.Server
 module C = Arde_server.Client
 module Spool = Arde_server.Spool
+module Worker = Arde_server.Worker
 module W = Arde_workloads
 
 let check = Alcotest.check
@@ -314,10 +315,10 @@ let identity_cases () =
 let identity_options =
   Arde.Options.make ~seeds:(List.init 16 (fun i -> i + 1)) ~fuel:30_000 ()
 
-let local_result_string case mode =
+let local_result_string ?(options = identity_options) case mode =
   let r =
     Arde.detect
-      ~ctx:(Arde.Driver.ctx ~options:identity_options ())
+      ~ctx:(Arde.Driver.ctx ~options ())
       ~mode (Arde.Input.Program case.W.Racey.program)
   in
   J.to_string (Arde.Driver.result_to_json r)
@@ -641,6 +642,24 @@ let test_deadline_cancels_remaining_seeds () =
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 
+(* The server's stats, and the integer at a path in them. *)
+let fetch_stats cl =
+  let resp = ok_exn "stats" (C.stats cl) in
+  checkb "stats ok" true (P.response_ok resp);
+  let stats = Option.value ~default:J.Null (J.member "stats" resp) in
+  let int_at path =
+    match
+      Option.bind
+        (List.fold_left
+           (fun j k -> Option.bind j (J.member k))
+           (Some stats) path)
+        J.to_int
+    with
+    | Some n -> n
+    | None -> Alcotest.failf "stats missing %s" (String.concat "." path)
+  in
+  (stats, int_at)
+
 let test_stats () =
   with_server ~max_pending:7 (fun srv ->
       with_client srv (fun cl ->
@@ -656,23 +675,7 @@ let test_stats () =
           in
           run ();
           run ();
-          let resp = ok_exn "stats" (C.stats cl) in
-          checkb "stats ok" true (P.response_ok resp);
-          let stats =
-            Option.value ~default:J.Null (J.member "stats" resp)
-          in
-          let int_at path =
-            match
-              Option.bind
-                (List.fold_left
-                   (fun j k -> Option.bind j (J.member k))
-                   (Some stats) path)
-                J.to_int
-            with
-            | Some n -> n
-            | None ->
-                Alcotest.failf "stats missing %s" (String.concat "." path)
-          in
+          let stats, int_at = fetch_stats cl in
           check Alcotest.int "received" 4 (int_at [ "requests"; "received" ]);
           check Alcotest.int "ok runs" 2 (int_at [ "requests"; "ok" ]);
           check Alcotest.int "pings" 1 (int_at [ "requests"; "ping" ]);
@@ -835,7 +838,6 @@ let test_write_file_atomic () =
    programs: one more distinct program evicts the oldest, which then
    re-parses. *)
 let test_worker_programs_bounded () =
-  let module Wk = Arde_server.Worker in
   let text i =
     Printf.sprintf
       "global data[1] = %d\nentry = main\n\nfunc main():\nentry:\n  \
@@ -843,23 +845,24 @@ let test_worker_programs_bounded () =
       i
   in
   let digest i = Digest.string (text i) in
-  let tbl = Wk.programs () in
-  for i = 0 to Wk.max_programs do
-    match Wk.lookup_program tbl ~digest:(digest i) (text i) with
+  let tbl = Worker.programs () in
+  for i = 0 to Worker.max_programs do
+    match Worker.lookup_program tbl ~digest:(digest i) (text i) with
     | Ok _ -> ()
     | Error e -> Alcotest.fail e
   done;
-  checkb "oldest program evicted" false (Wk.resident tbl ~digest:(digest 0));
-  for i = 1 to Wk.max_programs do
+  checkb "oldest program evicted" false
+    (Worker.resident tbl ~digest:(digest 0));
+  for i = 1 to Worker.max_programs do
     checkb (Printf.sprintf "program %d resident" i) true
-      (Wk.resident tbl ~digest:(digest i))
+      (Worker.resident tbl ~digest:(digest i))
   done;
-  (match Wk.lookup_program tbl ~digest:"bad" "this is not tir" with
+  (match Worker.lookup_program tbl ~digest:"bad" "this is not tir" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage parsed");
-  checkb "rejected text is not kept" false (Wk.resident tbl ~digest:"bad");
+  checkb "rejected text is not kept" false (Worker.resident tbl ~digest:"bad");
   checkb "newest program survives the rejection" true
-    (Wk.resident tbl ~digest:(digest Wk.max_programs))
+    (Worker.resident tbl ~digest:(digest Worker.max_programs))
 
 (* The retry schedule is bounded, exponential, jittered and
    deterministic for a fixed seed; a dead socket burns the whole budget
@@ -916,13 +919,8 @@ let submit_quick ?(attempts = 0) srv case =
     ~mode:Arde.Config.Helgrind_lib ~options:quick_options ()
 
 (* The direct driver's result JSON for [case] under the quick request. *)
-let quick_result case =
-  J.to_string
-    (Arde.Driver.result_to_json
-       (Arde.detect
-          ~ctx:(Arde.Driver.ctx ~options:quick_options ())
-          ~mode:Arde.Config.Helgrind_lib
-          (Arde.Input.Program case.W.Racey.program)))
+let quick_result ?(mode = Arde.Config.Helgrind_lib) case =
+  local_result_string ~options:quick_options case mode
 
 let sealed_bundles srv =
   let spool = ok_exn "spool" (Spool.create ~root:srv.spool) in
@@ -935,15 +933,39 @@ let journaled_program bundle =
 
 (* A bundle replayed as [arde postmortem] does: its result JSON. *)
 let replayed_result bundle =
-  let r = ok_exn "replay" (Spool.replay ~jobs:1 bundle) in
-  checks "replayed from the journaled program" "program" r.Spool.source;
-  match J.member "result" r.Spool.response with
+  let r = ok_exn "replay" (Worker.replay ~jobs:1 bundle) in
+  checks "replayed from the journaled program" "program" r.Worker.source;
+  match J.member "result" r.Worker.response with
   | Some result -> J.to_string result
-  | None -> Alcotest.failf "replay failed: %s" (error_code r.Spool.response)
+  | None -> Alcotest.failf "replay failed: %s" (error_code r.Worker.response)
+
+(* [j] with member [key] (if present) set to [v]. *)
+let replace_member key v = function
+  | J.Obj fields ->
+      J.Obj (List.map (fun (k, x) -> (k, if k = key then v else x)) fields)
+  | j -> j
+
+(* The [arde] binary, built beside this test runner. *)
+let arde_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/arde_cli.exe"
+
+(* [arde postmortem BUNDLE]: its exit code and stdout. *)
+let postmortem path =
+  let ic =
+    Unix.open_process_args_in arde_exe
+      [| arde_exe; "postmortem"; "--jobs"; "1"; path |]
+  in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED n -> (n, out)
+  | _ -> Alcotest.fail "postmortem died on a signal"
 
 (* A worker SIGKILLed mid-request yields a structured [worker_crashed]
    response on the same connection — never a dropped connection — plus
-   a sealed, replayable crash bundle. *)
+   a sealed, replayable crash bundle.  [arde postmortem] on that bundle
+   prints its metadata and the replayed response and exits 0; on a
+   bundle whose request the worker would refuse it exits 3; on an
+   unreadable bundle, 1. *)
 let test_worker_crash_structured () =
   with_server ~workers:1 ~chaos_plan:"kill:1" (fun srv ->
       let case = List.hd (identity_cases ()) in
@@ -960,14 +982,120 @@ let test_worker_crash_structured () =
       (* The journaled request was sealed into a bundle that replays
          through the production parser to the same result the direct
          driver produces. *)
-      match sealed_bundles srv with
-      | [] -> Alcotest.fail "no crash bundle sealed"
-      | bundle :: _ ->
-          check (Alcotest.option Alcotest.string)
-            "journaled program is verbatim" (Some program)
-            (journaled_program bundle);
-          checks "replay is byte-identical to the direct driver"
-            (quick_result case) (replayed_result bundle))
+      let path =
+        match Spool.bundles (ok_exn "spool" (Spool.create ~root:srv.spool)) with
+        | [] -> Alcotest.fail "no crash bundle sealed"
+        | path :: _ -> path
+      in
+      let bundle = ok_exn "load bundle" (Spool.load path) in
+      check (Alcotest.option Alcotest.string)
+        "journaled program is verbatim" (Some program)
+        (journaled_program bundle);
+      checks "replay is byte-identical to the direct driver"
+        (quick_result case) (replayed_result bundle);
+      let code, out = postmortem path in
+      check Alcotest.int "a completed replay exits 0" 0 code;
+      let report = ok_exn "postmortem output" (J.parse out) in
+      List.iter
+        (fun key ->
+          checkb ("postmortem reports " ^ key) true
+            (J.member key report <> None))
+        [ "bundle"; "crash_reason"; "sealed_at"; "worker"; "pid"; "digest" ];
+      check (Alcotest.option Alcotest.string) "replayed from the program"
+        (Some "program")
+        (Option.bind (J.member "replayed_from" report) J.to_str);
+      check (Alcotest.option Alcotest.string)
+        "postmortem prints the direct driver's result"
+        (Some (quick_result case))
+        (Option.map J.to_string
+           (Option.bind (J.member "response" report) (J.member "result")));
+      (* The same bundle with a program the worker would refuse. *)
+      let request =
+        match J.member "request" bundle with
+        | Some r -> r
+        | None -> Alcotest.fail "bundle carries no request"
+      in
+      let refused =
+        replace_member "request"
+          (replace_member "program" (J.String "not a program") request)
+          bundle
+      in
+      let bad = Filename.concat srv.spool "refused.json" in
+      ok_exn "write bundle"
+        (Arde_server.Util.write_file_atomic bad (J.to_string refused));
+      check Alcotest.int "an error response exits 3" 3 (fst (postmortem bad));
+      check Alcotest.int "an unreadable bundle exits 1" 1
+        (fst (postmortem (Filename.concat srv.spool "missing.json"))))
+
+(* A record-mode request whose worker died during detection leaves its
+   recording sealed in the bundle: the replay detects from that trace
+   through the worker's own executor, without re-executing the machine.
+   The sealed trace here is recorded with fewer seeds than the request
+   asks for, so only a replay that really reads it gets its result.  A
+   sealed trace that does not decode is reported and the request
+   re-executed instead. *)
+let test_sealed_trace_replay () =
+  let case = List.hd (identity_cases ()) in
+  let mode = Arde.Config.Helgrind_spin 7 in
+  let program = Arde.Pretty.program_to_string case.W.Racey.program in
+  let root =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "arde-sealed-%d.spool" (Unix.getpid ()))
+  in
+  Fun.protect
+    ~finally:(fun () -> rm_rf root)
+    (fun () ->
+      let spool = ok_exn "spool" (Spool.create ~root) in
+      let request =
+        P.run_request_json ~record:true ~program ~mode
+          ~options:identity_options ()
+      in
+      let trace =
+        match
+          Arde.record
+            ~ctx:(Arde.Driver.ctx ~options:quick_options ())
+            ~mode ~source:"test"
+            (Arde.Input.Program case.W.Racey.program)
+        with
+        | Ok r -> r.Arde.Driver.rec_trace
+        | Error e -> Alcotest.fail e
+      in
+      ok_exn "journal"
+        (Spool.journal spool ~worker:0 ~pid:0
+           ~digest:(Digest.to_hex (Digest.string program))
+           ~request:(J.to_string request));
+      ok_exn "journal trace" (Spool.journal_trace spool ~worker:0 ~trace);
+      let bundle =
+        match ok_exn "seal" (Spool.seal spool ~worker:0 ~reason:"test") with
+        | Some path -> ok_exn "load bundle" (Spool.load path)
+        | None -> Alcotest.fail "nothing sealed"
+      in
+      let replay ?warn bundle =
+        let r = ok_exn "replay" (Worker.replay ?warn ~jobs:1 bundle) in
+        match J.member "result" r.Worker.response with
+        | Some result -> (r, J.to_string result)
+        | None ->
+            Alcotest.failf "replay failed: %s" (error_code r.Worker.response)
+      in
+      let r, result = replay bundle in
+      checks "replayed from the sealed trace" "sealed-trace" r.Worker.source;
+      let traced = quick_result ~mode case in
+      checkb "the trace's seeds give a different result" true
+        (traced <> local_result_string case mode);
+      checks "sealed-trace replay is the trace's detection" traced result;
+      check (Alcotest.option Alcotest.string) "response carries the trace"
+        (Some (Arde.Base64.encode trace))
+        (Option.bind (J.member "trace" r.Worker.response) J.to_str);
+      let warnings = ref [] in
+      let r, result =
+        replay
+          ~warn:(fun w -> warnings := w :: !warnings)
+          (replace_member "trace" (J.String "not base64!") bundle)
+      in
+      checkb "an undecodable trace is reported" true (!warnings <> []);
+      checks "and the program re-executed" "program" r.Worker.source;
+      checks "to the same result" (local_result_string case mode) result)
 
 (* 200 requests against a fleet whose workers are killed every 8th
    execution, at per-worker pool widths 1 and 4: with retries enabled
@@ -1015,22 +1143,20 @@ let test_crash_storm () =
       check (Alcotest.list Alcotest.string) "every request completed" []
         failures;
       checkb "the chaos plan actually fired" true (retries > 0);
-      let stats =
-        with_client srv (fun cl -> J.member "stats" (ok_exn "stats" (C.stats cl)))
-      in
-      let int_at path =
-        match
-          Option.bind
-            (List.fold_left (fun j k -> Option.bind j (J.member k)) stats path)
-            J.to_int
-        with
-        | Some n -> n
-        | None -> Alcotest.failf "stats missing %s" (String.concat "." path)
-      in
+      let _, int_at = with_client srv fetch_stats in
       let crashes = int_at [ "supervision"; "crashes" ] in
       let restarts = int_at [ "supervision"; "restarts" ] in
       let label what = Printf.sprintf "jobs %d: %s" jobs what in
       checkb (label "crashes happened") true (crashes > 0);
+      (* kill:8 kills a worker on its 8th execution, and every execution
+         is a request or a retry of one: more crashes than that means
+         workers die outside the plan. *)
+      let planned = ((total + retries) / 8) + 2 in
+      checkb
+        (label
+           (Printf.sprintf "crashes follow the plan (%d crashes, at most %d)"
+              crashes planned))
+        true (crashes <= planned);
       checkb
         (label
            (Printf.sprintf "no unexplained restarts (%d restarts, %d crashes)"
@@ -1420,4 +1546,6 @@ let suite =
       test_deadline_expires_in_queue;
     Alcotest.test_case "drain races a cold-cache fill" `Quick
       test_drain_races_cold_fill;
+    Alcotest.test_case "sealed traces replay the detection" `Quick
+      test_sealed_trace_replay;
   ]
