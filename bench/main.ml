@@ -12,9 +12,8 @@
    plus Bechamel micro-benchmarks of the pipeline stages.  Compare the
    output against EXPERIMENTS.md.
 
-   With a subcommand it runs one gated harness instead (machine, engine,
-   replay, predict) or regenerates the golden trace fixtures (fixtures);
-   see [usage] below. *)
+   With a subcommand it runs the timing gates instead (gates) or
+   regenerates the golden trace fixtures (fixtures); see [usage] below. *)
 
 let section title =
   Printf.printf "\n==== %s ====\n%!" title
@@ -128,74 +127,27 @@ let bechamel_suite () =
         tbl)
     raw
 
-(* ---- the gated harnesses ----
-
-   Each runs one [Arde_harness] bench, prints its table, writes its rows
-   as JSON to [out] and exits 1 when the bench's CI gate fails. *)
-
-let gated_bench ~name ~title ~render ~to_json ~gate ~out rows =
-  section title;
-  print_string (render rows);
+(* `bench gates`: the timing floors of Arde_harness.Gates.  Prints the
+   rows, writes them as JSON to [out] and exits 1 when any row misses
+   its bound. *)
+let gates ~out () =
+  let module G = Arde_harness.Gates in
+  section
+    (Printf.sprintf "Timing gates: median of %d paired ratios vs bound" G.pairs);
+  let rows = G.run () in
+  print_string (G.render rows);
   let oc = open_out out in
-  output_string oc (Arde.Json.to_string ~minify:false (to_json rows));
+  output_string oc (Arde.Json.to_string ~minify:false (G.to_json rows));
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n" out;
-  match gate rows with
-  | [] -> ()
-  | failures ->
-      List.iter (Printf.eprintf "bench %s: FAIL: %s\n" name) failures;
-      exit 1
-
-(* `bench engine`: replays recorded traces through the optimized epoch
-   engine and the frozen reference engine.  Gate: the optimized engine
-   no slower than the reference on streamcluster under nolib+spin(7),
-   and every report spot-check agreeing. *)
-let engine_bench ~out () =
-  let module B = Arde_harness.Engine_bench in
-  gated_bench ~name:"engine"
-    ~title:"Engine differential: optimized vs reference, per trace"
-    ~render:B.render ~to_json:B.to_json ~gate:B.gate ~out
-    (B.run ~repeats:5 ())
-
-(* `bench machine`: runs each workload × mode end-to-end on the compiled
-   machine and on the frozen reference machine (quiet steps/s,
-   words/step, events/s, plus the straight-line zero-allocation probe).
-   Gate: the optimized machine no slower than the reference on
-   streamcluster under nolib+spin(7), every trace spot-check agreeing,
-   and the straight-line path not allocating. *)
-let machine_bench ~out () =
-  let module B = Arde_harness.Machine_bench in
-  gated_bench ~name:"machine"
-    ~title:"Machine differential: compiled vs reference, end-to-end"
-    ~render:B.render ~to_json:B.to_json ~gate:B.gate ~out
-    (B.run ~repeats:5 ())
-
-(* `bench replay`: prices the recording sink against the bare machine's
-   quiet fast path, and replayed detection against the live run it
-   reproduces (plus trace size per event and the byte-identity verdict).
-   Gate: every replayed result identical to its live run, and recording
-   overhead at most 1.1x quiet on streamcluster under nolib+spin(7). *)
-let replay_bench ~out () =
-  let module B = Arde_harness.Replay_bench in
-  gated_bench ~name:"replay"
-    ~title:"Record/replay: sink overhead and replay throughput"
-    ~render:B.render ~to_json:B.to_json ~gate:B.gate ~out
-    (B.run ~repeats:5 ())
-
-(* `bench predict`: differences a Predict analysis (two recorded
-   executions plus the sync-preserving closure) against the 16-seed
-   sweep on the racy and race-free catalog under the Table-1 modes, and
-   prices predict-from-one-trace against the live sweep on swaptions.
-   Gate: no sweep-found race missed, no predicted race that neither the
-   sweep nor ground truth vouches for, predict-from-trace at most 0.25x
-   the sweep wall clock, and an executions-per-race reduction of at
-   least 4x. *)
-let predict_bench ~out () =
-  let module B = Arde_harness.Predict_bench in
-  gated_bench ~name:"predict"
-    ~title:"Prediction: coverage, soundness and cost vs the 16-seed sweep"
-    ~render:B.render ~to_json:B.to_json ~gate:B.gate ~out (B.run ())
+  let failed = List.filter (fun r -> not r.G.pass) rows in
+  List.iter
+    (fun r ->
+      Printf.eprintf "bench gates: FAIL: %s on %s under %s: %.3fx vs bound %.2fx\n"
+        r.G.gate r.G.workload r.G.mode r.G.ratio r.G.bound)
+    failed;
+  if failed <> [] then exit 1
 
 (* `bench fixtures [--ref]`: runs the full fixture enumeration
    (Trace_fixtures.groups) through the current machine (or, with
@@ -213,10 +165,7 @@ let fixtures ~impl ~out () =
 (* Subcommand, default output path, runner (given --ref and the path). *)
 let subcommands =
   [
-    ("machine", "BENCH_machine.json", fun ~ref_:_ ~out -> machine_bench ~out ());
-    ("engine", "BENCH_engine.json", fun ~ref_:_ ~out -> engine_bench ~out ());
-    ("replay", "BENCH_replay.json", fun ~ref_:_ ~out -> replay_bench ~out ());
-    ("predict", "BENCH_predict.json", fun ~ref_:_ ~out -> predict_bench ~out ());
+    ("gates", "BENCH_gates.json", fun ~ref_:_ ~out -> gates ~out ());
     ( "fixtures",
       "test/fixtures/machine_traces.txt",
       fun ~ref_ ~out ->
@@ -231,7 +180,7 @@ let usage msg =
   Printf.eprintf
     "bench: %s\n\
      usage: bench                      (the paper's tables and figures)\n\
-    \       bench machine|engine|replay|predict [-o PATH]\n\
+    \       bench gates [-o PATH]\n\
     \       bench fixtures [--ref] [-o PATH]\n"
     msg;
   exit 2

@@ -24,21 +24,10 @@ type sample = {
 
 type fig = { workload : string; samples : sample list }
 
-let median l =
-  let a = List.sort compare l in
-  List.nth a (List.length a / 2)
-
 let time_ns f =
   let t0 = Unix.gettimeofday () in
   f ();
   (Unix.gettimeofday () -. t0) *. 1e9
-
-(* Words allocated so far, from the GC's own counters.  [quick_stat] does
-   not force a heap walk; minor + major - promoted counts every allocation
-   exactly once (promoted words would otherwise be double-counted). *)
-let alloc_words () =
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
 (* One full instrumented execution under [mode]; [None] runs the bare
    machine (the "native" baseline). *)
@@ -84,7 +73,7 @@ let measure ?(repeats = 5) (info, program) =
        instrumentation analysis, hashtable growth, code paths cold in the
        icache) and is discarded before taking the median. *)
     for rep = 0 to repeats do
-      let a0 = alloc_words () in
+      let a0 = Gates.alloc_words () in
       let t =
         time_ns (fun () ->
             words :=
@@ -93,13 +82,13 @@ let measure ?(repeats = 5) (info, program) =
       in
       if rep > 0 then begin
         times := t :: !times;
-        allocs := (alloc_words () -. a0) :: !allocs
+        allocs := (Gates.alloc_words () -. a0) :: !allocs
       end
     done;
     {
       s_mode = name;
-      s_time_ns = median !times;
-      s_alloc_words = median !allocs;
+      s_time_ns = Gates.median !times;
+      s_alloc_words = Gates.median !allocs;
       s_detector_words = !words;
     }
   in

@@ -46,6 +46,12 @@ val groups : unit -> group list
     (spurious wakeups, starved fuel, adversarial policies, injected
     faults) on a cross-section. *)
 
+val rawspin_group :
+  string -> Arde.Types.program -> seeds:int list -> group
+(** The raw program with spin(7) instrumentation (the lib+spin modes'
+    form) × 3 policies × [seeds]; {!groups} uses it on a cross-section
+    of the catalog. *)
+
 val make_impl :
   name:string ->
   compile:(Arde.Types.program -> 'c) ->

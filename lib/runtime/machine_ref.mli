@@ -4,8 +4,8 @@
     Shares {!Machine.config}, {!Machine.result} and {!Machine.Fault_exn},
     so observers, chaos injectors and drivers run unchanged against either
     machine.  For any (program, config) the two machines must produce the
-    same result and the same event sequence; [test_machine_diff] and
-    [bench machine] enforce this.  Never optimize this module. *)
+    same result and the same event sequence; [test_machine_diff]
+    enforces this.  Never optimize this module. *)
 
 open Arde_tir.Types
 

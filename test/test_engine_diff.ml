@@ -9,6 +9,8 @@
    - the same under injected perturbations (crashes, faults, spurious
      wakeups, starvation, hostile schedules);
    - differential fuzzing over generated programs;
+   - hand-built 128- and 512-thread barrier- and join-heavy streams,
+     past the machine's thread cap;
    - epoch promote/demote edge cases the flat representation could get
      wrong: same-thread re-reads, read-shared → write report ordering,
      atomic chains, long-running priming;
@@ -167,16 +169,19 @@ let test_epoch_promote_order () =
 (* Hand-fed event streams through both engines: the report (and its
    internal insertion order, which drives dedup and the cap) must match
    byte for byte. *)
-let reports_equal_on name cfg events =
-  let e = E.create cfg ~instrument:None in
-  let r = ER.create cfg ~instrument:None in
+let engines_agree name e r events =
   List.iter (E.observer e) events;
   List.iter (ER.observer r) events;
   Alcotest.(check string) name
     (J.to_string (Arde.Report.to_json (ER.report r)))
     (J.to_string (Arde.Report.to_json (E.report e)));
   Alcotest.(check int) (name ^ ": spin edges") (ER.n_spin_edges r)
-    (E.n_spin_edges e);
+    (E.n_spin_edges e)
+
+let reports_equal_on name cfg events =
+  let e = E.create cfg ~instrument:None in
+  let r = ER.create cfg ~instrument:None in
+  engines_agree name e r events;
   (e, r)
 
 let rd ?(kind = Ev.Plain) ?(spin = []) tid i =
@@ -243,6 +248,23 @@ let test_spin_epoch_demotion () =
          rd 1 5;
        ])
 
+(* The barrier- and join-heavy 128/512-thread streams the engine speed
+   gates replay, past the machine's thread cap: both engines, created
+   with the raised capacity, must agree on the report (each stream ends
+   in a deliberate racy pair) and the spin edges. *)
+let test_synthetic_high_width () =
+  List.iter
+    (fun (s : Arde_harness.Gates.synthetic) ->
+      let cfg = C.make s.s_mode in
+      let e = E.create ~threads:s.s_threads cfg ~instrument:None in
+      let name = Printf.sprintf "%s under %s" s.s_name (C.mode_name s.s_mode) in
+      engines_agree name e
+        (ER.create ~threads:s.s_threads cfg ~instrument:None)
+        (Array.to_list (Lazy.force s.s_events));
+      Alcotest.(check bool) (name ^ ": the racy pair is reported") true
+        (Arde.Report.n_contexts (E.report e) > 0))
+    Arde_harness.Gates.synthetic
+
 (* ------------------------------------------------------------------ *)
 (* memory_words counts open spin accumulators (the accounting fix)     *)
 
@@ -300,4 +322,6 @@ let suite =
       test_spin_epoch_demotion;
     Alcotest.test_case "memory_words counts spin accumulators" `Quick
       test_memory_words_spin_acc;
+    Alcotest.test_case "synthetic 128/512-thread streams" `Slow
+      test_synthetic_high_width;
   ]

@@ -14,8 +14,10 @@
      optimization, not a semantic switch.
 
    The satellite regressions ride along: wide-arity calls (the O(n²)
-   argument-binding fix), a 64-thread barrier (O(1) arrival), and a
-   scheduler determinism property over the buffer-based [Sched.pick]. *)
+   argument-binding fix), a 64-thread barrier (O(1) arrival), a
+   scheduler determinism property over the buffer-based [Sched.pick],
+   and a probe that the quiet straight-line step loop allocates
+   nothing. *)
 
 module M = Arde.Machine
 module MR = Arde.Machine_ref
@@ -66,9 +68,19 @@ let subset ~every groups =
 
 (* The frozen reference interpreter and the current one agree on every
    summary for a live cross-section (chaos included) — guards against a
-   regenerated fixture file silently baking in a behaviour change. *)
+   regenerated fixture file silently baking in a behaviour change.  The
+   sync-dense PARSEC programs also run in their lib+spin(7) form, which
+   the fixture enumeration (and so the committed file) leaves out. *)
 let test_live_reference_diff () =
-  let groups = subset ~every:6 (TF.groups ()) in
+  let parsec_rawspin =
+    List.map
+      (fun name ->
+        match Arde_workloads.Parsec.find name with
+        | Some (_, p) -> TF.rawspin_group name p ~seeds:[ 1; 2; 3; 4 ]
+        | None -> Alcotest.failf "unknown PARSEC workload %s" name)
+      [ "streamcluster"; "x264"; "blackscholes" ]
+  in
+  let groups = subset ~every:6 (TF.groups ()) @ parsec_rawspin in
   List.iter
     (fun (gr : TF.group) ->
       let cur = TF.current_machine.TF.mi_run_group gr in
@@ -172,6 +184,47 @@ let test_quiet_equivalence () =
           in
           check_results ~ctx:("quiet " ^ rs.TF.rs_key) traced quiet)
     groups
+
+(* A single-threaded register-arithmetic + global load/store loop under
+   [Round_robin]: no PRNG draws, no blocking, no events retained — the
+   steady-state straight-line path.  In quiet mode the machine must run
+   it without per-step heap allocation; the allocation delta amortizes
+   the fixed setup/teardown cost (thread and sync tables, the
+   final-memory rebuild) over ~800k steps, so anything per step would
+   dominate immediately. *)
+let test_straightline_zero_alloc () =
+  let body =
+    [ load "v" (g "cell"); addi "v" (r "v") (imm 1); store (g "cell") (r "v") ]
+  in
+  let p =
+    program
+      ~globals:[ global "cell" () ]
+      ~entry:"main"
+      [
+        func "main"
+          ((blk "init" [ mov "i" (imm 0) ] (goto "hot_head")
+           :: counted_loop ~tag:"hot" ~counter:"i" ~limit:(imm 100_000) ~body
+                ~next:"out")
+          @ [ blk "out" [] exit_t ]);
+      ]
+  in
+  let compiled = M.compile p in
+  let cfg =
+    {
+      M.default_config with
+      M.policy = Arde.Sched.Round_robin 1_000_000;
+      fuel = 5_000_000;
+    }
+  in
+  ignore (M.run cfg compiled);
+  let a0 = Arde_harness.Gates.alloc_words () in
+  let res = M.run cfg compiled in
+  let words = Arde_harness.Gates.alloc_words () -. a0 in
+  Alcotest.(check string) "outcome" "finished" (show_outcome res.M.outcome);
+  let wps = words /. float_of_int (max 1 res.M.steps) in
+  if wps >= 0.05 then
+    Alcotest.failf "%.4f words/step over %d steps (want < 0.05)" wps
+      res.M.steps
 
 (* --- satellite: wide-arity calls ------------------------------------- *)
 
@@ -453,4 +506,6 @@ let suite =
     Alcotest.test_case "spin cache matches its definition" `Quick
       test_spin_cache_definition;
     prop_sched_determinism;
+    Alcotest.test_case "straight-line loop allocates nothing per step" `Quick
+      test_straightline_zero_alloc;
   ]

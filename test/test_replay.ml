@@ -376,24 +376,39 @@ let record_and_replay ?ctx ~mode ~source program =
           (live, replayed, rec_trace))
 
 (* The acceptance matrix: representative unit-suite cases x every
-   Table-1 mode x 16 seeds, each checked byte-for-byte. *)
+   Table-1 mode x 16 seeds, plus compute-bound (swaptions, blackscholes)
+   and sync-dense (streamcluster, x264) PARSEC programs under both spin
+   modes x 4 seeds, each checked byte-for-byte. *)
 let test_identity_matrix () =
-  let options = Arde.Options.make ~seeds:seeds16 ~fuel:400_000 () in
-  let ctx = D.ctx ~options () in
+  let check ~ctx ~modes name program =
+    List.iter
+      (fun mode ->
+        let live, replayed, _ =
+          record_and_replay ~ctx ~mode ~source:name program
+        in
+        checks
+          (Printf.sprintf "%s under %s" name (Arde.Config.mode_name mode))
+          (result_bytes live) (result_bytes replayed))
+      modes
+  in
+  let ctx = D.ctx ~options:(Arde.Options.make ~seeds:seeds16 ~fuel:400_000 ()) () in
   List.iter
     (fun (case : W.Racey.case) ->
-      List.iter
-        (fun mode ->
-          let live, replayed, _ =
-            record_and_replay ~ctx ~mode ~source:case.W.Racey.name
-              case.W.Racey.program
-          in
-          checks
-            (Printf.sprintf "%s under %s" case.W.Racey.name
-               (Arde.Config.mode_name mode))
-            (result_bytes live) (result_bytes replayed))
-        Arde.Config.all_table1_modes)
-    (identity_cases ())
+      check ~ctx ~modes:Arde.Config.all_table1_modes case.W.Racey.name
+        case.W.Racey.program)
+    (identity_cases ());
+  let ctx =
+    D.ctx ~options:(Arde.Options.make ~seeds:[ 1; 2; 3; 4 ] ~fuel:200_000 ()) ()
+  in
+  List.iter
+    (fun name ->
+      match W.Parsec.find name with
+      | None -> Alcotest.failf "unknown PARSEC workload %s" name
+      | Some (_, program) ->
+          check ~ctx
+            ~modes:[ Arde.Config.Helgrind_spin 7; Arde.Config.Nolib_spin 7 ]
+            name program)
+    [ "swaptions"; "blackscholes"; "streamcluster"; "x264" ]
 
 (* A PARSEC program under fuel starvation: Fuel_exhausted seeds must
    replay identically too (their trailers carry the outcome). *)
