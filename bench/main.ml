@@ -9,8 +9,7 @@
    F1  detector memory consumption
    F2  runtime overhead
 
-   plus Bechamel micro-benchmarks of the pipeline stages.  Compare the
-   output against EXPERIMENTS.md.
+   Compare the output against EXPERIMENTS.md.
 
    With a subcommand it runs the timing gates instead (gates) or
    regenerates the golden trace fixtures (fixtures); see [usage] below. *)
@@ -68,64 +67,6 @@ let figures () =
   print_string f1;
   section "Figure 2: runtime (ms per full run) and spin overhead ratio";
   print_string f2
-
-(* Bechamel micro-benchmarks: one Test.make per reproduced artifact,
-   exercising the pipeline stage that dominates it. *)
-let bechamel_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  let flag_case =
-    match Arde_workloads.Racey.find "adhoc_flag_w2/8" with
-    | Some c -> c.Arde_workloads.Racey.program
-    | None -> assert false
-  in
-  let compiled = Arde.Machine.compile flag_case in
-  let inst = Arde.Instrument.analyze ~k:7 flag_case in
-  let detect_once mode () =
-    let engine = Arde.Engine.create (Arde.Config.make mode) ~instrument:(Some inst) in
-    ignore
-      (Arde.Machine.run
-         {
-           Arde.Machine.default_config with
-           Arde.Machine.instrument = Some inst;
-           observer = Arde.Engine.observer engine;
-         }
-         compiled)
-  in
-  let tests =
-    [
-      Test.make ~name:"T1:instrumentation-phase"
-        (Staged.stage (fun () -> ignore (Arde.Instrument.analyze ~k:7 flag_case)));
-      Test.make ~name:"T1:machine-only"
-        (Staged.stage (fun () ->
-             ignore (Arde.Machine.run Arde.Machine.default_config compiled)));
-      Test.make ~name:"T1:hybrid-lib"
-        (Staged.stage (detect_once Arde.Config.Helgrind_lib));
-      Test.make ~name:"T2:hybrid-spin7"
-        (Staged.stage (detect_once (Arde.Config.Helgrind_spin 7)));
-      Test.make ~name:"T6:lowering"
-        (Staged.stage (fun () -> ignore (Arde.Lower.lower flag_case)));
-    ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = List.map (fun t -> (Test.Elt.name (List.hd (Test.elements t)), Benchmark.all cfg instances t)) tests in
-  section "Bechamel: per-stage timings (ns, monotonic clock)";
-  List.iter
-    (fun (name, tbl) ->
-      Hashtbl.iter
-        (fun _ result ->
-          let ols =
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Measure.run |])
-              Instance.monotonic_clock result
-          in
-          match Bechamel.Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-28s %12.1f ns/run\n" name est
-          | _ -> Printf.printf "%-28s (no estimate)\n" name)
-        tbl)
-    raw
 
 (* `bench gates`: the timing floors of Arde_harness.Gates.  Prints the
    rows, writes them as JSON to [out] and exits 1 when any row misses
@@ -200,8 +141,7 @@ let () =
   | None, None, false ->
       tables ();
       extension_table ();
-      figures ();
-      bechamel_suite ()
+      figures ()
   | None, _, _ -> usage "-o and --ref need a subcommand"
   | Some name, _, true when name <> "fixtures" ->
       usage "--ref applies to fixtures only"

@@ -674,17 +674,17 @@ let trace_cmd =
           {
             Arde.Machine.default_config with
             Arde.Machine.seed;
-            observer = Arde.Trace.observer trace;
+            observer = Arde.Trace.push trace;
           }
         in
         let res = Arde.Machine.run_program cfg p in
         let events = Arde.Trace.events trace in
-        List.iteri
+        Array.iteri
           (fun i ev ->
             if i < limit then Format.printf "%6d  %a@." i Arde.Event.pp ev)
           events;
-        if List.length events > limit then
-          Printf.printf "... (%d more events)\n" (List.length events - limit);
+        if Array.length events > limit then
+          Printf.printf "... (%d more events)\n" (Array.length events - limit);
         Format.printf "outcome: %a, %d steps, %d context switches, trace hash %08x@."
           Arde.Machine.pp_outcome res.Arde.Machine.outcome res.Arde.Machine.steps
           res.Arde.Machine.context_switches (Arde.Trace.hash trace);
@@ -766,17 +766,15 @@ let trace_cmd =
           let by_seed = Hashtbl.create 8 in
           List.iter
             (fun sec ->
-              match Arde.Trace_codec.decode_events_list sec with
+              let tally = Hashtbl.create 16 in
+              let count ev =
+                let k = event_kind_name ev in
+                Hashtbl.replace tally k
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt tally k))
+              in
+              match Arde.Trace_codec.decode_events sec count with
               | Error _ | (exception _) -> ()
-              | Ok evs ->
-                  let tally = Hashtbl.create 16 in
-                  List.iter
-                    (fun ev ->
-                      let k = event_kind_name ev in
-                      Hashtbl.replace tally k
-                        (1
-                        + Option.value ~default:0 (Hashtbl.find_opt tally k)))
-                    evs;
+              | Ok () ->
                   Hashtbl.replace by_seed sec.Arde.Trace_codec.s_seed
                     (List.filter_map
                        (fun k ->

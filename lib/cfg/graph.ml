@@ -31,15 +31,6 @@ let of_func (f : func) =
     succs;
   { func = f; blocks; succs; preds }
 
-let index_of t l =
-  let n = Array.length t.blocks in
-  let rec go i =
-    if i >= n then invalid_arg ("Cfg.Graph.index_of: " ^ l)
-    else if t.blocks.(i).lbl = l then i
-    else go (i + 1)
-  in
-  go 0
-
 let label_of t i = t.blocks.(i).lbl
 let n_blocks t = Array.length t.blocks
 

@@ -14,7 +14,6 @@ val of_func : Arde_tir.Types.func -> t
 (** @raise Invalid_argument if a branch target does not resolve (run
     [Tir.Validate] first). *)
 
-val index_of : t -> Arde_tir.Types.label -> int
 val label_of : t -> int -> Arde_tir.Types.label
 val n_blocks : t -> int
 

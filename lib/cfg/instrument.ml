@@ -58,9 +58,7 @@ let analyze ?(count_callees = true) ~k prog =
     spins;
   { k; spins; rejected; headers; members; marked; sync_bases; by_id }
 
-let k t = t.k
 let spins t = t.spins
-let rejected t = t.rejected
 let header_at t ~fname ~lbl = Hashtbl.find_opt t.headers (fname, lbl)
 
 let in_loop t ~fname ~lbl id =

@@ -21,9 +21,7 @@ val analyze : ?count_callees:bool -> k:int -> program -> t
 (** [count_callees] is the window-accounting ablation knob; see
     {!Spin.classify}. *)
 
-val k : t -> int
 val spins : t -> spin list
-val rejected : t -> (Spin.candidate * Spin.rejection) list
 
 val header_at : t -> fname:string -> lbl:label -> int option
 (** Spin-loop id whose header is this block, if any. *)

@@ -21,8 +21,3 @@ let analyze (p : program) =
   { locks = SS.inter acquires releases }
 
 let inferred_locks t = SS.elements t.locks
-let is_lock t b = SS.mem b t.locks
-
-let pp ppf t =
-  Format.fprintf ppf "inferred locks: [%s]"
-    (String.concat ", " (SS.elements t.locks))

@@ -24,7 +24,3 @@ val analyze : program -> t
 
 val inferred_locks : t -> string list
 (** Sorted base names classified as locks. *)
-
-val is_lock : t -> string -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -183,8 +183,6 @@ and compute_summary ctx fname =
           | _ -> acc)
         init in_slice
 
-let callee_summary = summary
-
 type cond_slice = {
   loads : loc list;
   bases : string list;

@@ -23,7 +23,6 @@ type ctx
 (** Memoizing analysis context over one program. *)
 
 val make_ctx : program -> ctx
-val callee_summary : ctx -> string -> callee_summary
 
 type cond_slice = {
   loads : loc list; (* condition load sites, in-loop and in-callee *)

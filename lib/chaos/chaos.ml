@@ -61,10 +61,6 @@ let apply (options : Options.t) = function
                 raise (Chaos_crash "chaos: injected internal crash"))))
         options
 
-let benign = function
-  | Adversarial_policy _ | Shift_seeds _ -> true
-  | Spurious_wakeups | Fault_at _ | Crash_at _ | Starve_fuel _ -> false
-
 let policies =
   [|
     Sched.Round_robin 1;

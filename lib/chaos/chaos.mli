@@ -36,12 +36,6 @@ val apply :
   Arde_detect.Options.t -> perturbation -> Arde_detect.Options.t
 (** Distort a set of driver options with one perturbation. *)
 
-val benign : perturbation -> bool
-(** Can the perturbation, by construction, make a seed unhealthy?
-    Schedule-shaped perturbations (policy, seed shift) are benign: every
-    seed still runs to completion, so a detector whose verdicts are
-    schedule-robust must not flip them. *)
-
 val gen : Arde_util.Prng.t -> perturbation
 (** Draw a perturbation deterministically from the generator. *)
 
@@ -54,15 +48,6 @@ type report = {
       (** Exceptions that escaped [Driver.run] — always a bug; the
           sandbox exists so this list stays empty. *)
 }
-
-val run_one :
-  ?options:Arde_detect.Options.t ->
-  Arde_detect.Config.mode ->
-  Arde_tir.Types.program ->
-  perturbation ->
-  (Arde_detect.Driver.result, string) Result.t
-(** One perturbed detector run; [Error] carries the message of an
-    exception that escaped the pipeline (which should never happen). *)
 
 val storm :
   ?options:Arde_detect.Options.t ->
@@ -118,7 +103,6 @@ module Serve : sig
   val fires : plan -> count:int -> fault list
   (** The faults due on the [count]-th request ([count >= 1]). *)
 
-  val fault_name : fault -> string
 end
 
 val pp_report : Format.formatter -> report -> unit

@@ -37,8 +37,8 @@ module Event = Arde_runtime.Event
 
 module Observer = Arde_runtime.Observer
 (** The one composition surface for event consumers: engines, checkers,
-    trace collectors and recording sinks all expose an [Observer.t], and
-    all fan-out goes through [Observer.tee]/[tee_all].  [Observer.none]
+    the in-memory [Trace] buffer and recording sinks all expose an
+    [Observer.t], and all fan-out goes through [Observer.tee].  [Observer.none]
     (physical identity) arms the machine's quiet fast path. *)
 
 module Sched = Arde_runtime.Sched
@@ -108,7 +108,7 @@ let detect ?ctx ?mode input = Driver.run ?ctx ?mode input
     spin instrumentation if the mode has a window, execution under each
     seed, race detection, deterministic merge.  For a recorded trace the
     machine never runs: the recording replays through a fresh engine
-    ({!Driver.replay}) and yields the same result bytes as the live run
+    and yields the same result bytes as the live run
     that produced it.  [ctx] ({!Driver.ctx}) carries the how — options,
     engine choice, a resident domain pool, cooperative cancellation, and
     optionally the cache digest, which is otherwise derived once per run

@@ -30,5 +30,4 @@ val tally_add : tally -> outcome -> unit
 val failed : tally -> int
 val total : tally -> int
 
-val expectation_bases : expectation -> string list
 val pp_verdict : Format.formatter -> verdict -> unit

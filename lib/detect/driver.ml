@@ -3,6 +3,7 @@ module Machine = Arde_runtime.Machine
 module Sched = Arde_runtime.Sched
 module Observer = Arde_runtime.Observer
 module Codec = Arde_runtime.Trace_codec
+module Trace = Arde_runtime.Trace
 
 type options = Options.t
 
@@ -319,7 +320,9 @@ let merge_reports per_seed =
 
 (* The clamp is recorded in every affected run's health notes, but the
    stderr notice prints once per distinct message per process — a suite
-   sweep is hundreds of [run] calls and the spam would drown the table. *)
+   sweep is hundreds of [run] calls and the spam would drown the table.
+   A resident pool ignores [Options.jobs], so a run on one clamps
+   nothing: no note, and no entry in the process-wide table. *)
 let clamp_announced : (string, unit) Hashtbl.t = Hashtbl.create 1
 
 let announce_clamp note =
@@ -328,10 +331,10 @@ let announce_clamp note =
     Printf.eprintf "arde: %s\n%!" note
   end
 
-let clamp_notes options =
-  match Options.jobs_clamp options with
-  | None -> []
-  | Some (requested, host) ->
+let clamp_notes (c : ctx) options =
+  match (c.c_pool, Options.jobs_clamp options) with
+  | Some _, _ | None, None -> []
+  | None, Some (requested, host) ->
       let note =
         Printf.sprintf "jobs: requested %d clamped to host core count %d"
           requested host
@@ -429,7 +432,7 @@ type 'a tap = { t_observer : Observer.t; t_finish : seed_run -> 'a }
    instead.  Returns the result and what the taps made, in seed order. *)
 let run_live (c : ctx) mode p ~tap ~on_cancel =
   let options = c.c_options in
-  let notes = clamp_notes options in
+  let notes = clamp_notes c options in
   (* Cooperative cancellation: the hook is consulted once per seed,
      before that seed's machine is built.  Seeds already executing run
      to completion (their findings are salvaged); seeds whose slot comes
@@ -510,7 +513,7 @@ let replay_with ctx recorded =
   match prepare ~digest options mode program with
   | exception e -> (failed_result mode (snd (describe_exn e)), None)
   | p ->
-      let notes = clamp_notes options in
+      let notes = clamp_notes ctx options in
       let section_body sec =
         if ctx.c_should_stop () then cancelled_run sec.Codec.s_seed
         else replay_section options mode ~engine_factory:ctx.c_engine p sec
@@ -519,8 +522,6 @@ let replay_with ctx recorded =
         fan_out ctx options section_body (Recorded.sections recorded)
       in
       (finish_result mode p ~notes per_seed, Some p)
-
-let replay ?(ctx = default_ctx) recorded = fst (replay_with ctx recorded)
 
 (* ------------------------------------------------------------------ *)
 (* Prediction: sync-preserving races from a seed's event stream       *)
@@ -542,26 +543,6 @@ let take n xs =
     | _ -> []
   in
   go n xs
-
-(* A growable event array: what a predicting seed collects live, and
-   what a recorded section decodes into. *)
-module Event_buf = struct
-  type t = { mutable evs : Arde_runtime.Event.t array; mutable len : int }
-
-  let create () = { evs = [||]; len = 0 }
-
-  let push b ev =
-    if b.len = Array.length b.evs then begin
-      let evs = Array.make (max 256 (2 * b.len)) ev in
-      Array.blit b.evs 0 evs 0 b.len;
-      b.evs <- evs
-    end;
-    Array.unsafe_set b.evs b.len ev;
-    b.len <- b.len + 1
-
-  let to_array b =
-    if b.len = Array.length b.evs then b.evs else Array.sub b.evs 0 b.len
-end
 
 (* The predictor suppresses exactly the spin-condition bases the
    bundle's instrumentation vouches for, as the engine does. *)
@@ -590,9 +571,9 @@ let predict_sections p sections =
   List.map
     (fun (sec : Codec.section) ->
       let seed = sec.Codec.s_seed in
-      let buf = Event_buf.create () in
-      match Codec.decode_events sec (Event_buf.push buf) with
-      | Ok () -> predict_seed ~config seed (Event_buf.to_array buf)
+      let buf = Trace.create () in
+      match Codec.decode_events sec (Trace.push buf) with
+      | Ok () -> predict_seed ~config seed (Trace.events buf)
       | Error e -> (seed, Error (Codec.error_to_string e))
       | exception e -> (seed, Error (snd (describe_exn e))))
     (List.filter
@@ -679,11 +660,11 @@ let predict_tap p =
   fun ~pos seed ->
     if pos >= predict_limit then None
     else
-      let buf = Event_buf.create () in
+      let buf = Trace.create () in
       Some
         {
-          t_observer = Observer.of_fn (Event_buf.push buf);
-          t_finish = (fun _ -> predict_seed ~config seed (Event_buf.to_array buf));
+          t_observer = Trace.push buf;
+          t_finish = (fun _ -> predict_seed ~config seed (Trace.events buf));
         }
 
 let no_tap ~pos:_ _ = None
@@ -881,7 +862,7 @@ let record ?(ctx = default_ctx) ?(mode = default_mode) ?(detect = false)
                 }
           end
           else begin
-            ignore (clamp_notes options);
+            ignore (clamp_notes ctx options);
             let seed_body seed =
               if ctx.c_should_stop () then Codec.cancelled_section ~seed
               else record_seed options p seed
@@ -1104,7 +1085,7 @@ let compare_on_trace ?(options = Options.default) ~k program modes =
   in
   List.iter
     (fun seed ->
-      let trace = Arde_runtime.Trace.create () in
+      let trace = Trace.create () in
       let mcfg =
         {
           Machine.policy = options.Options.policy;
@@ -1112,11 +1093,11 @@ let compare_on_trace ?(options = Options.default) ~k program modes =
           fuel = options.Options.fuel;
           instrument;
           spurious_wakeups = options.Options.spurious_wakeups;
-          observer = Arde_runtime.Trace.observer trace;
+          observer = Trace.push trace;
         }
       in
       ignore (Machine.run mcfg compiled);
-      let events = Arde_runtime.Trace.events trace in
+      let events = Trace.events trace in
       List.iter
         (fun (mode, merged) ->
           let detector_cfg =
@@ -1131,7 +1112,7 @@ let compare_on_trace ?(options = Options.default) ~k program modes =
           let engine =
             Engine.create ~cv_mutexes detector_cfg ~instrument:mode_instrument
           in
-          List.iter (Engine.observer engine) events;
+          Array.iter (Engine.observer engine) events;
           Report.merge_into merged (Engine.report engine))
         engines)
     options.Options.seeds;

@@ -18,13 +18,18 @@
 
     The record/replay split decouples the first two: {!record} runs the
     machine with a {!Trace_codec} sink attached and seals the event
-    stream into a compact binary trace; {!replay} runs the detection
-    half alone, streaming a recording through a fresh engine without
-    re-executing the program.  Replaying a recording produces results
-    byte-identical to the live run that made it — that identity is the
-    subsystem's correctness oracle.  The codec is used only where a
-    trace is the artifact: a live prediction reads its seeds' events
-    from memory (see {!run}). *)
+    stream into a compact binary trace; {!run} on a [Recorded_trace]
+    runs the detection half alone, streaming a recording through a
+    fresh engine without re-executing the program.  Replaying a
+    recording produces results byte-identical to the live run that made
+    it — that identity is the subsystem's correctness oracle.  The codec
+    is used only where a trace is the artifact.
+
+    Events that must be held in memory go into one kind of buffer,
+    {!Arde_runtime.Trace}: a predicting seed pushes its live events
+    there, a recorded section decodes into one before prediction, and
+    {!compare_on_trace} replays one recorded run into every mode's
+    engine from it. *)
 
 open Arde_tir.Types
 
@@ -100,13 +105,6 @@ val ctx :
   ctx
 (** Smart constructor; every field defaulted ([Options.default],
     {!opt_engine}, no pool, never stop, no digest). *)
-
-val default_ctx : ctx
-(** [ctx ()]. *)
-
-val default_mode : Config.mode
-(** [Helgrind_spin 7] — what {!run} and the CLI use when no mode is
-    given. *)
 
 (** {1 Results} *)
 
@@ -212,9 +210,9 @@ val run : ?ctx:ctx -> ?mode:Config.mode -> Input.t -> result
 (** The one front door.  [Text] input is looked up in the analysis
     cache by its digest first and parsed and validated only on a miss
     ([Failed] health on errors); [Program] runs as is; and
-    [Recorded_trace] is dispatched to {!replay} — the machine never
+    [Recorded_trace] is replayed — the machine never
     executes for a trace, and [mode] (if given) must agree with the
-    recorded one.  [mode] defaults to {!default_mode} for text/program
+    recorded one.  [mode] defaults to [Helgrind_spin 7] for text/program
     inputs and to the recorded mode for traces.
 
     [Options.analysis] selects how races are found.  [Sweep] (default)
@@ -248,19 +246,9 @@ val run : ?ctx:ctx -> ?mode:Config.mode -> Input.t -> result
     health record while every healthy seed's warnings are still merged.
     The merged report, health verdict and run list are independent of
     [Options.jobs]; a [jobs] request beyond the host core count is
-    clamped, with a note recorded in [health.h_notes].  This function
-    does not raise. *)
-
-val replay : ?ctx:ctx -> Recorded.t -> result
-(** Run detection over a recording without executing the machine: each
-    recorded section streams through a fresh engine (and the CV
-    checker) on the domain pool, and the machine-side half of every
-    seed — outcome, steps, check failures — is taken from the section
-    trailer.  Mode, sensitivity, cap and seeds come from the recording
-    (a replayed result is byte-identical to the live run that recorded
-    it); [ctx] contributes only engine choice, pool and cancellation.
-    Does not raise: an undecodable section becomes a [Crashed] seed
-    carrying the partial report. *)
+    clamped, with a note recorded in [health.h_notes] — except on a
+    resident pool ([ctx.c_pool]), which ignores [jobs] and so records
+    no note.  This function does not raise. *)
 
 type recording = {
   rec_trace : string;  (** the complete binary trace *)
@@ -303,10 +291,6 @@ val any_bad_outcome : result -> seed_outcome option
 (** First seed outcome that is not [Completed Finished], if any. *)
 
 val pp_seed_outcome : Format.formatter -> seed_outcome -> unit
-val verdict_name : health_verdict -> string
-
-val verdict_of_name : string -> health_verdict option
-(** Inverse of {!verdict_name}. *)
 
 val pp_health : Format.formatter -> health -> unit
 
@@ -318,11 +302,6 @@ val pp_health : Format.formatter -> health -> unit
 val health_to_json : health -> Arde_util.Json.t
 val health_of_json : Arde_util.Json.t -> (health, string) Stdlib.result
 (** [health_of_json (health_to_json h) = Ok h]. *)
-
-val seed_run_to_json : seed_run -> Arde_util.Json.t
-(** Counters plus rendered outcome/diagnostic strings (not invertible). *)
-
-val prediction_to_json : prediction -> Arde_util.Json.t
 
 val result_to_json : result -> Arde_util.Json.t
 (** Mode, spin-loop count, merged report ({!Report.to_json}), per-seed

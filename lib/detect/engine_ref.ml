@@ -52,7 +52,6 @@ let create ?(cv_mutexes = []) ?(inferred_locks = []) ?(threads = max_threads)
   }
 
 let report t = t.report
-let n_shadow_cells t = Shadow.n_cells t.shadow
 let n_spin_edges t = t.spin_edges
 
 let mode t = t.cfg.Config.mode

@@ -44,6 +44,5 @@ val report : t -> Report.t
 val memory_words : t -> int
 (** Approximate detector heap footprint (shadow cells + clock tables). *)
 
-val n_shadow_cells : t -> int
 val n_spin_edges : t -> int
 (** Happens-before edges injected by spin-loop exits so far. *)

@@ -2,18 +2,3 @@ type t =
   | Text of string
   | Program of Arde_tir.Types.program
   | Recorded_trace of Recorded.t
-
-let of_text s = Text s
-let of_program p = Program p
-let of_trace r = Recorded_trace r
-
-let describe = function
-  | Text s -> Printf.sprintf "source text (%d bytes)" (String.length s)
-  | Program p ->
-      Printf.sprintf "program (%d function%s)"
-        (List.length p.Arde_tir.Types.funcs)
-        (if List.length p.Arde_tir.Types.funcs = 1 then "" else "s")
-  | Recorded_trace r ->
-      Printf.sprintf "recorded trace (%d seeds, %d events, digest %s)"
-        (List.length (Recorded.sections r))
-        (Recorded.n_events r) (Recorded.digest_hex r)

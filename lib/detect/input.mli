@@ -12,10 +12,3 @@ type t =
   | Recorded_trace of Recorded.t
       (** replay: the machine never runs; events stream from the
           recording *)
-
-val of_text : string -> t
-val of_program : Arde_tir.Types.program -> t
-val of_trace : Recorded.t -> t
-
-val describe : t -> string
-(** One-line form for logs and error notes. *)

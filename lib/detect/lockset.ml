@@ -17,16 +17,8 @@ let inter a b =
   | Set x, Set y -> Set (S.inter x y)
 
 let is_empty = function Top -> false | Set s -> S.is_empty s
-let is_top = function Top -> true | Set _ -> false
 let mem k = function Top -> true | Set s -> S.mem k s
 let to_list = function Top -> None | Set s -> Some (S.elements s)
-
-let pp ppf = function
-  | Top -> Format.pp_print_string ppf "{*}"
-  | Set s ->
-      Format.fprintf ppf "{%s}"
-        (String.concat ", "
-           (List.map (fun (b, i) -> Printf.sprintf "%s[%d]" b i) (S.elements s)))
 
 module Held = struct
   type h = (int, S.t) Hashtbl.t

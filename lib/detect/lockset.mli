@@ -17,12 +17,9 @@ val inter : t -> t -> t
 val is_empty : t -> bool
 (** [Top] is not empty. *)
 
-val is_top : t -> bool
 val mem : key -> t -> bool
 val to_list : t -> key list option
 (** [None] for [Top]. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** Mutable per-thread held-lock multiset (locks can be acquired in a
     nested fashion across distinct keys; re-acquisition of the same key is

@@ -13,12 +13,6 @@ let transition state ~tid ~write ~ordered =
   | Shared_read -> if write then Shared_modified else Shared_read
   | Shared_modified -> Shared_modified
 
-let pp_state ppf = function
-  | Virgin -> Format.pp_print_string ppf "virgin"
-  | Exclusive t -> Format.fprintf ppf "exclusive(T%d)" t
-  | Shared_read -> Format.pp_print_string ppf "shared-read"
-  | Shared_modified -> Format.pp_print_string ppf "shared-modified"
-
 let sensitivity_name = function
   | Short_running -> "short-running"
   | Long_running -> "long-running"

@@ -20,7 +20,6 @@ val transition : state -> tid:int -> write:bool -> ordered:bool -> state
 (** [ordered] — all prior conflicting accesses happen-before the current
     one; an ordered handover keeps the cell exclusive to the new thread. *)
 
-val pp_state : Format.formatter -> state -> unit
 val sensitivity_name : sensitivity -> string
 
 val parse_sensitivity : string -> (sensitivity, string) result

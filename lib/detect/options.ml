@@ -65,8 +65,6 @@ let with_seed_count n t = { t with seeds = List.init (max 0 n) (fun i -> i + 1) 
 let with_policy policy t = { t with policy }
 let with_fuel fuel t = { t with fuel }
 let with_jobs jobs t = { t with jobs }
-let with_sensitivity sensitivity t = { t with sensitivity }
-let with_cap cap t = { t with cap }
 let with_lower_style lower_style t = { t with lower_style }
 let with_spurious_wakeups spurious_wakeups t = { t with spurious_wakeups }
 let with_count_callee_blocks count_callee_blocks t = { t with count_callee_blocks }

@@ -31,8 +31,6 @@ type analysis =
 val analysis_name : analysis -> string
 (** ["sweep"] / ["predict"] / ["both"] — the wire and CLI spelling. *)
 
-val parse_analysis : string -> (analysis, string) result
-
 type t = {
   seeds : int list;  (** scheduler seeds, one detector run each *)
   policy : Arde_runtime.Sched.policy;
@@ -93,8 +91,6 @@ val with_seed_count : int -> t -> t
 val with_policy : Arde_runtime.Sched.policy -> t -> t
 val with_fuel : int -> t -> t
 val with_jobs : int -> t -> t
-val with_sensitivity : Msm.sensitivity -> t -> t
-val with_cap : int -> t -> t
 val with_lower_style : Arde_tir.Lower.style -> t -> t
 val with_spurious_wakeups : bool -> t -> t
 val with_count_callee_blocks : bool -> t -> t

@@ -63,8 +63,6 @@ let of_string data =
       r_sections = sects;
     }
 
-let to_string t = Codec.assemble t.r_header t.r_sections
-let header t = t.r_header
 let mode t = t.r_mode
 let options t = t.r_options
 let program t = t.r_program

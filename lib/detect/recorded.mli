@@ -5,7 +5,7 @@
     options document becomes an {!Options.t}, the embedded program text
     is parsed and validated, and the digest is checked against the
     program it claims to describe.  Loading is strict — a recording that
-    passes {!of_string} can be fed to [Driver.replay] without further
+    passes {!of_string} can be replayed by [Driver.run] without further
     validation — but event bodies stay {e encoded}: sections decode
     lazily, one seed at a time, on whichever domain replays them. *)
 
@@ -17,10 +17,6 @@ val of_string : string -> (t, string) result
     ill-formed options document, program that fails to parse or
     validate, digest that does not match the embedded program. *)
 
-val to_string : t -> string
-(** Reassemble the exact bytes ({!of_string}'s inverse). *)
-
-val header : t -> Arde_runtime.Trace_codec.header
 val mode : t -> Config.mode
 val options : t -> Options.t
 (** The recording run's options; [inject] is always [None] (closures

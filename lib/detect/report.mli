@@ -52,7 +52,6 @@ val pp_race : Format.formatter -> race -> unit
     order is fixed, so equal reports serialize byte-identically. *)
 
 val loc_to_json : loc -> Arde_util.Json.t
-val loc_of_json : Arde_util.Json.t -> (loc, string) result
 val race_to_json : race -> Arde_util.Json.t
 val race_of_json : Arde_util.Json.t -> (race, string) result
 

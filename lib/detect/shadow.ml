@@ -42,9 +42,6 @@ let cell t key =
       Hashtbl.replace t key c;
       c
 
-let find t key = Hashtbl.find_opt t key
-let n_cells t = Hashtbl.length t
-
 let size_words t =
   Hashtbl.fold
     (fun _ c acc ->

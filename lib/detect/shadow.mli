@@ -31,8 +31,6 @@ val create : unit -> t
 val cell : t -> string * int -> cell
 (** Find or allocate. *)
 
-val find : t -> string * int -> cell option
-val n_cells : t -> int
 val size_words : t -> int
 (** Approximate heap words held by all cells (memory experiment). *)
 

@@ -160,9 +160,3 @@ let size_words t =
     t.rows;
   Hashtbl.iter (fun _ c -> acc := !acc + 4 + cell_words c) t.spill;
   !acc
-
-let iter_cells t f =
-  Array.iter
-    (fun row -> Array.iter (function Some c -> f c | None -> ()) row)
-    t.rows;
-  Hashtbl.iter (fun _ c -> f c) t.spill

@@ -60,5 +60,3 @@ val n_cells : t -> int
 
 val size_words : t -> int
 (** Approximate heap words held (memory experiment). *)
-
-val iter_cells : t -> (cell -> unit) -> unit

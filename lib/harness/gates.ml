@@ -265,11 +265,11 @@ let engine_parsec name mode bound () =
   let trace = Arde.Trace.create () in
   ignore
     (Machine.run
-       { (quiet_config instrument) with Machine.observer = Arde.Trace.observer trace }
+       { (quiet_config instrument) with Machine.observer = Arde.Trace.push trace }
        (Machine.compile program));
   engine_gate ~workload:name mode ~threads:max_threads
     ~cv_mutexes:(cv_mutexes_of program) ~instrument
-    (Array.of_list (Arde.Trace.events trace))
+    (Arde.Trace.events trace)
     bound
 
 let engine_synthetic name floor () =

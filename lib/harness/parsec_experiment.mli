@@ -12,9 +12,6 @@ type row = {
   bad : (Arde.Config.mode * Arde.Driver.seed_outcome) list;
 }
 
-val modes : Arde.Config.mode list
-(** The four table columns. *)
-
 val run_one :
   ?seeds:int list ->
   ?jobs:int ->

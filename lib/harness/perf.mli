@@ -26,7 +26,4 @@ val figure1 : fig list -> string
 val figure2 : fig list -> string
 (** Runtime (ms per run). *)
 
-val default_workloads :
-  unit -> (Arde_workloads.Parsec.info * Arde.Types.program) list
-
 val run_figures : ?repeats:int -> unit -> fig list * string * string

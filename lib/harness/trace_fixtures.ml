@@ -184,7 +184,7 @@ let make_impl ~name ~(compile : Arde.Types.program -> 'c)
     let trace = Trace.create () in
     let observer =
       match rs.rs_inject_at with
-      | None -> Trace.observer trace
+      | None -> Trace.push trace
       | Some n ->
           let count = ref 0 in
           fun ev ->
@@ -192,7 +192,7 @@ let make_impl ~name ~(compile : Arde.Types.program -> 'c)
             if !count = n then
               raise
                 (Machine.Fault_exn (inject_loc n, "fixture: injected fault"));
-            Trace.observer trace ev
+            Trace.push trace ev
     in
     let cfg =
       {

@@ -52,14 +52,6 @@ val rawspin_group :
     form) × 3 policies × [seeds]; {!groups} uses it on a cross-section
     of the catalog. *)
 
-val make_impl :
-  name:string ->
-  compile:(Arde.Types.program -> 'c) ->
-  run:(Arde.Machine.config -> 'c -> Arde.Machine.result) ->
-  impl
-(** Package a machine implementation; compilation happens once per
-    group. *)
-
 val current_machine : impl
 (** {!Arde.Machine}. *)
 
@@ -68,7 +60,5 @@ val reference_machine : impl
 
 val run_all : impl -> (string * summary) list
 
-val encode_line : string * summary -> string
-val parse_line : string -> (string * summary) option
 val write_file : string -> (string * summary) list -> unit
 val read_file : string -> (string * summary) list

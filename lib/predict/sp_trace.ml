@@ -18,7 +18,6 @@ module Vec = struct
 end
 
 type t = {
-  n : int;
   tid : int array;  (* per event: thread *)
   tpos : int array;  (* per event: position within its thread *)
   threads : int array array;  (* per thread: event indices in order *)
@@ -37,14 +36,7 @@ type t = {
   lock_key : int array;  (* per event: interned lock id for acquires, -1 *)
   lock_rel : int array;
       (* per acquire: matching release event, -1 if never released *)
-  locs : loc option array;  (* access events only *)
 }
-
-let n_events t = t.n
-let n_threads t = t.nthreads
-let thread_of t i = t.tid.(i)
-let pos_of t i = t.tpos.(i)
-let loc_of t i = t.locs.(i)
 
 let build (events : Event.t array) =
   let n = Array.length events in
@@ -54,7 +46,6 @@ let build (events : Event.t array) =
   let multi = Array.make n [] in
   let lock_key = Array.make n (-1) in
   let lock_rel = Array.make n (-1) in
-  let locs = Array.make n None in
   let spawn_of = Array.make max_threads (-1) in
   let thr = Array.init max_threads (fun _ -> Vec.create ()) in
   let nthreads = ref 0 in
@@ -91,14 +82,11 @@ let build (events : Event.t array) =
     Vec.push thr.(t) i;
     if t >= !nthreads then nthreads := t + 1;
     match ev with
-    | Event.Read { base; idx; loc; _ } ->
-        locs.(i) <- Some loc;
-        (match Hashtbl.find_opt last_write (base, idx) with
+    | Event.Read { base; idx; _ } -> (
+        match Hashtbl.find_opt last_write (base, idx) with
         | Some w -> req.(i) <- w
         | None -> ())
-    | Event.Write { base; idx; loc; _ } ->
-        locs.(i) <- Some loc;
-        Hashtbl.replace last_write (base, idx) i
+    | Event.Write { base; idx; _ } -> Hashtbl.replace last_write (base, idx) i
     | Event.Lock_acq { tid = lt; base; idx; _ } ->
         let id = lock_id (base, idx) in
         lock_key.(i) <- id;
@@ -137,7 +125,6 @@ let build (events : Event.t array) =
   done;
   let nthreads = max 1 !nthreads in
   {
-    n;
     tid;
     tpos;
     threads =
@@ -149,7 +136,6 @@ let build (events : Event.t array) =
     spawn_of = Array.sub spawn_of 0 nthreads;
     lock_key;
     lock_rel;
-    locs;
   }
 
 (* ------------------------------------------------------------------ *)

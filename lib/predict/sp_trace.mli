@@ -32,20 +32,11 @@
     trace order — a subsequence, so every read still meets its writer
     last and every sync operation keeps its recorded order. *)
 
-open Arde_tir.Types
-
 type t
 
 val build : Arde_runtime.Event.t array -> t
 (** Index one decoded section.  Events must be in recorded (trace)
     order; thread ids must be in [0, max_threads). *)
-
-val n_events : t -> int
-val n_threads : t -> int (* highest tid seen + 1 *)
-
-val thread_of : t -> int -> int
-val pos_of : t -> int -> int
-(** Position of an event within its own thread's subsequence. *)
 
 (** {1 Closure} *)
 
@@ -69,6 +60,3 @@ val closure : ideal -> e1:int -> e2:int -> budget:int -> verdict * int
     accesses by different threads; [budget] bounds processed events. *)
 
 (** {1 Diagnostics} *)
-
-val loc_of : t -> int -> loc option
-(** Source location of an access event, [None] for sync events. *)

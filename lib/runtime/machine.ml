@@ -370,8 +370,6 @@ let compile prog =
     cicache = Atomic.make [];
   }
 
-let intern (c : compiled) = c.cintern
-
 (* ------------------------------------------------------------------ *)
 (* Machine state                                                      *)
 

@@ -86,11 +86,6 @@ type compiled
 val compile : program -> compiled
 (** @raise Invalid_argument if the program does not validate. *)
 
-val intern : compiled -> Arde_tir.Intern.t
-(** The base-interning table built at compile time.  Events produced by
-    {!run} carry [base_id]s drawn from it; detectors use it to size flat
-    shadow tables up front. *)
-
 type spin_cache = {
   sc_header : int array array; (* fid -> blk -> loop id, or -1 *)
   sc_inloop : int array array array; (* fid -> blk -> containing loop ids *)

@@ -157,8 +157,6 @@ let compile prog =
     td_declared = Arde_tir.Intern.declared cintern td_id;
   }
 
-let intern (c : compiled) = c.cintern
-
 (* ------------------------------------------------------------------ *)
 (* Machine state                                                      *)
 

@@ -16,8 +16,6 @@ type compiled
 val compile : program -> compiled
 (** @raise Invalid_argument if the program does not validate. *)
 
-val intern : compiled -> Arde_tir.Intern.t
-
 val run : Machine.config -> compiled -> Machine.result
 
 val run_program : Machine.config -> program -> Machine.result

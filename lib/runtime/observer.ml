@@ -14,7 +14,3 @@ let tee (a : t) (b : t) : t =
     fun ev ->
       a ev;
       b ev
-
-let tee_all os = List.fold_left tee none os
-
-let counting cell : t = fun _ -> incr cell

@@ -2,17 +2,17 @@
 
     An observer is what the machine's event stream flows into: a race
     detection engine, a condition-variable checker, a recording
-    {!Trace_codec.sink}, an in-memory {!Trace} collector, a chaos
+    {!Trace_codec.sink}, the in-memory {!Trace} buffer, a chaos
     injector.  The type is a plain [Event.t -> unit] so attaching one
     costs nothing on the emit path, but all {e composition} goes through
-    this module: [tee]/[tee_all] are quiet-preserving (composing with
+    this module: [tee] is quiet-preserving (composing with
     {!none} is the identity, so a pipeline stage that opts out never
     costs an indirection), and {!none} is the canonical discarding
     observer whose physical identity arms the machine's quiet fast path
     (events are then never constructed at all — see
     {!Machine.default_config}).
 
-    Producers ({!Trace.observer}, [Engine.observer], [Cv_checker.observer],
+    Producers ({!Trace.push}, [Engine.observer], [Cv_checker.observer],
     {!Trace_codec.sink_observer}) return values of this type; raw
     closures should only be {e created} here or by those producers, and
     only {e combined} here. *)
@@ -36,10 +36,3 @@ val emit : t -> Event.t -> unit
 val tee : t -> t -> t
 (** [tee a b] feeds [a] then [b].  Composing with {!none} returns the
     other observer unchanged (physically), so quietness is preserved. *)
-
-val tee_all : t list -> t
-(** Left-to-right fan-out; [none] elements are dropped.  [tee_all []] is
-    {!none}. *)
-
-val counting : int ref -> t
-(** Increment the cell per event (test and bench helper). *)

@@ -1,22 +1,29 @@
-(** Event-trace collection helpers.
+(** The in-memory event buffer — the one place a run's events are
+    collected.
 
-    Used by tests (determinism: same seed ⇒ same trace hash), by the CLI's
-    trace dump, and by detectors that want to analyze a recorded run
-    offline instead of online. *)
+    A growable [Event.t] array: {!push} appends in emission order and is
+    itself an {!Observer.t}, so it plugs into {!Machine.config} and
+    {!Trace_codec.decode_events} alike.  Live prediction collects a
+    seed's events here, a recorded section decodes into one, and tests
+    and the CLI's trace dump read it back with {!events}.  Pushing does
+    no per-event work beyond the store; {!hash} folds over the buffer on
+    demand. *)
 
 type t
 
 val create : unit -> t
 
-val observer : t -> Observer.t
-(** Feed this to {!Machine.config}. *)
+val push : t -> Observer.t
+(** [push t] appends each event it is fed (capacity doubles, from 256). *)
 
-val events : t -> Event.t list
-(** In emission order. *)
+val events : t -> Event.t array
+(** In emission order.  Shares the buffer when it is exactly full;
+    later pushes never write into a returned array. *)
 
 val length : t -> int
 
 val hash : t -> int
-(** Order-sensitive structural hash of the trace. *)
+(** Order-sensitive structural hash: an FNV mix of [Hashtbl.hash] per
+    event (the value the golden trace summaries pin). *)
 
 val pp : Format.formatter -> t -> unit

@@ -396,8 +396,6 @@ let encode_event s (ev : Event.t) =
   s.n_events <- s.n_events + 1
 
 let sink_observer s = Observer.of_fn (fun ev -> encode_event s ev)
-let sink_events s = s.n_events
-let sink_size s = s.len
 
 (* ------------------------------------------------------------------ *)
 (* Hashing: FNV-1a-ish, matching [Trace.hash]'s mixing constants       *)
@@ -793,12 +791,6 @@ let decode_events sec f =
              })
       else Ok ()
   | exception Err e -> Error e
-
-let decode_events_list sec =
-  let acc = ref [] in
-  match decode_events sec (fun ev -> acc := ev :: !acc) with
-  | Ok () -> Ok (List.rev !acc)
-  | Error e -> Error e
 
 let encode_events events =
   let s = sink () in

@@ -131,9 +131,6 @@ val sink_observer : sink -> Observer.t
 (** The recording observer: feed it to the machine (tee'd ahead of the
     engine when recording a live detection run). *)
 
-val sink_events : sink -> int
-val sink_size : sink -> int  (** encoded bytes so far *)
-
 (** {1 Sections and assembly} *)
 
 type section = {
@@ -179,8 +176,6 @@ val decode_events : section -> (Event.t -> unit) -> (unit, error) result
 (** Stream the section's events in recorded order.  The callback must
     not raise (a replay engine never does); structural errors stop the
     stream and are returned. *)
-
-val decode_events_list : section -> (Event.t list, error) result
 
 val encode_events : Event.t list -> string * int
 (** [events → (bytes, hash)] through a fresh sink — the codec-test and

@@ -36,8 +36,6 @@ let close t =
     try Unix.close t.cl_fd with Unix.Unix_error _ -> ()
   end
 
-let fd t = t.cl_fd
-
 let send_raw t bytes =
   if not t.cl_open then Error "connection closed"
   else

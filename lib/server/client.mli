@@ -17,8 +17,6 @@ type endpoint = Unix_socket of string | Tcp of string * int
         numeric addresses first, then through the resolver.  Both
         endpoints speak the identical frame protocol. *)
 
-val endpoint_to_string : endpoint -> string
-
 val parse_tcp_endpoint : string -> (endpoint, string) result
 (** ["HOST:PORT"] (host optional: [":4817"] and ["4817"] mean loopback)
     to a [Tcp] endpoint — the parser behind [--connect]. *)
@@ -150,6 +148,3 @@ val send_frame : t -> string -> (unit, string) result
 
 val recv : t -> (Arde.Json.t, string) result
 (** Read frames until one complete response arrives and parse it. *)
-
-val fd : t -> Unix.file_descr
-(** The underlying socket (tests: shutdown mid-frame). *)

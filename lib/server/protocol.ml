@@ -14,14 +14,6 @@ let frame payload =
   Bytes.blit_string payload 0 b 4 n;
   Bytes.unsafe_to_string b
 
-let write_frame fd payload =
-  let s = frame payload in
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd s !off (len - !off)
-  done
-
 type decoder = { mutable dbuf : Bytes.t; mutable dlen : int; dmax : int }
 
 let decoder ?(max_frame = default_max_frame) () =

@@ -22,10 +22,6 @@ val default_max_frame : int
 val frame : string -> string
 (** [frame payload] is the length header followed by [payload]. *)
 
-val write_frame : Unix.file_descr -> string -> unit
-(** Frame and write a payload, looping over short writes.
-    @raise Unix.Unix_error as [Unix.write] does (e.g. [EPIPE]). *)
-
 type decoder
 (** Incremental frame reassembly over a byte stream. *)
 

@@ -23,8 +23,6 @@ let create ~workers ~max_pending =
     cancelled = 0;
   }
 
-let workers t = Array.length t.queues
-
 type admission = Accepted | Overloaded | Draining
 
 let submit t ~slot job =
@@ -59,7 +57,6 @@ let take t ~slot =
 
 let finish t ~slot = t.busy.(slot) <- false
 let busy t ~slot = t.busy.(slot)
-let slot_depth t ~slot = Queue.length t.queues.(slot)
 
 let drain_slot t ~slot =
   let q = t.queues.(slot) in

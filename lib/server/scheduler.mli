@@ -20,8 +20,6 @@ type 'job t
 val create : workers:int -> max_pending:int -> 'job t
 (** Both arguments are clamped to at least 1. *)
 
-val workers : 'job t -> int
-
 type admission = Accepted | Overloaded | Draining
 
 val submit : 'job t -> slot:int -> 'job -> admission
@@ -42,7 +40,6 @@ val take : 'job t -> slot:int -> 'job option
 
 val finish : 'job t -> slot:int -> unit
 val busy : 'job t -> slot:int -> bool
-val slot_depth : 'job t -> slot:int -> int
 
 val drain_slot : 'job t -> slot:int -> 'job list
 (** Remove and return every queued job of a dead slot (for re-routing

@@ -114,10 +114,3 @@ val initiate_drain : t -> unit
 val handle_signals : t -> unit
 (** Route SIGTERM and SIGINT to {!initiate_drain} and ignore SIGPIPE
     (disconnecting clients must not kill the server). *)
-
-val stats_json : t -> Arde.Json.t
-(** The same object a [stats] request returns: uptime, monotonic request
-    counters (including [worker_crashed], [deadline_expired], [retries]
-    and [spool_errors]), queue state, the supervision block (crashes,
-    restarts, watchdog kills, sealed bundles, per-worker health) and the
-    spool location. *)

@@ -23,8 +23,6 @@ val create : root:string -> (t, string) result
 
 val root : t -> string
 
-val journal_path : t -> worker:int -> string
-
 val journal :
   t ->
   worker:int ->
@@ -46,8 +44,6 @@ val journal_trace : t -> worker:int -> trace:string -> (unit, string) result
 
 val clear : t -> worker:int -> unit
 (** Remove the worker's journal and trace (request completed normally). *)
-
-val read_journal : t -> worker:int -> Arde.Json.t option
 
 val seal : t -> worker:int -> reason:string -> (string option, string) result
 (** Turn the worker's in-flight journal, if any, into a durable crash

@@ -158,8 +158,6 @@ let route t ~preferred =
   | Starting | Live | Down -> Some preferred
   | Broken -> scan (fun w -> w.w_state <> Broken)
 
-let any_usable t = Array.exists (fun w -> w.w_state <> Broken) t.workers
-
 (* ------------------------------------------------------------------ *)
 (* Dispatch bookkeeping                                               *)
 

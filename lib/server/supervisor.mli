@@ -39,8 +39,6 @@ type knobs = {
 
 type wstate = Starting | Live | Down | Broken
 
-val state_name : wstate -> string
-
 type wproc = {
   w_index : int;
   mutable w_pid : int;  (** [-1] when not running *)
@@ -83,8 +81,6 @@ val route : t -> preferred:int -> int option
 (** Slot selection with digest affinity: the preferred slot unless its
     circuit is open (a dead-but-restarting slot still keeps its queue);
     [None] only when every slot is [Broken]. *)
-
-val any_usable : t -> bool
 
 val note_hello : t -> int -> unit
 (** The worker's ready frame arrived: mark [Live], reset its backoff. *)

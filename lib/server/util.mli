@@ -10,9 +10,6 @@
     ([Unix.select] is the one exception: its callers treat [EINTR] as a
     timeout so the loop re-examines its wake flags). *)
 
-val retry_eintr : (unit -> 'a) -> 'a
-(** Re-run [f] until it returns without raising [EINTR]. *)
-
 val read : Unix.file_descr -> Bytes.t -> int -> int -> int
 val write_substring : Unix.file_descr -> string -> int -> int -> int
 

@@ -15,18 +15,14 @@
     OCaml 5 forbids [Unix.fork] in any process that has ever created a
     domain — and both detection and the test harness create domains
     freely.  So workers are launched by re-executing the {e host
-    binary} with {!marker} as [argv.(1)]: every executable that may
+    binary} with the marker ["__arde-serve-worker__"] as [argv.(1)]: every executable that may
     host a supervisor (the CLI and the test runner) calls
     {!hook} as the very first thing in [main], and an invocation
     carrying the marker becomes a worker and never returns. *)
 
-val marker : string
-(** ["__arde-serve-worker__"] — the sentinel [argv.(1)] of a worker
-    invocation. *)
-
 val hook : unit -> unit
 (** Call first in every [main] of a binary that may host a supervisor.
-    No-op unless [Sys.argv.(1)] is {!marker}; otherwise runs the worker
+    No-op unless [Sys.argv.(1)] is the marker; otherwise runs the worker
     loop on stdin/stdout and [exit]s (0 after a clean drain, 64-70 on
     startup or protocol failures). *)
 
@@ -61,7 +57,7 @@ val worker_args :
   max_frame:int ->
   chaos_plan:string ->
   string array
-(** The argv tail (starting with {!marker}) the supervisor passes to
+(** The argv tail (starting with the marker) the supervisor passes to
     [Unix.create_process] when spawning worker [index]. *)
 
 (** {2 Crash-bundle replay} *)

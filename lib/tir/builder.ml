@@ -21,7 +21,6 @@ let load d a = Load (d, a)
 let store a v = Store (a, v)
 let cas ok a expect new_ = Cas (ok, a, expect, new_)
 let rmw op old a arg = Rmw (old, op, a, arg)
-let fence = Fence
 let call ?ret f args = Call (ret, f, args)
 let call_ind ?ret target args = Call_indirect (ret, target, args)
 let spawn d f args = Spawn (d, f, args)

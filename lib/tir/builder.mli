@@ -38,7 +38,6 @@ val load : reg -> addr -> instr
 val store : addr -> operand -> instr
 val cas : reg -> addr -> operand -> operand -> instr
 val rmw : rmw_op -> reg -> addr -> operand -> instr
-val fence : instr
 val call : ?ret:reg -> string -> operand list -> instr
 val call_ind : ?ret:reg -> operand -> operand list -> instr
 val spawn : reg -> string -> operand list -> instr

@@ -5,7 +5,6 @@ type t = {
   sizes : int array;
   declared : bool array;
   ids : (string, int) Hashtbl.t;
-  total_cells : int;
 }
 
 let of_program (p : program) =
@@ -42,12 +41,10 @@ let of_program (p : program) =
   (match Hashtbl.find_opt ids thread_done_global with
   | Some id -> sizes.(id) <- max sizes.(id) max_threads
   | None -> ());
-  let total_cells = Array.fold_left ( + ) 0 sizes in
-  { names; sizes; declared; ids; total_cells }
+  { names; sizes; declared; ids }
 
 let id t name = match Hashtbl.find_opt t.ids name with Some i -> i | None -> -1
 let name t i = t.names.(i)
 let size t i = t.sizes.(i)
 let declared t i = t.declared.(i)
 let n_bases t = Array.length t.names
-let total_cells t = t.total_cells

@@ -27,4 +27,3 @@ val declared : t -> int -> bool
     events but never stores to it). *)
 
 val n_bases : t -> int
-val total_cells : t -> int

@@ -118,5 +118,4 @@ let loc ppf l =
   else Format.fprintf ppf "%s:%s:%d" l.lfunc l.lblk l.lidx
 
 let loc_to_string l = Format.asprintf "%a" loc l
-let instr_to_string i = Format.asprintf "%a" instr i
 let program_to_string p = Format.asprintf "%a" program p

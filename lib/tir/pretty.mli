@@ -3,15 +3,8 @@
 
 open Types
 
-val operand : Format.formatter -> operand -> unit
-val addr : Format.formatter -> addr -> unit
-val instr : Format.formatter -> instr -> unit
-val term : Format.formatter -> term -> unit
-val block : Format.formatter -> block -> unit
 val func : Format.formatter -> func -> unit
-val program : Format.formatter -> program -> unit
 val loc : Format.formatter -> loc -> unit
 
 val loc_to_string : loc -> string
-val instr_to_string : instr -> string
 val program_to_string : program -> string

@@ -91,8 +91,6 @@ type program = {
    block's [ins] list, or -1 for the block terminator. *)
 type loc = { lfunc : string; lblk : label; lidx : int }
 
-let term_loc ~fname ~lbl = { lfunc = fname; lblk = lbl; lidx = -1 }
-
 let compare_loc (a : loc) (b : loc) =
   match String.compare a.lfunc b.lfunc with
   | 0 -> (
@@ -100,8 +98,6 @@ let compare_loc (a : loc) (b : loc) =
       | 0 -> Int.compare a.lidx b.lidx
       | c -> c)
   | c -> c
-
-let equal_loc a b = compare_loc a b = 0
 
 (* Name of the reserved global written by the machine when a thread
    terminates; [Lower] turns [Join] into a spinning read of it. *)

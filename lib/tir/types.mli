@@ -91,11 +91,7 @@ type program = {
    block's [ins] list, or -1 for the block terminator. *)
 type loc = { lfunc : string; lblk : label; lidx : int }
 
-val term_loc : fname:string -> lbl:label -> loc
-(** The location of a block's terminator. *)
-
 val compare_loc : loc -> loc -> int
-val equal_loc : loc -> loc -> bool
 
 val thread_done_global : string
 (** Reserved global written by the machine when a thread terminates;

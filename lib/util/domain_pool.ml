@@ -61,8 +61,6 @@ let create ~jobs =
   pool.domains <- List.init (width - 1) (fun _ -> Domain.spawn worker);
   pool
 
-let width pool = pool.width
-
 let map_pool pool f xs =
   let items = Array.of_list xs in
   let n = Array.length items in

@@ -43,8 +43,6 @@ val create : jobs:int -> pool
 (** Spawn a resident pool of [max 1 jobs] workers ([jobs - 1] domains;
     the submitting domain is always the batch's first worker). *)
 
-val width : pool -> int
-
 val map_pool : pool -> ('a -> 'b) -> 'a list -> 'b list
 (** Like {!map} over the resident workers.  After {!shutdown} (or on a
     1-wide pool) this is plain sequential [List.map]. *)

@@ -30,7 +30,7 @@ val to_string : ?minify:bool -> t -> string
     beyond [max_depth] containers fails cleanly instead of overflowing
     the stack.  Both limits default to values far above anything the
     repository's own serializers emit ({!default_max_depth} /
-    {!default_max_size}). *)
+    64 MiB). *)
 
 type error = { at : int; reason : string }
 (** A parse failure: [at] is the byte offset in the input where the
@@ -41,9 +41,6 @@ val error_to_string : error -> string
 
 val default_max_depth : int
 (** 512 nested containers. *)
-
-val default_max_size : int
-(** 64 MiB. *)
 
 val parse_checked :
   ?max_depth:int -> ?max_size:int -> string -> (t, error) result

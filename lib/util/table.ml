@@ -95,5 +95,3 @@ let render t =
 let cell_float f =
   if Float.is_integer f then string_of_int (int_of_float f)
   else Printf.sprintf "%.1f" f
-
-let cell_int = string_of_int

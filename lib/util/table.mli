@@ -28,5 +28,3 @@ val render : t -> string
 val cell_float : float -> string
 (** Format a float the way the paper prints racy contexts: integers are
     printed bare, otherwise one decimal place (e.g. ["153.4"]). *)
-
-val cell_int : int -> string

@@ -182,7 +182,5 @@ let snapshot (m : m) =
   done;
   { v = Array.sub m.a 0 !n; owner = m.mowner; over = m.ver }
 
-let of_mut = snapshot
-
 let msize_words (m : m) = 6 + 2 * (1 + Array.length m.a)
 (* record header + five fields, plus the component and seen arrays *)

@@ -79,8 +79,5 @@ val m_is_bottom : m -> bool
 val snapshot : m -> t
 (** Immutable trimmed copy; the only way mutable state may be stored. *)
 
-val of_mut : m -> t
-(** Alias of {!snapshot}. *)
-
 val msize_words : m -> int
 (** Heap footprint of a mutable clock (full capacity, not trimmed). *)

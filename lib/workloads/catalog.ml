@@ -7,11 +7,3 @@ let find name =
       match Parsec.find name with
       | Some (info, p) -> Some (Parsec (info, p))
       | None -> None)
-
-let program_of = function
-  | Case c -> c.Racey.program
-  | Parsec (_, p) -> p
-
-let names () =
-  List.map (fun c -> c.Racey.name) (Racey.all ())
-  @ List.map (fun (i, _) -> i.Parsec.pname) (Parsec.all ())

@@ -5,7 +5,3 @@ type entry =
   | Parsec of Parsec.info * Arde.Types.program
 
 val find : string -> entry option
-val program_of : entry -> Arde.Types.program
-
-val names : unit -> string list
-(** All workload names, suite cases first. *)

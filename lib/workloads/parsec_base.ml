@@ -130,8 +130,6 @@ let cv_gate ~gate ~cv ~m ~tag gidx =
     blk (tag ^ "_go") [ unlock (g m) ] (goto (tag ^ "_wrk"));
   ]
 
-let no_gate ~tag:_ _gidx = []
-
 (* Split [n] groups into at most [k] consecutive non-empty chunks. *)
 let chunks ~k n =
   let k = max 1 (min k n) in
@@ -143,5 +141,3 @@ let chunks ~k n =
       List.init len (fun j -> start + j) :: go (start + len) (i + 1)
   in
   List.filter (fun l -> l <> []) (go 0 0)
-
-let producer_func ~fname instrs = func fname [ blk "entry" instrs exit_t ]

@@ -19,8 +19,6 @@ val produce_cv_gate :
   data:string -> gate:string -> cv:string -> m:string -> int -> instr list
 val produce_locked_flag : data:string -> flag:string -> m:string -> int -> instr list
 
-val consumption : tag:string -> data:string -> int -> consume -> instr list
-
 val consumer :
   ?epilogue:(int -> instr list) ->
   fname:string ->
@@ -41,9 +39,5 @@ val cv_gate : gate:string -> cv:string -> m:string -> tag:string -> int -> block
 (** Check-once-then-[cond_wait]: no loop, so ordering is visible only
     through library knowledge or a recoverable lowering of the wait. *)
 
-val no_gate : tag:string -> int -> block list
-
 val chunks : k:int -> int -> int list list
 (** Split [n] groups into at most [k] consecutive non-empty chunks. *)
-
-val producer_func : fname:string -> instr list -> func

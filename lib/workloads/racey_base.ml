@@ -92,8 +92,6 @@ let delay ~tag ~n ~next =
   blk (tag ^ "_init") [ mov c (imm 0) ] (goto (tag ^ "_head"))
   :: counted_loop ~tag ~counter:c ~limit:(imm n) ~body:[ nop ] ~next
 
-let delay_entry tag = tag ^ "_init"
-
 (* Store [v] into [a] via a tiny code sequence that gives each call site
    its own location (useful to multiply racy contexts). *)
 let bump a =

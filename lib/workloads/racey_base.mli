@@ -39,8 +39,5 @@ val delay : tag:string -> n:int -> next:label -> block list
 (** [n] iterations of register-only busywork; biases which thread reaches
     a point first. *)
 
-val delay_entry : string -> label
-(** Entry label of a {!delay} block sequence with the given tag. *)
-
 val bump : addr -> instr list
 (** Load-increment-store of one cell (three distinct access sites). *)

@@ -137,7 +137,7 @@ let prop_deterministic =
                Arde.Machine.default_config with
                Arde.Machine.seed = mseed;
                fuel = 50_000;
-               observer = Arde.Trace.observer tr;
+               observer = Arde.Trace.push tr;
              }
              p);
         Arde.Trace.hash tr

@@ -62,6 +62,52 @@ let test_window_sweep_shape () =
     (correct 3 < correct 7 && correct 6 < correct 7 && correct 3 <= correct 6);
   Alcotest.(check int) "k=8 adds nothing over k=7" (correct 7) (correct 8)
 
+(* ---- Table 1 with prediction on top ([--analysis both]) ---- *)
+
+(* Predicting from the first two seeds adds the [inited] and [flag]
+   false alarms EXPERIMENTS.md lists case by case and recovers one race
+   per hybrid mode.  The tallies are pinned exactly, so any change in
+   what the predictor reports on the suite shows here. *)
+let both_rows =
+  lazy
+    (let options =
+       Arde.Options.with_analysis Arde.Options.Both SE.suite_options
+     in
+     fst (SE.table1 ~options ()))
+
+let both_row mode = List.find (fun m -> m.SE.mode = mode) (Lazy.force both_rows)
+
+let test_table1_under_both () =
+  List.iter
+    (fun (mode, expected) ->
+      let t = (both_row mode).SE.tally in
+      Alcotest.(check (triple int int int))
+        (Config.mode_name mode ^ " false alarms / missed / failed")
+        expected
+        (t.Classify.false_alarms, t.Classify.missed, Classify.failed t))
+    [
+      (Config.Helgrind_lib, (39, 5, 44));
+      (Config.Helgrind_spin 7, (9, 5, 14));
+      (Config.Nolib_spin 7, (9, 13, 22));
+      (Config.Drd, (35, 13, 48));
+    ];
+  List.iter
+    (fun (mode, name) ->
+      let d =
+        List.find
+          (fun d -> d.SE.case.Arde_workloads.Racey.name = name)
+          (both_row mode).SE.details
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s recovers %s" (Config.mode_name mode) name)
+        true
+        (d.SE.outcome = Classify.Correct))
+    [
+      (Config.Helgrind_lib, "racy_mixed_locks/2");
+      (Config.Helgrind_spin 7, "racy_mixed_locks/2");
+      (Config.Nolib_spin 7, "racy_cv_unlocked_pred/2");
+    ]
+
 (* ---- PARSEC shapes (single seed: fast) ---- *)
 
 let parsec_contexts name mode =
@@ -134,6 +180,8 @@ let suite =
       test_spin_mode_beats_everyone;
     Alcotest.test_case "window sweep: rise then plateau at 7" `Slow
       test_window_sweep_shape;
+    Alcotest.test_case "Table 1 under --analysis both" `Slow
+      test_table1_under_both;
     Alcotest.test_case "clean PARSEC programs stay clean" `Slow
       test_clean_programs_stay_clean;
     Alcotest.test_case "freqmine: unknown runtime recovered" `Slow

@@ -111,15 +111,15 @@ let check_results ~ctx (a : M.result) (b : M.result) =
     Alcotest.failf "%s: thread_steps differ" ctx
 
 let check_events ~ctx ea eb =
-  if List.length ea <> List.length eb then
-    Alcotest.failf "%s: %d events vs %d" ctx (List.length ea)
-      (List.length eb);
-  List.iteri
-    (fun i (x, y) ->
-      if x <> y then
+  if Array.length ea <> Array.length eb then
+    Alcotest.failf "%s: %d events vs %d" ctx (Array.length ea)
+      (Array.length eb);
+  Array.iteri
+    (fun i x ->
+      if x <> eb.(i) then
         Alcotest.failf "%s: event %d differs:@.  %a@.  %a" ctx i
-          Arde.Event.pp x Arde.Event.pp y)
-    (List.combine ea eb)
+          Arde.Event.pp x Arde.Event.pp eb.(i))
+    ea
 
 let cfg_of (gr : TF.group) (rs : TF.run_spec) observer =
   {
@@ -147,12 +147,12 @@ let test_full_event_diff () =
         (fun (rs : TF.run_spec) ->
           let t1 = Arde.Trace.create () in
           let r1 =
-            M.run_program (cfg_of gr rs (Arde.Trace.observer t1))
+            M.run_program (cfg_of gr rs (Arde.Trace.push t1))
               gr.TF.g_program
           in
           let t2 = Arde.Trace.create () in
           let r2 =
-            MR.run_program (cfg_of gr rs (Arde.Trace.observer t2))
+            MR.run_program (cfg_of gr rs (Arde.Trace.push t2))
               gr.TF.g_program
           in
           let ctx = rs.TF.rs_key in
@@ -175,7 +175,7 @@ let test_quiet_equivalence () =
       | Some rs ->
           let tr = Arde.Trace.create () in
           let traced =
-            M.run_program (cfg_of gr rs (Arde.Trace.observer tr))
+            M.run_program (cfg_of gr rs (Arde.Trace.push tr))
               gr.TF.g_program
           in
           let quiet =
@@ -253,7 +253,7 @@ let test_wide_call () =
   let tr = Arde.Trace.create () in
   let res =
     M.run_program
-      { M.default_config with M.observer = Arde.Trace.observer tr }
+      { M.default_config with M.observer = Arde.Trace.push tr }
       p
   in
   Alcotest.(check string)
@@ -263,7 +263,7 @@ let test_wide_call () =
   let tr2 = Arde.Trace.create () in
   let res2 =
     MR.run_program
-      { M.default_config with M.observer = Arde.Trace.observer tr2 }
+      { M.default_config with M.observer = Arde.Trace.push tr2 }
       p
   in
   check_results ~ctx:"wide-call" res res2;
@@ -314,7 +314,7 @@ let test_barrier_64 () =
         M.default_config with
         M.policy = Arde.Sched.Chunked 4;
         seed = 9;
-        observer = Arde.Trace.observer tr;
+        observer = Arde.Trace.push tr;
       }
     in
     (runner cfg p, tr)
@@ -330,10 +330,9 @@ let test_barrier_64 () =
       (M.read_global res "done" i)
   done;
   let passes =
-    List.length
-      (List.filter
-         (function Arde.Event.Barrier_pass _ -> true | _ -> false)
-         (Arde.Trace.events tr))
+    Array.fold_left
+      (fun n -> function Arde.Event.Barrier_pass _ -> n + 1 | _ -> n)
+      0 (Arde.Trace.events tr)
   in
   Alcotest.(check int) "one pass per thread" (workers + 1) passes;
   let res2, tr2 = run_with MR.run_program in

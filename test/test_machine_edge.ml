@@ -177,7 +177,7 @@ let test_round_robin_quantum () =
 let test_trace_pp_and_length () =
   let tr = Arde.Trace.create () in
   let cfg =
-    { Arde.Machine.default_config with observer = Arde.Trace.observer tr }
+    { Arde.Machine.default_config with observer = Arde.Trace.push tr }
   in
   let p =
     program
@@ -186,7 +186,7 @@ let test_trace_pp_and_length () =
       [ func "main" [ blk "e" [ store (g "x") (imm 1) ] exit_t ] ]
   in
   ignore (Arde.Machine.run_program cfg p);
-  Alcotest.(check int) "events recorded" (List.length (Arde.Trace.events tr))
+  Alcotest.(check int) "events recorded" (Array.length (Arde.Trace.events tr))
     (Arde.Trace.length tr);
   let s = Format.asprintf "%a" Arde.Trace.pp tr in
   Alcotest.(check bool) "printable" true (String.length s > 0)

@@ -473,6 +473,29 @@ let test_effective_jobs () =
   Alcotest.(check bool) "width 1 is never a clamp" true
     (O.jobs_clamp (with_jobs 1) = None)
 
+(* A resident pool ignores [Options.jobs], so a run on one must not
+   claim a clamp: a width beyond the host core count leaves no [jobs:]
+   health note there, while a run that spawns its own domains keeps it. *)
+let test_pool_run_records_no_clamp () =
+  let p = (List.hd (Arde_workloads.Racey.all ())).Arde_workloads.Racey.program in
+  let options =
+    O.make ~seeds:[ 1; 2 ] ~fuel:50_000 () |> O.with_jobs (O.default_jobs + 1)
+  in
+  let jobs_notes ctx =
+    let r = Arde.detect ~ctx (Arde.Input.Program p) in
+    List.filter
+      (fun n -> String.length n >= 5 && String.sub n 0 5 = "jobs:")
+      r.D.health.D.h_notes
+  in
+  Alcotest.(check int) "spawned domains: one clamp note" 1
+    (List.length (jobs_notes (D.ctx ~options ())));
+  let pool = Arde.Domain_pool.create ~jobs:2 in
+  Fun.protect
+    ~finally:(fun () -> Arde.Domain_pool.shutdown pool)
+    (fun () ->
+      Alcotest.(check (list string)) "resident pool: no clamp note" []
+        (jobs_notes (D.ctx ~options ~pool ())))
+
 (* ------------------------------------------------------------------ *)
 (* The domain pool itself                                              *)
 
@@ -527,6 +550,8 @@ let suite =
       test_health_json_roundtrip;
     Alcotest.test_case "Options make/with_*" `Quick test_options_api;
     Alcotest.test_case "effective_jobs clamping" `Quick test_effective_jobs;
+    Alcotest.test_case "a resident pool records no clamp" `Quick
+      test_pool_run_records_no_clamp;
     Alcotest.test_case "domain pool preserves order" `Quick
       test_domain_pool_map;
     Alcotest.test_case "domain pool re-raises" `Quick

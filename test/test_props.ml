@@ -19,7 +19,7 @@ let run_hash ?instrument program seed =
       Arde.Machine.seed;
       fuel = 400_000;
       instrument;
-      observer = Arde.Trace.observer tr;
+      observer = Arde.Trace.push tr;
     }
   in
   let res = Arde.Machine.run_program cfg program in

@@ -216,8 +216,9 @@ let prop_events_roundtrip =
             { C.t_outcome = C.Finished; t_steps = 0; t_check_failures = [] };
         }
       in
-      match C.decode_events_list section with
-      | Ok events' -> events' = events
+      let buf = Arde.Trace.create () in
+      match C.decode_events section (Arde.Trace.push buf) with
+      | Ok () -> Arde.Trace.events buf = Array.of_list events
       | Error _ -> false)
 
 let prop_file_roundtrip =

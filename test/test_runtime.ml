@@ -375,7 +375,7 @@ let test_determinism_same_seed () =
   in
   let hash seed =
     let tr = Arde.Trace.create () in
-    ignore (run ~seed ~observer:(Arde.Trace.observer tr) p);
+    ignore (run ~seed ~observer:(Arde.Trace.push tr) p);
     Arde.Trace.hash tr
   in
   Alcotest.(check int) "seed 3 replays identically" (hash 3) (hash 3);
@@ -390,7 +390,7 @@ let test_round_robin_deterministic () =
   in
   let hash seed =
     let tr = Arde.Trace.create () in
-    ignore (run ~seed ~policy:(Arde.Sched.Round_robin 3) ~observer:(Arde.Trace.observer tr) p);
+    ignore (run ~seed ~policy:(Arde.Sched.Round_robin 3) ~observer:(Arde.Trace.push tr) p);
     Arde.Trace.hash tr
   in
   Alcotest.(check int) "round robin ignores the seed" (hash 1) (hash 99)
@@ -403,10 +403,10 @@ let test_spin_events_paired () =
   in
   let inst = Arde.analyze_spins ~k:7 p in
   let tr = Arde.Trace.create () in
-  let res = run ~instrument:inst ~observer:(Arde.Trace.observer tr) p in
+  let res = run ~instrument:inst ~observer:(Arde.Trace.push tr) p in
   finished res;
   let enters, exits, tagged =
-    List.fold_left
+    Array.fold_left
       (fun (en, ex, tg) ev ->
         match ev with
         | Arde.Event.Spin_enter _ -> (en + 1, ex, tg)

@@ -12,7 +12,7 @@ let run_traced ?(seed = 1) ~k p =
       Arde.Machine.default_config with
       Arde.Machine.seed;
       instrument = Some inst;
-      observer = Arde.Trace.observer tr;
+      observer = Arde.Trace.push tr;
     }
   in
   let res = Arde.Machine.run_program cfg p in
@@ -55,7 +55,7 @@ let test_callee_load_tagged () =
   Alcotest.(check bool) "finished" true
     (res.Arde.Machine.outcome = Arde.Machine.Finished);
   let tagged_in_chk =
-    List.exists
+    Array.exists
       (function
         | Arde.Event.Read { loc; spin = _ :: _; _ } -> loc.Arde.Types.lfunc = "chk"
         | _ -> false)
@@ -71,7 +71,7 @@ let test_small_window_no_contexts () =
     (List.length (Arde.Instrument.spins inst));
   Alcotest.(check bool) "no spin events" true
     (not
-       (List.exists
+       (Array.exists
           (function Arde.Event.Spin_enter _ -> true | _ -> false)
           events))
 
@@ -104,7 +104,7 @@ let exit_by_return_program =
 let test_exit_by_return_closes_context () =
   let _, events, _ = run_traced ~k:7 exit_by_return_program in
   let enters, exits =
-    List.fold_left
+    Array.fold_left
       (fun (en, ex) -> function
         | Arde.Event.Spin_enter _ -> (en + 1, ex)
         | Arde.Event.Spin_exit _ -> (en, ex + 1)
