@@ -1426,6 +1426,20 @@ let postmortem_cmd =
           1 on an unreadable bundle.")
     Term.(const run $ bundle_arg $ jobs_arg)
 
+(* Cmdliner reads the first positional after a group's name as a
+   subcommand name, so [arde trace racy_counter/2] would be refused as an
+   unknown command before reaching the default dump.  Move a workload
+   name in that position behind a [--], where the dump reads it; the
+   [info] subcommand (or a prefix of it) and options pass through. *)
+let route_trace_dump argv =
+  match Array.to_list argv with
+  | exe :: "trace" :: name :: rest
+    when name <> "--"
+         && (not (String.starts_with ~prefix:"-" name))
+         && not (String.starts_with ~prefix:name "info") ->
+      Array.of_list ((exe :: "trace" :: rest) @ [ "--"; name ])
+  | _ -> argv
+
 let () =
   (* Must run before cmdliner sees argv: an invocation carrying the
      worker marker is a serve worker process, not a CLI session. *)
@@ -1433,7 +1447,7 @@ let () =
   let doc = "ad-hoc synchronization identification for enhanced race detection" in
   let info = Cmd.info "arde" ~version:"1.0.0" ~doc in
   exit
-    (Cmd.eval
+    (Cmd.eval ~argv:(route_trace_dump Sys.argv)
        (Cmd.group info
           [
             list_cmd; show_cmd; spin_report_cmd; run_cmd; record_cmd;

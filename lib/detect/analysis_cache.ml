@@ -118,21 +118,7 @@ let compute_prepared ~digest ~style ~count_callees mode program =
         Some (instrument_keyed ~digest ~lowering ~count_callees ~k program)
     | None -> None
   in
-  let cv_mutexes =
-    List.sort_uniq String.compare
-      (List.concat_map
-         (fun (f : Arde_tir.Types.func) ->
-           List.concat_map
-             (fun (b : Arde_tir.Types.block) ->
-               List.filter_map
-                 (function
-                   | Arde_tir.Types.Cond_wait (_, m) ->
-                       Some m.Arde_tir.Types.base
-                   | _ -> None)
-                 b.Arde_tir.Types.ins)
-             f.Arde_tir.Types.blocks)
-         program.Arde_tir.Types.funcs)
-  in
+  let cv_mutexes = Engine.cv_mutexes_of program in
   let inferred_locks =
     if Config.infer_locks mode then
       Arde_cfg.Lock_infer.inferred_locks (Arde_cfg.Lock_infer.analyze program)

@@ -53,34 +53,43 @@ let finalize t =
     t.cvs []
 
 (* Static: a cond_wait outside every natural loop of its function cannot
-   re-check the predicate after waking. *)
+   re-check the predicate after waking.  Only a function holding a
+   cond_wait can yield a diagnostic, so only those pay for the CFG,
+   dominators and loops. *)
+let has_cond_wait f =
+  List.exists
+    (fun b -> List.exists (function Cond_wait _ -> true | _ -> false) b.ins)
+    f.blocks
+
 let static_check (p : program) =
   List.concat_map
     (fun f ->
-      let gr = Arde_cfg.Graph.of_func f in
-      let dom = Arde_cfg.Dominators.compute gr in
-      let loops = Arde_cfg.Loops.find gr dom in
-      let in_any_loop bi =
-        List.exists (fun l -> Arde_cfg.Loops.mem l bi) loops
-      in
-      List.concat
-        (List.mapi
-           (fun bi b ->
-             List.concat
-               (List.mapi
-                  (fun ii ins ->
-                    match ins with
-                    | Cond_wait _ when not (in_any_loop bi) ->
-                        [
-                          Unsafe_wait
-                            {
-                              wait_loc =
-                                { lfunc = f.fname; lblk = b.lbl; lidx = ii };
-                            };
-                        ]
-                    | _ -> [])
-                  b.ins))
-           f.blocks))
+      if not (has_cond_wait f) then []
+      else
+        let gr = Arde_cfg.Graph.of_func f in
+        let dom = Arde_cfg.Dominators.compute gr in
+        let loops = Arde_cfg.Loops.find gr dom in
+        let in_any_loop bi =
+          List.exists (fun l -> Arde_cfg.Loops.mem l bi) loops
+        in
+        List.concat
+          (List.mapi
+             (fun bi b ->
+               List.concat
+                 (List.mapi
+                    (fun ii ins ->
+                      match ins with
+                      | Cond_wait _ when not (in_any_loop bi) ->
+                          [
+                            Unsafe_wait
+                              {
+                                wait_loc =
+                                  { lfunc = f.fname; lblk = b.lbl; lidx = ii };
+                              };
+                          ]
+                      | _ -> [])
+                    b.ins))
+             f.blocks))
     p.funcs
 
 let pp_diagnostic ppf = function

@@ -1061,31 +1061,31 @@ let compare_on_trace ?(options = Options.default) ~k program modes =
            (lowered) program and cannot share a trace")
     modes;
   let instrument = Some (Arde_cfg.Instrument.analyze ~k program) in
-  let cv_mutexes =
-    List.sort_uniq String.compare
-      (List.concat_map
-         (fun f ->
-           List.concat_map
-             (fun b ->
-               List.filter_map
-                 (function
-                   | Cond_wait (_, m) -> Some m.base
-                   | _ -> None)
-                 b.ins)
-             f.blocks)
-         program.funcs)
-  in
+  let cv_mutexes = Engine.cv_mutexes_of program in
   let compiled = Machine.compile program in
-  let engines =
-    List.map
-      (fun mode ->
-        ( mode,
-          Report.create ~cap:max_int () ))
-      modes
+  let merged =
+    List.map (fun mode -> (mode, Report.create ~cap:max_int ())) modes
   in
+  (* Every mode's engine is teed onto the machine's observer, so each
+     seed runs once and its events reach the engines in order, without
+     being buffered. *)
   List.iter
     (fun seed ->
-      let trace = Trace.create () in
+      let engines =
+        List.map
+          (fun mode ->
+            let detector_cfg =
+              Config.make ~sensitivity:options.Options.sensitivity
+                ~cap:options.Options.cap mode
+            in
+            (* Spin-less engines must not see the loop metadata, or they
+               would suppress marked bases like the spin-aware ones. *)
+            let mode_instrument =
+              if Config.spin_k mode <> None then instrument else None
+            in
+            Engine.create ~cv_mutexes detector_cfg ~instrument:mode_instrument)
+          modes
+      in
       let mcfg =
         {
           Machine.policy = options.Options.policy;
@@ -1093,27 +1093,15 @@ let compare_on_trace ?(options = Options.default) ~k program modes =
           fuel = options.Options.fuel;
           instrument;
           spurious_wakeups = options.Options.spurious_wakeups;
-          observer = Trace.push trace;
+          observer =
+            List.fold_left
+              (fun obs e -> Observer.tee obs (Engine.observer e))
+              Observer.none engines;
         }
       in
       ignore (Machine.run mcfg compiled);
-      let events = Trace.events trace in
-      List.iter
-        (fun (mode, merged) ->
-          let detector_cfg =
-            Config.make ~sensitivity:options.Options.sensitivity
-              ~cap:options.Options.cap mode
-          in
-          (* Spin-less engines must not see the loop metadata, or they
-             would suppress marked bases like the spin-aware ones. *)
-          let mode_instrument =
-            if Config.spin_k mode <> None then instrument else None
-          in
-          let engine =
-            Engine.create ~cv_mutexes detector_cfg ~instrument:mode_instrument
-          in
-          Array.iter (Engine.observer engine) events;
-          Report.merge_into merged (Engine.report engine))
-        engines)
+      List.iter2
+        (fun (_, into) e -> Report.merge_into into (Engine.report e))
+        merged engines)
     options.Options.seeds;
-  engines
+  merged

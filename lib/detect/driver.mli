@@ -27,9 +27,8 @@
 
     Events that must be held in memory go into one kind of buffer,
     {!Arde_runtime.Trace}: a predicting seed pushes its live events
-    there, a recorded section decodes into one before prediction, and
-    {!compare_on_trace} replays one recorded run into every mode's
-    engine from it. *)
+    there, and a recorded section decodes into one before
+    prediction. *)
 
 open Arde_tir.Types
 
@@ -315,9 +314,10 @@ val compare_on_trace :
   program ->
   Config.mode list ->
   (Config.mode * Report.t) list
-(** Record one event trace per seed (with spin instrumentation active) and
-    replay the {e identical} trace through an engine per mode, isolating
-    the algorithmic differences between detectors from schedule variance.
+(** Run each seed once (with spin instrumentation active) and feed its
+    {e identical} event stream to an engine per mode, teed onto the
+    machine's observer, isolating the algorithmic differences between
+    detectors from schedule variance.
     Modes that require lowering run a different program and are rejected.
 
     @raise Invalid_argument on a [needs_lowering] mode. *)

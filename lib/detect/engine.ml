@@ -65,6 +65,18 @@ type t = {
 
 let spin_active_cfg cfg = Config.spin_k cfg.Config.mode <> None
 
+let cv_mutexes_of (p : program) =
+  List.sort_uniq String.compare
+    (List.concat_map
+       (fun f ->
+         List.concat_map
+           (fun b ->
+             List.filter_map
+               (function Cond_wait (_, m) -> Some m.base | _ -> None)
+               b.ins)
+           f.blocks)
+       p.funcs)
+
 let create ?(cv_mutexes = []) ?(inferred_locks = []) ?(threads = max_threads)
     cfg ~instrument =
   let cvm = Hashtbl.create 4 in

@@ -18,6 +18,10 @@
 
 type t
 
+val cv_mutexes_of : Arde_tir.Types.program -> string list
+(** The [cv_mutexes] argument of {!create} for a program: the mutex bases
+    its [cond_wait]s name, sorted and deduplicated. *)
+
 val create :
   ?cv_mutexes:string list ->
   ?inferred_locks:string list ->

@@ -67,7 +67,7 @@ let row ~gate ~workload mode bound rs =
   {
     gate;
     workload;
-    mode = Config.mode_name mode;
+    mode;
     ratio;
     bound;
     pairs = n;
@@ -106,18 +106,6 @@ let prep (info, program) mode =
    physically intact, which is what arms the machine's quiet fast path. *)
 let quiet_config instrument =
   { Machine.default_config with Machine.seed = 1; fuel; instrument }
-
-let cv_mutexes_of program =
-  List.sort_uniq String.compare
-    (List.concat_map
-       (fun f ->
-         List.concat_map
-           (fun b ->
-             List.filter_map
-               (function Cond_wait (_, m) -> Some m.base | _ -> None)
-               b.ins)
-           f.blocks)
-       program.funcs)
 
 (* ------------------------------------------------------------------ *)
 (* Synthetic high-thread-count streams.  Two shapes, matching where the
@@ -258,7 +246,8 @@ let engine_gate ~workload mode ~threads ~cv_mutexes ~instrument events bound =
       (Arde.Engine_ref.observer
          (Arde.Engine_ref.create ~cv_mutexes ~threads cfg ~instrument))
   in
-  row ~gate:"engine speedup" ~workload mode bound (ratios ~num:ref_ ~den:opt)
+  row ~gate:"engine speedup" ~workload (Config.mode_name mode) bound
+    (ratios ~num:ref_ ~den:opt)
 
 let engine_parsec name mode bound () =
   let program, instrument = prep (parsec name) mode in
@@ -268,7 +257,7 @@ let engine_parsec name mode bound () =
        { (quiet_config instrument) with Machine.observer = Arde.Trace.push trace }
        (Machine.compile program));
   engine_gate ~workload:name mode ~threads:max_threads
-    ~cv_mutexes:(cv_mutexes_of program) ~instrument
+    ~cv_mutexes:(Arde.Engine.cv_mutexes_of program) ~instrument
     (Arde.Trace.events trace)
     bound
 
@@ -284,10 +273,60 @@ let machine_speedup name mode bound () =
   let cfg = quiet_config instrument in
   let copt = Machine.compile program in
   let cref = Arde.Machine_ref.compile program in
-  row ~gate:"machine speedup" ~workload:name mode bound
+  row ~gate:"machine speedup" ~workload:name (Config.mode_name mode) bound
     (ratios
        ~num:(fun () -> Arde.Machine_ref.run cfg cref)
        ~den:(fun () -> Machine.run cfg copt))
+
+(* [threads] threads each bump their own cell [iters] times in a
+   register-counted loop; main spawns the workers, runs the loop too and
+   joins them.  No synchronization beyond spawn and join, so nearly every
+   step is a straight-line instruction of a runnable thread. *)
+let threaded_loop ~threads ~iters =
+  let open Arde.Builder in
+  let cell = gi "cell" (r "me") in
+  let loop ~me ~last =
+    (blk "init" (mov "i" (imm 0) :: me) (goto "hot_head")
+    :: counted_loop ~tag:"hot" ~counter:"i" ~limit:(imm iters)
+         ~body:[ load "v" cell; addi "v" (r "v") (imm 1); store cell (r "v") ]
+         ~next:"out")
+    @ [ last ]
+  in
+  let worker k = Printf.sprintf "t%d" k in
+  program
+    ~globals:[ global "cell" ~size:threads () ]
+    ~entry:"main"
+    [
+      func "main"
+        (blk "spawn"
+           (List.init (threads - 1) (fun k -> spawn (worker k) "w" [ imm (k + 1) ]))
+           (goto "init")
+        :: loop ~me:[ mov "me" (imm 0) ]
+             ~last:
+               (blk "out"
+                  (List.init (threads - 1) (fun k -> join (r (worker k))))
+                  exit_t));
+      func "w" ~params:[ "me" ] (loop ~me:[] ~last:(blk "out" [] ret0));
+    ]
+
+(* The scheduler's share of a step must not grow with the thread count:
+   the same 600k loop iterations split over 32 threads and over 2, under
+   the default policy and seed, priced per step. *)
+let thread_scaling ~many ~few bound () =
+  let run threads =
+    let compiled =
+      Machine.compile (threaded_loop ~threads ~iters:(600_000 / threads))
+    in
+    let cfg = { Machine.default_config with Machine.fuel = max_int } in
+    let steps = (Machine.run cfg compiled).Machine.steps in
+    ((fun () -> Machine.run cfg compiled), float_of_int steps)
+  in
+  let num, num_steps = run many and den, den_steps = run few in
+  row ~gate:"machine thread scaling"
+    ~workload:(Printf.sprintf "loop %d/%d threads" many few)
+    ("quiet " ^ Arde.Sched.policy_name Machine.default_config.Machine.policy)
+    bound
+    (List.map (fun r -> r *. den_steps /. num_steps) (ratios ~num ~den))
 
 (* The "cheap enough to leave recording on" claim is priced on a
    compute-bound workload, whose event density reflects real programs; a
@@ -304,7 +343,7 @@ let record_overhead name mode bound () =
       { cfg with Machine.observer = Arde.Trace_codec.sink_observer sink }
       compiled
   in
-  row ~gate:"record overhead" ~workload:name mode bound
+  row ~gate:"record overhead" ~workload:name (Config.mode_name mode) bound
     (ratios ~num:record ~den:(fun () -> Machine.run cfg compiled))
 
 (* "Two executions instead of sixteen", priced where it costs the most:
@@ -334,7 +373,7 @@ let predict_cost name mode bound () =
       ~options:(Arde.Options.with_analysis Arde.Options.Predict options)
       ()
   in
-  row ~gate:"predict cost" ~workload:name mode bound
+  row ~gate:"predict cost" ~workload:name (Config.mode_name mode) bound
     (ratios
        ~num:(fun () -> Arde.detect ~ctx:pctx (Arde.Input.Recorded_trace recorded))
        ~den:(fun () -> Arde.detect ~ctx:(Driver.ctx ~options ()) ~mode input))
@@ -350,6 +389,7 @@ let run () =
       engine_synthetic "join-128" 1.0;
       engine_synthetic "join-512" 2.0;
       machine_speedup "streamcluster" central (At_least 1.0);
+      thread_scaling ~many:32 ~few:2 (At_most 1.5);
       record_overhead "swaptions" central (At_most 1.1);
       predict_cost "swaptions" central (At_most 0.25);
     ]

@@ -12,6 +12,9 @@
       join-128 streams, at least 2.0× on join-512;
     - machine speedup: {!Arde.Machine_ref} time / {!Arde.Machine} time,
       quiet, at least 1.0× on streamcluster under nolib+spin(7);
+    - machine thread scaling: quiet {!Arde.Machine} time per step on
+      {!threaded_loop} at 32 threads / at 2 threads, same loop
+      iterations, policy and seed, at most 1.5×;
     - record overhead: machine time with a {!Arde.Trace_codec} sink /
       quiet machine time, at most 1.1× on swaptions under nolib+spin(7);
     - predict cost: predicting from one recorded seed / the 16-seed live
@@ -47,6 +50,13 @@ val render : row list -> string
 (** Human-readable table of the same rows. *)
 
 (** {1 Shared measurement helpers} *)
+
+val threaded_loop : threads:int -> iters:int -> Arde.Types.program
+(** [threads] threads (main and [threads - 1] spawned workers) each run
+    a register-counted loop of [iters] load–add–store iterations on
+    their own cell; main then joins the workers.  Nearly every step is a
+    straight-line instruction of a runnable thread, so the program prices
+    the scheduler's share of a step. *)
 
 val median : float list -> float
 (** Upper median (element [n/2] of the sorted list). *)

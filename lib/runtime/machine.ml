@@ -20,9 +20,13 @@
    The payoff is a steady-state step that allocates nothing: no
    per-access string hashing, no tuple keys, no [option] or list churn —
    and when the observer is the default discarding one, no event
-   construction either.  [machine_bench] asserts the zero-allocation
-   property with [Gc] counters and gates the speedup against the frozen
-   reference. *)
+   construction either.  Scheduling is O(1) in the thread count: the
+   runnable buffer is rebuilt only after a status change or a spawn, and
+   {!Sched.pick} continues a burst without scanning it.  The
+   [machine-diff] tests assert the zero-allocation property with [Gc]
+   counters at 1 and 16 threads; [bench gates] times this machine
+   against the frozen reference and its 32-thread step against its
+   2-thread step. *)
 
 open Arde_tir.Types
 module Instrument = Arde_cfg.Instrument
@@ -436,7 +440,10 @@ type machine = {
       (* (base, idx) -> cv cell, inserted on first touch.  Exists solely so
          [inject_spurious_wakeup] scans waiters in the exact iteration
          order of the reference machine's name-keyed table. *)
-  runnable : int array; (* reusable scheduler buffer *)
+  runnable : int array; (* ascending runnable tids, kept between steps *)
+  mutable n_runnable : int;
+  mutable stale : bool;
+      (* a status changed or a thread was spawned since the last rebuild *)
   ic : icache option;
   mutable serial : int; (* spin-context serial counter *)
   mutable checks : (loc * string) list;
@@ -448,6 +455,12 @@ type machine = {
 
 let runtime_exit_loc tid = { lfunc = "<runtime>"; lblk = "thread-exit"; lidx = tid }
 let emit m ev = m.cfg.observer ev
+
+(* Every status change goes through here, so the runnable buffer is
+   rebuilt only after a transition, not on every step. *)
+let set_status m t s =
+  t.status <- s;
+  m.stale <- true
 
 let thread m tid =
   match m.threads.(tid) with Some t -> t | None -> internal "dead thread id"
@@ -682,7 +695,7 @@ let wake_joiners m target =
       | Some w -> (
           match w.status with
           | Blocked_join tg when tg = target ->
-              w.status <- Runnable;
+              set_status m w Runnable;
               if not m.quiet then
                 emit m (Event.Join_return { tid = w.tid; target; loc = cur_loc w });
               advance w
@@ -691,7 +704,7 @@ let wake_joiners m target =
     m.threads
 
 let thread_exit m t =
-  t.status <- Done;
+  set_status m t Done;
   spin_unwind m t 0;
   t.frames <- [];
   (* The kernel-visible "thread is gone" store: the cell lowered joins
@@ -738,7 +751,7 @@ let grant_mutex m cell w aw_cell =
            loc = cur_loc w;
          })
   end;
-  w.status <- Runnable;
+  set_status m w Runnable;
   advance w
 
 let release_mutex m t cell =
@@ -774,7 +787,7 @@ let wake_cv_waiter m c_cell =
     let mu = mutex_at m m_cell in
     if mu.owner < 0 then grant_mutex m m_cell w c_cell
     else begin
-      w.status <- Blocked_lock (m_cell, c_cell);
+      set_status m w (Blocked_lock (m_cell, c_cell));
       Queue.push wt mu.mwaiters
     end;
     true
@@ -974,6 +987,7 @@ let exec_instr m t (f : frame) i =
         { tid = child_tid; frames = [ nf ]; status = Runnable; spins = [] }
       in
       m.threads.(child_tid) <- Some child;
+      m.stale <- true;
       spin_transition m child nf 0;
       set_slot f d child_tid;
       if not m.quiet then begin
@@ -991,7 +1005,7 @@ let exec_instr m t (f : frame) i =
             if not m.quiet then
               emit m (Event.Join_return { tid; target; loc = iloc f });
             f.fpc <- f.fpc + 1
-        | Some _ -> t.status <- Blocked_join target
+        | Some _ -> set_status m t (Blocked_join target)
         | None -> fault t "join of never-spawned thread")
   | CLock a ->
       let idx = resolve_idx m t f a in
@@ -1007,7 +1021,7 @@ let exec_instr m t (f : frame) i =
         fault t (Printf.sprintf "recursive lock of %s[%d]" a.ca_base idx)
       else begin
         Queue.push tid mu.mwaiters;
-        t.status <- Blocked_lock (cell, -1)
+        set_status m t (Blocked_lock (cell, -1))
       end
   | CUnlock a ->
       let idx = resolve_idx m t f a in
@@ -1024,7 +1038,7 @@ let exec_instr m t (f : frame) i =
           (Event.Cv_wait_begin { tid; base = cva.ca_base; idx = c_idx; loc = iloc f });
       release_mutex m t m_cell;
       Queue.push (tid, m_cell) (cv_at m c_cell).cwaiters;
-      t.status <- Blocked_cv (c_cell, m_cell)
+      set_status m t (Blocked_cv (c_cell, m_cell))
   | CCond_signal a ->
       let idx = resolve_idx m t f a in
       let cell = cell_of m a idx in
@@ -1100,13 +1114,13 @@ let exec_instr m t (f : frame) i =
                        loc = cur_loc w;
                      });
               if wt <> tid then begin
-                w.status <- Runnable;
+                set_status m w Runnable;
                 advance w
               end
             done;
             f.fpc <- f.fpc + 1
           end
-          else t.status <- Blocked_barrier cell)
+          else set_status m t (Blocked_barrier cell))
   | CSem_init (a, n) ->
       let idx = resolve_idx m t f a in
       let v = ceval t f n in
@@ -1124,7 +1138,7 @@ let exec_instr m t (f : frame) i =
         let w = thread m wt in
         if not m.quiet then
           emit m (Event.Sem_acquire { tid = wt; base = a.ca_base; idx; loc = cur_loc w });
-        w.status <- Runnable;
+        set_status m w Runnable;
         advance w
       end;
       f.fpc <- f.fpc + 1
@@ -1140,7 +1154,7 @@ let exec_instr m t (f : frame) i =
       end
       else begin
         Queue.push tid s.swaiters;
-        t.status <- Blocked_sem cell
+        set_status m t (Blocked_sem cell)
       end
 
 let goto_block m t (f : frame) i =
@@ -1230,8 +1244,9 @@ let livelock_sites m =
 let exhaustion_outcome m =
   match livelock_sites m with [] -> Fuel_exhausted | sites -> Livelock sites
 
-(* Refill the reusable runnable buffer (ascending tids); returns the live
-   count.  Runs once per step, hence the closure-free top-level shape. *)
+(* Refill the runnable buffer (ascending tids); returns the live count.
+   Runs after each status change, hence the closure-free top-level
+   shape. *)
 let rec fill_runnable threads buf n i k =
   if i >= n then k
   else
@@ -1269,6 +1284,8 @@ let run cfg cpl =
       sems = Array.make sync_cells None;
       cvs_named = Hashtbl.create 8;
       runnable = Array.make max_threads 0;
+      n_runnable = 0;
+      stale = true;
       ic =
         (match cfg.instrument with
         | None -> None
@@ -1312,17 +1329,24 @@ let run cfg cpl =
     in
     go (m.n_threads - 1) []
   in
-  (* Tail-recursive driver with no per-step [ref] or list: one buffer
-     refill, one scheduler pick, one step. *)
+  (* Tail-recursive driver with no per-step [ref] or list: a buffer
+     rebuild only after a transition, one scheduler pick, one step.  The
+     buffer stays ascending, so every pick sees the candidates (and makes
+     the PRNG draws) that a per-step rebuild would. *)
   let rec drive () =
-    let n = fill_runnable m.threads buf m.n_threads 0 0 in
+    if m.stale then begin
+      m.n_runnable <- fill_runnable m.threads buf m.n_threads 0 0;
+      m.stale <- false
+    end;
+    let n = m.n_runnable in
     if n = 0 then
       match blocked_list () with [] -> Finished | blocked -> Deadlock blocked
     else if m.steps >= cfg.fuel then exhaustion_outcome m
     else begin
       m.steps <- m.steps + 1;
       (* the injection may wake a thread, but — like the reference — this
-         step's pick is over the pre-injection runnable set *)
+         step's pick is over the pre-injection runnable set: the buffer is
+         only marked stale, and rebuilt at the top of the next step *)
       if cfg.spurious_wakeups && Arde_util.Prng.int m.rng 256 = 0 then
         inject_spurious_wakeup m;
       let tid = Sched.pick m.sched ~runnable:buf ~n in

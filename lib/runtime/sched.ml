@@ -4,66 +4,84 @@ type t = {
   policy : policy;
   rng : Arde_util.Prng.t;
   mutable current : int;
+  mutable slot : int;
+      (* where [current] was last seen in the runnable buffer: a hint,
+         always checked against the buffer before it is trusted *)
   mutable burst : int; (* remaining instructions before a forced re-pick *)
 }
 
 let create policy ~seed =
-  { policy; rng = Arde_util.Prng.create seed; current = -1; burst = 0 }
+  { policy; rng = Arde_util.Prng.create seed; current = -1; slot = 0; burst = 0 }
 
 let force_switch t = t.burst <- 0
 
 let fresh_burst t mean = 1 + Arde_util.Prng.int t.rng (2 * mean)
 
-(* The machine refills one [runnable] buffer per step and passes it here
-   with its live length; nothing below allocates, and the PRNG draw
-   sequence is identical to the historical list-based implementation
-   (single-candidate steps never draw; [Uniform] draws once per step;
-   [Chunked] draws a pick and a burst length only when the burst expires
-   or the current thread blocked). *)
+(* The machine keeps one [runnable] buffer and passes it here with its
+   live length; nothing below allocates, and the PRNG draw sequence is
+   identical to the historical list-based implementation (single-candidate
+   steps never draw; [Uniform] draws once per step; [Chunked] draws a pick
+   and a burst length only when the burst expires or the current thread
+   blocked). *)
 
-(* Both helpers recurse at top level rather than through an inner
+(* Both scans recurse at top level rather than through an inner
    [let rec]: an inner recursive closure is heap-allocated per call on the
-   non-flambda compiler, and these run once per multi-candidate step. *)
-let rec mem buf n x i =
-  i < n && (Array.unsafe_get buf i = x || mem buf n x (i + 1))
+   non-flambda compiler.  Typed [int array] so [=] and [>] compile to
+   machine compares, not [caml_equal] calls. *)
+let rec index_of (buf : int array) n x i =
+  if i >= n then -1
+  else if Array.unsafe_get buf i = x then i
+  else index_of buf n x (i + 1)
 
-(* First element greater than [cur], else the first element — [runnable]
-   is ascending. *)
-let rec next_after buf n cur i =
-  if i >= n then buf.(0)
-  else if Array.unsafe_get buf i > cur then Array.unsafe_get buf i
-  else next_after buf n cur (i + 1)
+(* Index of the first element greater than [cur], else 0 — [runnable] is
+   ascending. *)
+let rec index_after (buf : int array) n cur i =
+  if i >= n then 0
+  else if Array.unsafe_get buf i > cur then i
+  else index_after buf n cur (i + 1)
 
-let pick t ~runnable ~n =
-  if n <= 0 then invalid_arg "Sched.pick: no runnable thread"
-  else if n = 1 then begin
-    t.current <- runnable.(0);
-    t.current
+(* Is [current] among the first [n] entries?  O(1) while the buffer still
+   holds it at [slot] — every step until the machine rebuilds the buffer
+   — else one scan that re-learns the slot. *)
+let current_runnable t (buf : int array) n =
+  if t.slot < n && Array.unsafe_get buf t.slot = t.current then true
+  else begin
+    let i = index_of buf n t.current 0 in
+    if i >= 0 then t.slot <- i;
+    i >= 0
   end
+
+let choose t (buf : int array) i =
+  t.slot <- i;
+  t.current <- Array.unsafe_get buf i;
+  t.current
+
+let pick t ~(runnable : int array) ~n =
+  if n <= 0 then invalid_arg "Sched.pick: no runnable thread"
+  else if n > Array.length runnable then
+    invalid_arg "Sched.pick: n exceeds the buffer"
+  else if n = 1 then choose t runnable 0
   else
     match t.policy with
     | Round_robin quantum ->
-        if t.burst > 0 && mem runnable n t.current 0 then begin
+        if t.burst > 0 && current_runnable t runnable n then begin
           t.burst <- t.burst - 1;
           t.current
         end
         else begin
-          t.current <- next_after runnable n t.current 0;
           t.burst <- quantum - 1;
-          t.current
+          choose t runnable (index_after runnable n t.current 0)
         end
-    | Uniform ->
-        t.current <- runnable.(Arde_util.Prng.int t.rng n);
-        t.current
+    | Uniform -> choose t runnable (Arde_util.Prng.int t.rng n)
     | Chunked mean ->
-        if t.burst > 0 && mem runnable n t.current 0 then begin
+        if t.burst > 0 && current_runnable t runnable n then begin
           t.burst <- t.burst - 1;
           t.current
         end
         else begin
-          t.current <- runnable.(Arde_util.Prng.int t.rng n);
+          let cur = choose t runnable (Arde_util.Prng.int t.rng n) in
           t.burst <- fresh_burst t mean;
-          t.current
+          cur
         end
 
 let policy_name = function

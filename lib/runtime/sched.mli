@@ -23,7 +23,9 @@ val pick : t -> runnable:int array -> n:int -> int
     (ascending, [n] ≥ 1).  The buffer is caller-owned and reused across
     steps — [pick] never allocates, and for a given policy + seed the
     choice (and the PRNG draw sequence) depends only on the successive
-    runnable sets, not on how they are stored. *)
+    runnable sets, not on how they are stored.  Continuing the current
+    burst is O(1) while the current thread sits where it was last seen
+    in the buffer; otherwise one scan finds it again. *)
 
 val force_switch : t -> unit
 (** A [Yield] hint: end the current burst so another thread gets picked. *)

@@ -4,130 +4,144 @@ type error = { where : string; what : string }
 
 let error_to_string e = Printf.sprintf "%s: %s" e.where e.what
 
-module SS = Set.Make (String)
+(* The checks run on every compile, so they walk the program with
+   iterators over string-keyed hash tables and build no per-instruction
+   list.  Each iterator visits in the order the error list reports. *)
 
-let operand_regs = function Imm _ -> [] | Reg x -> [ x ]
-let addr_regs a = operand_regs a.index
+module H = Hashtbl.Make (struct
+  type t = string
 
-(* Registers read / written by one instruction. *)
-let instr_uses = function
-  | Mov (_, o) -> operand_regs o
-  | Binop (_, _, a, b) | Cmp (_, _, a, b) -> operand_regs a @ operand_regs b
-  | Load (_, a) -> addr_regs a
-  | Store (a, v) -> addr_regs a @ operand_regs v
-  | Cas (_, a, e, n) -> addr_regs a @ operand_regs e @ operand_regs n
-  | Rmw (_, _, a, v) -> addr_regs a @ operand_regs v
-  | Call (_, _, args) -> List.concat_map operand_regs args
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+let operand_iter f = function Imm _ -> () | Reg x -> f x
+let addr_iter f a = operand_iter f a.index
+
+(* Registers read by one instruction. *)
+let iter_uses f = function
+  | Mov (_, o) | Join o | Check (o, _) -> operand_iter f o
+  | Binop (_, _, a, b) | Cmp (_, _, a, b) ->
+      operand_iter f a;
+      operand_iter f b
+  | Load (_, a)
+  | Lock a
+  | Unlock a
+  | Cond_signal a
+  | Cond_broadcast a
+  | Barrier_wait a
+  | Sem_post a
+  | Sem_wait a ->
+      addr_iter f a
+  | Store (a, v) | Rmw (_, _, a, v) | Barrier_init (a, v) | Sem_init (a, v) ->
+      addr_iter f a;
+      operand_iter f v
+  | Cas (_, a, e, n) ->
+      addr_iter f a;
+      operand_iter f e;
+      operand_iter f n
+  | Call (_, _, args) | Spawn (_, _, args) -> List.iter (operand_iter f) args
   | Call_indirect (_, t, args) ->
-      operand_regs t @ List.concat_map operand_regs args
-  | Spawn (_, _, args) -> List.concat_map operand_regs args
-  | Join t -> operand_regs t
-  | Lock a | Unlock a | Cond_signal a | Cond_broadcast a -> addr_regs a
-  | Cond_wait (a, b) -> addr_regs a @ addr_regs b
-  | Barrier_init (a, n) | Sem_init (a, n) -> addr_regs a @ operand_regs n
-  | Barrier_wait a | Sem_post a | Sem_wait a -> addr_regs a
-  | Check (v, _) -> operand_regs v
-  | Fence | Yield | Nop -> []
+      operand_iter f t;
+      List.iter (operand_iter f) args
+  | Cond_wait (a, b) ->
+      addr_iter f a;
+      addr_iter f b
+  | Fence | Yield | Nop -> ()
 
-let instr_defs = function
+(* The register one instruction writes, if any. *)
+let iter_def f = function
   | Mov (d, _)
   | Binop (d, _, _, _)
   | Cmp (d, _, _, _)
   | Load (d, _)
   | Cas (d, _, _, _)
   | Rmw (d, _, _, _)
-  | Spawn (d, _, _) ->
-      [ d ]
-  | Call (Some d, _, _) | Call_indirect (Some d, _, _) -> [ d ]
-  | Call (None, _, _) | Call_indirect (None, _, _) -> []
-  | Store _ | Join _ | Lock _ | Unlock _ | Cond_wait _ | Cond_signal _
-  | Cond_broadcast _ | Barrier_init _ | Barrier_wait _ | Sem_init _
-  | Sem_post _ | Sem_wait _ | Fence | Yield | Check _ | Nop ->
-      []
+  | Spawn (d, _, _)
+  | Call (Some d, _, _)
+  | Call_indirect (Some d, _, _) ->
+      f d
+  | Call (None, _, _) | Call_indirect (None, _, _) | Store _ | Join _ | Lock _
+  | Unlock _ | Cond_wait _ | Cond_signal _ | Cond_broadcast _ | Barrier_init _
+  | Barrier_wait _ | Sem_init _ | Sem_post _ | Sem_wait _ | Fence | Yield
+  | Check _ | Nop ->
+      ()
 
-let instr_globals = function
-  | Load (_, a) | Store (a, _) | Cas (_, a, _, _) | Rmw (_, _, a, _)
-  | Lock a | Unlock a | Cond_signal a | Cond_broadcast a | Barrier_wait a
-  | Sem_post a | Sem_wait a ->
-      [ a.base ]
-  | Cond_wait (a, b) -> [ a.base; b.base ]
-  | Barrier_init (a, _) | Sem_init (a, _) -> [ a.base ]
-  | Mov _ | Binop _ | Cmp _ | Fence | Call _ | Call_indirect _ | Spawn _
-  | Join _ | Yield | Check _ | Nop ->
-      []
+(* Global bases one instruction addresses. *)
+let iter_globals f = function
+  | Load (_, a)
+  | Store (a, _)
+  | Cas (_, a, _, _)
+  | Rmw (_, _, a, _)
+  | Lock a
+  | Unlock a
+  | Cond_signal a
+  | Cond_broadcast a
+  | Barrier_wait a
+  | Sem_post a
+  | Sem_wait a
+  | Barrier_init (a, _)
+  | Sem_init (a, _) ->
+      f a.base
+  | Cond_wait (a, b) ->
+      f a.base;
+      f b.base
+  | Mov _ | Binop _ | Cmp _ | Fence | Call _ | Call_indirect _ | Spawn _ | Join _
+  | Yield | Check _ | Nop ->
+      ()
 
-let instr_calls = function
-  | Call (_, f, args) | Spawn (_, f, args) -> [ (f, List.length args) ]
-  | _ -> []
+let term_uses f = function
+  | Br (v, _, _) | Ret (Some v) -> operand_iter f v
+  | Ret None | Goto _ | Exit -> ()
 
-let term_uses = function
-  | Br (v, _, _) -> operand_regs v
-  | Ret (Some v) -> operand_regs v
-  | Ret None | Goto _ | Exit -> []
-
-let check_func prog errs f =
-  let here what = errs := { where = "func " ^ f.fname; what } :: !errs in
+(* [globals]: declared global names; [arity]: function name -> parameter
+   count, the last declaration winning for a duplicate name. *)
+let check_func ~globals ~arity here f =
   if f.blocks = [] then here "has no blocks";
-  let labels = List.map (fun b -> b.lbl) f.blocks in
-  let label_set =
-    List.fold_left
-      (fun acc l ->
-        if SS.mem l acc then (
-          here (Printf.sprintf "duplicate label %S" l);
-          acc)
-        else SS.add l acc)
-      SS.empty labels
-  in
+  let labels = H.create 16 in
+  List.iter
+    (fun b ->
+      if H.mem labels b.lbl then here (Printf.sprintf "duplicate label %S" b.lbl)
+      else H.replace labels b.lbl ())
+    f.blocks;
   let target l =
-    if not (SS.mem l label_set) then
+    if not (H.mem labels l) then
       here (Printf.sprintf "branch to unknown label %S" l)
   in
-  let globals =
-    List.fold_left (fun acc gl -> SS.add gl.gname acc) SS.empty prog.globals
-  in
-  let funcs =
-    List.fold_left
-      (fun acc fn -> (fn.fname, List.length fn.params) :: acc)
-      [] prog.funcs
-  in
+  (* sized up front: growing a table of a few thousand registers costs
+     more than filling it *)
   let defined =
-    List.fold_left
-      (fun acc b ->
-        List.fold_left
-          (fun acc i -> List.fold_left (fun a d -> SS.add d a) acc (instr_defs i))
-          acc b.ins)
-      (SS.of_list f.params) f.blocks
+    H.create (List.fold_left (fun n b -> n + List.length b.ins) 16 f.blocks)
+  in
+  let define r = H.replace defined r () in
+  List.iter define f.params;
+  List.iter (fun b -> List.iter (iter_def define) b.ins) f.blocks;
+  let use u =
+    if not (H.mem defined u) then
+      here (Printf.sprintf "register %S read but never assigned" u)
+  in
+  let global gl =
+    if not (H.mem globals gl) then here (Printf.sprintf "undeclared global %S" gl)
+  in
+  let call callee args =
+    match H.find_opt arity callee with
+    | None -> here (Printf.sprintf "call to unknown function %S" callee)
+    | Some n ->
+        let k = List.length args in
+        if n <> k then
+          here (Printf.sprintf "call to %S with %d args, expected %d" callee k n)
   in
   let check_instr i =
-    List.iter
-      (fun u ->
-        if not (SS.mem u defined) then
-          here (Printf.sprintf "register %S read but never assigned" u))
-      (instr_uses i);
-    List.iter
-      (fun gl ->
-        if not (SS.mem gl globals) then
-          here (Printf.sprintf "undeclared global %S" gl))
-      (instr_globals i);
-    List.iter
-      (fun (callee, arity) ->
-        match List.assoc_opt callee funcs with
-        | None -> here (Printf.sprintf "call to unknown function %S" callee)
-        | Some n ->
-            if n <> arity then
-              here
-                (Printf.sprintf "call to %S with %d args, expected %d" callee
-                   arity n))
-      (instr_calls i)
+    iter_uses use i;
+    iter_globals global i;
+    match i with
+    | Call (_, callee, args) | Spawn (_, callee, args) -> call callee args
+    | _ -> ()
   in
   List.iter
     (fun b ->
       List.iter check_instr b.ins;
-      List.iter
-        (fun u ->
-          if not (SS.mem u defined) then
-            here (Printf.sprintf "register %S read but never assigned" u))
-        (term_uses b.term);
+      term_uses use b.term;
       match b.term with
       | Goto l -> target l
       | Br (_, a, c) ->
@@ -138,32 +152,35 @@ let check_func prog errs f =
 
 let check prog =
   let errs = ref [] in
-  let top what = errs := { where = "program"; what } :: !errs in
+  let report where what = errs := { where; what } :: !errs in
+  let top = report "program" in
   (match List.find_opt (fun f -> f.fname = prog.entry) prog.funcs with
   | None -> top (Printf.sprintf "entry function %S not found" prog.entry)
   | Some f ->
       if f.params <> [] then
-        top (Printf.sprintf "entry function %S must take no parameters"
-               prog.entry));
-  let names = List.map (fun f -> f.fname) prog.funcs in
-  let rec dups seen = function
-    | [] -> ()
-    | n :: rest ->
-        if SS.mem n seen then top (Printf.sprintf "duplicate function %S" n);
-        dups (SS.add n seen) rest
-  in
-  dups SS.empty names;
+        top (Printf.sprintf "entry function %S must take no parameters" prog.entry));
+  let arity = H.create 16 in
+  List.iter
+    (fun f ->
+      if H.mem arity f.fname then
+        top (Printf.sprintf "duplicate function %S" f.fname);
+      H.replace arity f.fname (List.length f.params))
+    prog.funcs;
   List.iter
     (fun tf ->
-      if not (List.mem tf names) then
+      if not (H.mem arity tf) then
         top (Printf.sprintf "func_table entry %S not found" tf))
     prog.func_table;
+  let globals = H.create 16 in
   List.iter
     (fun gl ->
+      H.replace globals gl.gname ();
       if gl.size <= 0 then
         top (Printf.sprintf "global %S has non-positive size" gl.gname))
     prog.globals;
-  List.iter (check_func prog errs) prog.funcs;
+  List.iter
+    (fun f -> check_func ~globals ~arity (report ("func " ^ f.fname)) f)
+    prog.funcs;
   match !errs with [] -> Ok () | es -> Error (List.rev es)
 
 let check_exn prog =

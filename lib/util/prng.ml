@@ -1,15 +1,22 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in an 8-byte buffer: a
+   [mutable state : int64] field would box a fresh int64 on every draw,
+   and the scheduler draws on most multi-thread steps. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 (Int64.of_int seed);
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-(* SplitMix64 step: one addition then a 64-bit finalizer (Stafford mix13). *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+(* SplitMix64 step: one addition then a 64-bit finalizer (Stafford mix13).
+   Inlined into the draws below so the int64 never leaves a register. *)
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -38,5 +45,6 @@ let shuffle t arr =
   done
 
 let split t =
-  let s = next_int64 t in
-  { state = Int64.logxor s 0xA5A5A5A55A5A5A5AL }
+  let u = Bytes.create 8 in
+  Bytes.set_int64_ne u 0 (Int64.logxor (next_int64 t) 0xA5A5A5A55A5A5A5AL);
+  u

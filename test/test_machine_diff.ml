@@ -185,46 +185,38 @@ let test_quiet_equivalence () =
           check_results ~ctx:("quiet " ^ rs.TF.rs_key) traced quiet)
     groups
 
-(* A single-threaded register-arithmetic + global load/store loop under
+(* A single-threaded register-arithmetic + global load/store loop
+   ({!Arde_harness.Gates.threaded_loop} at one thread) under
    [Round_robin]: no PRNG draws, no blocking, no events retained — the
    steady-state straight-line path.  In quiet mode the machine must run
    it without per-step heap allocation; the allocation delta amortizes
    the fixed setup/teardown cost (thread and sync tables, the
    final-memory rebuild) over ~800k steps, so anything per step would
-   dominate immediately. *)
+   dominate immediately.  The same holds at 16 threads under [Chunked 6]
+   and [Uniform], where picks draw from the PRNG and continue bursts. *)
 let test_straightline_zero_alloc () =
-  let body =
-    [ load "v" (g "cell"); addi "v" (r "v") (imm 1); store (g "cell") (r "v") ]
+  let words_per_step policy ~threads ~iters =
+    let what =
+      Printf.sprintf "%d thread(s), %s" threads (Arde.Sched.policy_name policy)
+    in
+    let compiled = M.compile (Arde_harness.Gates.threaded_loop ~threads ~iters) in
+    let cfg = { M.default_config with M.policy; fuel = 5_000_000 } in
+    ignore (M.run cfg compiled);
+    let a0 = Arde_harness.Gates.alloc_words () in
+    let res = M.run cfg compiled in
+    let words = Arde_harness.Gates.alloc_words () -. a0 in
+    Alcotest.(check string) (what ^ " outcome") "finished" (show_outcome res.M.outcome);
+    let wps = words /. float_of_int (max 1 res.M.steps) in
+    if wps >= 0.05 then
+      Alcotest.failf "%s: %.4f words/step over %d steps (want < 0.05)" what wps
+        res.M.steps
   in
-  let p =
-    program
-      ~globals:[ global "cell" () ]
-      ~entry:"main"
-      [
-        func "main"
-          ((blk "init" [ mov "i" (imm 0) ] (goto "hot_head")
-           :: counted_loop ~tag:"hot" ~counter:"i" ~limit:(imm 100_000) ~body
-                ~next:"out")
-          @ [ blk "out" [] exit_t ]);
-      ]
-  in
-  let compiled = M.compile p in
-  let cfg =
-    {
-      M.default_config with
-      M.policy = Arde.Sched.Round_robin 1_000_000;
-      fuel = 5_000_000;
-    }
-  in
-  ignore (M.run cfg compiled);
-  let a0 = Arde_harness.Gates.alloc_words () in
-  let res = M.run cfg compiled in
-  let words = Arde_harness.Gates.alloc_words () -. a0 in
-  Alcotest.(check string) "outcome" "finished" (show_outcome res.M.outcome);
-  let wps = words /. float_of_int (max 1 res.M.steps) in
-  if wps >= 0.05 then
-    Alcotest.failf "%.4f words/step over %d steps (want < 0.05)" wps
-      res.M.steps
+  words_per_step (Arde.Sched.Round_robin 1_000_000) ~threads:1 ~iters:100_000;
+  (* Sixteen threads: every multi-candidate pick, its PRNG draws and the
+     runnable buffer must stay allocation-free too. *)
+  List.iter
+    (fun policy -> words_per_step policy ~threads:16 ~iters:20_000)
+    [ Arde.Sched.Chunked 6; Arde.Sched.Uniform ]
 
 (* --- satellite: wide-arity calls ------------------------------------- *)
 

@@ -576,6 +576,45 @@ let test_trace_info () =
             (Arde.Recorded.n_events r
             = List.fold_left (fun a y -> a + y.C.y_n_events) 0 summaries))
 
+(* The [arde] binary, built beside this test runner: exit code and
+   stdout of one invocation. *)
+let arde args =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/arde_cli.exe"
+  in
+  let ic = Unix.open_process_args_in exe (Array.of_list (exe :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED n -> (n, out)
+  | _ -> Alcotest.fail "arde died on a signal"
+
+(* [arde trace WORKLOAD] dumps the events the way its help documents,
+   options before or after the name, the same bytes as the [--] form;
+   [arde trace info FILE] still reads a recorded trace. *)
+let test_cli_trace () =
+  let dump args =
+    let code, out = arde ("trace" :: args) in
+    checki (String.concat " " args ^ " exits 0") 0 code;
+    out
+  in
+  let documented = dump [ "racy_counter/2"; "--seed"; "2"; "--limit"; "5" ] in
+  checkb "events are printed" true
+    (Astring.String.is_infix ~affix:"T0 start" documented);
+  checks "options first" documented
+    (dump [ "--seed"; "2"; "--limit"; "5"; "racy_counter/2" ]);
+  checks "after --" documented
+    (dump [ "--seed"; "2"; "--limit"; "5"; "--"; "racy_counter/2" ]);
+  let file = Filename.temp_file "arde-cli" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc ->
+          Out_channel.output_string oc (recorded_fixture ()));
+      let code, out = arde [ "trace"; "info"; file ] in
+      checki "trace info exits 0" 0 code;
+      checkb "trace info prints the header" true
+        (Astring.String.is_infix ~affix:"mode:    lib+spin:7" out))
+
 let suite =
   [
     prop_base64_roundtrip;
@@ -611,4 +650,6 @@ let suite =
     Alcotest.test_case "mode conflict fails closed" `Quick
       test_mode_conflict_fails_closed;
     Alcotest.test_case "trace info" `Quick test_trace_info;
+    Alcotest.test_case "arde trace: named dump and trace info" `Quick
+      test_cli_trace;
   ]
