@@ -3,7 +3,6 @@ module Machine = Arde_runtime.Machine
 module Sched = Arde_runtime.Sched
 module Observer = Arde_runtime.Observer
 module Codec = Arde_runtime.Trace_codec
-module Trace = Arde_runtime.Trace
 
 type options = Options.t
 
@@ -252,8 +251,8 @@ let seed_record ~seed engine cv_checker outcome ~steps ~check_failures =
    [Crashed] outcome carrying whatever partial report the engine had
    accumulated.  One sick seed never takes down the others.
 
-   A [tap] (a codec sink recording the seed, or the event collector a
-   prediction reads) sits {e between} the chaos injector and the engine:
+   A [tap] (a codec sink recording the seed, or the streaming predictor)
+   sits {e between} the chaos injector and the engine:
    the tapped stream is exactly the stream the engine saw (an injector
    raising mid-run truncates both identically), which is what makes
    replay reproduce even crashed seeds byte for byte. *)
@@ -534,7 +533,7 @@ module Sp = Arde_predict.Sp_predict
    knob.  The predicted seeds are those at the first [predict_limit]
    positions of the seed list; a cancelled one among them is skipped,
    not replaced, which is what lets a live seed know from its position
-   alone whether to collect its events. *)
+   alone whether to predict. *)
 let predict_limit = 2
 
 let take n xs =
@@ -555,25 +554,27 @@ let predict_config (p : Analysis_cache.prepared) =
   { Sp.default_config with suppress }
 
 (* One seed's prediction, tagged with the seed.  Never raises: a failure
-   becomes the note that says the seed was skipped. *)
-let predict_seed ~config seed events =
-  match Sp.predict ~config events with
+   (the exception that poisoned the predictor mid-stream, or one from
+   its closures) becomes the note that says the seed was skipped. *)
+let predict_seed seed sp =
+  match Sp.finish sp with
   | v -> (seed, Ok v)
   | exception e -> (seed, Error (snd (describe_exn e)))
 
-(* Predict over the chosen sections of a recording, each decoded into a
-   buffer and dropped once predicted.  An undecodable section (a
-   salvaged chaos trace, a truncated stream) is skipped with a note —
-   prediction only ever reads events that survived the codec's hash
-   check, so a sick recording degrades coverage, never correctness. *)
+(* Predict over the chosen sections of a recording, each decoded
+   straight into its own streaming predictor.  An undecodable section
+   (a salvaged chaos trace, a truncated stream) is skipped with a note:
+   its predictor is dropped unfinished, so prediction only ever reports
+   from events that survived the codec's hash check, and a sick
+   recording degrades coverage, never correctness. *)
 let predict_sections p sections =
   let config = predict_config p in
   List.map
     (fun (sec : Codec.section) ->
       let seed = sec.Codec.s_seed in
-      let buf = Trace.create () in
-      match Codec.decode_events sec (Trace.push buf) with
-      | Ok () -> predict_seed ~config seed (Trace.events buf)
+      let sp = Sp.create ~config () in
+      match Codec.decode_events sec (Sp.observe sp) with
+      | Ok () -> predict_seed seed sp
       | Error e -> (seed, Error (Codec.error_to_string e))
       | exception e -> (seed, Error (snd (describe_exn e))))
     (List.filter
@@ -652,19 +653,20 @@ let merge_predictions result per_seed =
     { result with prediction = Some p }
 
 (* The live prediction tap: each of the first [predict_limit] seeds
-   collects the events its engine sees into a buffer and predicts from
-   it inside its own per-seed body, so at most one buffer per pool
-   worker is alive at a time and no trace is encoded or decoded. *)
+   feeds the events its engine sees straight into a streaming predictor
+   and finishes it inside its own per-seed body.  No event is buffered
+   and no trace is encoded or decoded.  The predictor fails open, so a
+   stream it cannot place never reaches the engine behind it. *)
 let predict_tap p =
   let config = predict_config p in
   fun ~pos seed ->
     if pos >= predict_limit then None
     else
-      let buf = Trace.create () in
+      let sp = Sp.create ~config () in
       Some
         {
-          t_observer = Trace.push buf;
-          t_finish = (fun _ -> predict_seed ~config seed (Trace.events buf));
+          t_observer = Sp.observe sp;
+          t_finish = (fun _ -> predict_seed seed sp);
         }
 
 let no_tap ~pos:_ _ = None

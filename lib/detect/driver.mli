@@ -25,10 +25,9 @@
     it — that identity is the subsystem's correctness oracle.  The codec
     is used only where a trace is the artifact.
 
-    Events that must be held in memory go into one kind of buffer,
-    {!Arde_runtime.Trace}: a predicting seed pushes its live events
-    there, and a recorded section decodes into one before
-    prediction. *)
+    No event is held in memory on the way to a verdict: a predicting
+    seed streams its live events into its predictor, and a recorded
+    section decodes straight into one. *)
 
 open Arde_tir.Types
 
@@ -161,7 +160,7 @@ type prediction = {
       (** seeds actually predicted from: live seeds, or the sections of a
           recording *)
   pr_events : int;
-      (** events consumed across them — collected live, or decoded from
+      (** events consumed across them — observed live, or decoded from
           the recording's sections *)
   pr_candidates : int;
   pr_predicted : int;
@@ -219,11 +218,13 @@ val run : ?ctx:ctx -> ?mode:Config.mode -> Input.t -> result
     {!predict_limit} seeds and predicts sync-preserving races from
     their events ({!Arde_predict.Sp_predict}); [Both] sweeps every seed
     and predicts from the first {!predict_limit}.  A predicting seed
-    collects the events its engine sees (after the chaos injector, where
-    {!record}'s sink sits) into an in-memory array and predicts from it
-    inside its own per-seed body, dropping the array when done: no
-    trace is encoded or decoded, and the prediction is byte-identical
-    to one made from a recording of the same run.  Either way predicted
+    streams the events its engine sees (after the chaos injector, where
+    {!record}'s sink sits) into a {!Arde_predict.Sp_predict} predictor
+    and finishes it inside its own per-seed body: no event is buffered,
+    no trace is encoded or decoded, and the prediction is
+    byte-identical to one made from a recording of the same run.  The
+    predictor fails open: a stream it cannot place leaves the seed's
+    detection untouched and becomes a skip note.  Either way predicted
     races are merged after the observed ones with [r_predicted] set on
     genuinely new contexts, and [result.prediction] carries the
     statistics.  For a [Recorded_trace] the analysis knob is read from

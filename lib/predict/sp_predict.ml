@@ -48,9 +48,10 @@ type stats = {
    one with the smallest downset, hence the cheapest closure. *)
 type slot = { mutable s_ev : int; mutable s_clk : int; mutable s_loc : loc }
 
-type cell = {
+(* The scan's state of one cell, hung on the indexer's cell. *)
+type scan = {
+  sup : bool;  (* [config.suppress] of the cell's base, resolved once *)
   mutable writer_vc : Vc.t;  (* the last write's release clock *)
-  mutable has_writer : bool;
   mutable pw : (int * slot) list;  (* per-tid last plain write *)
   mutable pr : (int * slot) list;  (* per-tid last plain read *)
 }
@@ -77,197 +78,218 @@ type ctx_entry = {
 
 let context_key l1 l2 = if compare_loc l1 l2 <= 0 then (l1, l2) else (l2, l1)
 
-(* ------------------------------------------------------------------ *)
-
-let predict ?(config = default_config) events =
-  let tr = Sp_trace.build events in
-  let n = Array.length events in
-  let nthreads = max_threads in
-  let vcs = Array.init nthreads (fun t -> Vc.make_mut ~owner:t nthreads) in
-  let snaps = Array.make nthreads Vc.bottom in
-  let snap_ok = Array.make nthreads true in
-  let exit_vcs = Array.make nthreads Vc.bottom in
-  let tick t =
-    Vc.mtick vcs.(t) t;
-    snap_ok.(t) <- false
-  in
-  let started t = if Vc.mget vcs.(t) t = 0 then tick t in
-  let join t c = if Vc.mjoin_changed vcs.(t) c then snap_ok.(t) <- false in
-  let snap t =
-    if snap_ok.(t) then snaps.(t)
-    else begin
-      let s = Vc.snapshot vcs.(t) in
-      snaps.(t) <- s;
-      snap_ok.(t) <- true;
-      s
-    end
-  in
-  let table_join tbl key t =
-    let cur = Option.value ~default:Vc.bottom (Hashtbl.find_opt tbl key) in
-    Hashtbl.replace tbl key (Vc.join cur (snap t));
-    tick t
-  in
-  let table_get tbl key =
-    Option.value ~default:Vc.bottom (Hashtbl.find_opt tbl key)
-  in
-  let cv_vc : (string * int, Vc.t) Hashtbl.t = Hashtbl.create 8 in
-  let sem_vc : (string * int, Vc.t) Hashtbl.t = Hashtbl.create 8 in
-  let barrier_vc : (string * int * int, Vc.t) Hashtbl.t = Hashtbl.create 8 in
-  let cells : (string * int, cell) Hashtbl.t = Hashtbl.create 64 in
-  let cell base idx =
-    let key = (base, idx) in
-    match Hashtbl.find_opt cells key with
-    | Some c -> c
-    | None ->
-        let c = { writer_vc = Vc.bottom; has_writer = false; pw = []; pr = [] } in
-        Hashtbl.replace cells key c;
-        c
-  in
-  let sup_cache : (string, bool) Hashtbl.t = Hashtbl.create 16 in
-  let suppressed base =
-    match Hashtbl.find_opt sup_cache base with
-    | Some s -> s
-    | None ->
-        let s = config.suppress base in
-        Hashtbl.replace sup_cache base s;
-        s
-  in
+type t = {
+  config : config;
+  ix : scan Sp_trace.indexer;
+  vcs : Vc.m array;
+  snaps : Vc.t array;
+  snap_ok : bool array;
+  exit_vcs : Vc.t array;
+  cv_vc : (string * int, Vc.t) Hashtbl.t;
+  sem_vc : (string * int, Vc.t) Hashtbl.t;
+  barrier_vc : (string * int * int, Vc.t) Hashtbl.t;
   (* contexts in first-seen order *)
-  let ctx_tbl : (string * loc * loc, ctx_entry) Hashtbl.t = Hashtbl.create 32 in
-  let ctx_order = ref [] in
-  let n_cands = ref 0 in
-  let dropped = ref 0 in
-  let candidate ~base ~idx ~e1 ~t1 ~l1 ~w1 ~e2 ~t2 ~l2 ~w2 =
-    let lo, hi = context_key l1 l2 in
-    let key = (base, lo, hi) in
-    match Hashtbl.find_opt ctx_tbl key with
-    | Some e ->
-        if e.x_n < config.max_pairs_per_context then begin
-          e.x_cands <-
-            { c_e1 = e1; c_t1 = t1; c_l1 = l1; c_w1 = w1; c_e2 = e2;
-              c_t2 = t2; c_l2 = l2; c_w2 = w2; c_idx = idx }
-            :: e.x_cands;
-          e.x_n <- e.x_n + 1;
-          incr n_cands
-        end
-    | None ->
-        if Hashtbl.length ctx_tbl >= config.max_contexts then incr dropped
-        else begin
-          let e =
-            { x_base = base; x_lo = lo; x_hi = hi;
-              x_cands =
-                [ { c_e1 = e1; c_t1 = t1; c_l1 = l1; c_w1 = w1; c_e2 = e2;
-                    c_t2 = t2; c_l2 = l2; c_w2 = w2; c_idx = idx } ];
-              x_n = 1 }
-          in
-          Hashtbl.replace ctx_tbl key e;
-          ctx_order := e :: !ctx_order;
-          incr n_cands
-        end
+  ctx_tbl : (string * loc * loc, ctx_entry) Hashtbl.t;
+  mutable ctx_order : ctx_entry list;
+  mutable n_cands : int;
+  mutable dropped : int;
+  mutable failed : exn option;
+}
+
+let create ?(config = default_config) () =
+  let nthreads = max_threads in
+  {
+    config;
+    ix =
+      Sp_trace.indexer (fun base ->
+          {
+            sup = config.suppress base;
+            writer_vc = Vc.bottom;
+            pw = [];
+            pr = [];
+          });
+    vcs = Array.init nthreads (fun t -> Vc.make_mut ~owner:t nthreads);
+    snaps = Array.make nthreads Vc.bottom;
+    snap_ok = Array.make nthreads true;
+    exit_vcs = Array.make nthreads Vc.bottom;
+    cv_vc = Hashtbl.create 8;
+    sem_vc = Hashtbl.create 8;
+    barrier_vc = Hashtbl.create 8;
+    ctx_tbl = Hashtbl.create 32;
+    ctx_order = [];
+    n_cands = 0;
+    dropped = 0;
+    failed = None;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The weak happens-before scan                                       *)
+
+let tick p t =
+  Vc.mtick p.vcs.(t) t;
+  p.snap_ok.(t) <- false
+
+let started p t = if Vc.mget p.vcs.(t) t = 0 then tick p t
+let join p t c = if Vc.mjoin_changed p.vcs.(t) c then p.snap_ok.(t) <- false
+
+let snap p t =
+  if p.snap_ok.(t) then p.snaps.(t)
+  else begin
+    let s = Vc.snapshot p.vcs.(t) in
+    p.snaps.(t) <- s;
+    p.snap_ok.(t) <- true;
+    s
+  end
+
+let table_get tbl key =
+  Option.value ~default:Vc.bottom (Hashtbl.find_opt tbl key)
+
+let table_join p tbl key t =
+  Hashtbl.replace tbl key (Vc.join (table_get tbl key) (snap p t));
+  tick p t
+
+let candidate p ~base ~idx ~e1 ~t1 ~l1 ~w1 ~e2 ~t2 ~l2 ~w2 =
+  let cand =
+    { c_e1 = e1; c_t1 = t1; c_l1 = l1; c_w1 = w1; c_e2 = e2; c_t2 = t2;
+      c_l2 = l2; c_w2 = w2; c_idx = idx }
   in
-  (* [slot] ordered before the current event of [t2] under the weak
-     order iff t2's clock has absorbed the slot's local time *)
-  let unordered t2 t1 clk1 = Vc.mget vcs.(t2) t1 < clk1 in
-  let update slots tid ev loc clk =
-    match List.assq_opt tid slots with
-    | Some s ->
-        s.s_ev <- ev;
-        s.s_clk <- clk;
-        s.s_loc <- loc;
-        None
-    | None -> Some ((tid, { s_ev = ev; s_clk = clk; s_loc = loc }) :: slots)
-  in
-  for i = 0 to n - 1 do
-    match events.(i) with
-    | Event.Read { tid; base; idx; loc; kind; _ } ->
-        started tid;
-        let c = cell base idx in
-        (* The candidate scan runs BEFORE this read's own observation
-           edge is absorbed: a candidate pair is tested for ordering by
-           its prefixes alone — the closure likewise never consults the
-           candidate events' own requirements (they are co-enabled, not
-           executed).  Joining first would wrongly prune every
-           write→read race in which the read observed the racing
-           write. *)
-        if kind = Event.Plain && not (suppressed base) then begin
-          List.iter
-            (fun (wt, (s : slot)) ->
-              if wt <> tid && unordered tid wt s.s_clk then
-                candidate ~base ~idx ~e1:s.s_ev ~t1:wt ~l1:s.s_loc ~w1:true
-                  ~e2:i ~t2:tid ~l2:loc ~w2:false)
-            c.pw;
-          match update c.pr tid i loc (Vc.mget vcs.(tid) tid) with
-          | Some slots -> c.pr <- slots
-          | None -> ()
-        end;
-        (* observation: the read's thread absorbs its writer's clock —
-           the edge inferred ad-hoc sync (spin loops, lowered locks)
-           rides on, so it applies to atomics too *)
-        if c.has_writer then join tid c.writer_vc
-    | Event.Write { tid; base; idx; loc; kind; _ } ->
-        started tid;
-        let c = cell base idx in
-        if kind = Event.Plain && not (suppressed base) then begin
-          let clk = Vc.mget vcs.(tid) tid in
-          List.iter
-            (fun (wt, (s : slot)) ->
-              if wt <> tid && unordered tid wt s.s_clk then
-                candidate ~base ~idx ~e1:s.s_ev ~t1:wt ~l1:s.s_loc ~w1:true
-                  ~e2:i ~t2:tid ~l2:loc ~w2:true)
-            c.pw;
-          List.iter
-            (fun (rt, (s : slot)) ->
-              if rt <> tid && unordered tid rt s.s_clk then
-                candidate ~base ~idx ~e1:s.s_ev ~t1:rt ~l1:s.s_loc ~w1:false
-                  ~e2:i ~t2:tid ~l2:loc ~w2:true)
-            c.pr;
-          match update c.pw tid i loc clk with
-          | Some slots -> c.pw <- slots
-          | None -> ()
-        end;
-        (* every write is an observation source, whatever its kind *)
-        c.writer_vc <- snap tid;
-        c.has_writer <- true;
-        tick tid
-    | Event.Thread_start { tid } -> started tid
-    | Event.Spawn_ev { parent; child; _ } ->
-        started parent;
-        Vc.mjoin_m vcs.(child) vcs.(parent);
-        snap_ok.(child) <- false;
-        tick child;
-        tick parent
-    | Event.Thread_exit { tid } ->
-        started tid;
-        exit_vcs.(tid) <- snap tid
-    | Event.Join_return { tid; target; _ } ->
-        started tid;
-        join tid exit_vcs.(target)
-    | Event.Cv_signal { tid; base; idx; _ } ->
-        started tid;
-        table_join cv_vc (base, idx) tid
-    | Event.Cv_wait_return { tid; base; idx; _ } ->
-        started tid;
-        join tid (table_get cv_vc (base, idx))
-    | Event.Barrier_arrive { tid; base; idx; generation; _ } ->
-        started tid;
-        table_join barrier_vc (base, idx, generation) tid
-    | Event.Barrier_pass { tid; base; idx; generation; _ } ->
-        started tid;
-        join tid (table_get barrier_vc (base, idx, generation))
-    | Event.Sem_post_ev { tid; base; idx; _ } ->
-        started tid;
-        table_join sem_vc (base, idx) tid
-    | Event.Sem_acquire { tid; base; idx; _ } ->
-        started tid;
-        join tid (table_get sem_vc (base, idx))
-    (* native lock order is deliberately absent from the weak order —
-       reorderings may permute critical sections; the closure's lock
-       rule enforces mutual exclusion instead *)
-    | Event.Lock_acq { tid; _ } | Event.Lock_rel { tid; _ } -> started tid
-    | Event.Cv_wait_begin _ | Event.Spin_enter _ | Event.Spin_exit _ -> ()
-  done;
-  (* closure pass: contexts in discovery order, nearest pairs first *)
-  let w = Sp_trace.ideal tr in
+  let lo, hi = context_key l1 l2 in
+  let key = (base, lo, hi) in
+  match Hashtbl.find_opt p.ctx_tbl key with
+  | Some e ->
+      if e.x_n < p.config.max_pairs_per_context then begin
+        e.x_cands <- cand :: e.x_cands;
+        e.x_n <- e.x_n + 1;
+        p.n_cands <- p.n_cands + 1
+      end
+  | None ->
+      if Hashtbl.length p.ctx_tbl >= p.config.max_contexts then
+        p.dropped <- p.dropped + 1
+      else begin
+        let e =
+          { x_base = base; x_lo = lo; x_hi = hi; x_cands = [ cand ]; x_n = 1 }
+        in
+        Hashtbl.replace p.ctx_tbl key e;
+        p.ctx_order <- e :: p.ctx_order;
+        p.n_cands <- p.n_cands + 1
+      end
+
+(* Every slot of [slots] by another thread that the current access
+   (event [i] of [tid]) is unordered with becomes a candidate: [slot] is
+   ordered before it under the weak order iff [tid]'s clock has absorbed
+   the slot's local time. *)
+let rec scan_slots p (c : scan Sp_trace.cell) ~idx ~w1 ~i ~tid ~loc ~w2 =
+  function
+  | [] -> ()
+  | (t1, (s : slot)) :: rest ->
+      if t1 <> tid && Vc.mget p.vcs.(tid) t1 < s.s_clk then
+        candidate p ~base:c.Sp_trace.base ~idx ~e1:s.s_ev ~t1 ~l1:s.s_loc ~w1
+          ~e2:i ~t2:tid ~l2:loc ~w2;
+      scan_slots p c ~idx ~w1 ~i ~tid ~loc ~w2 rest
+
+let update slots tid ev loc clk =
+  match List.assq_opt tid slots with
+  | Some s ->
+      s.s_ev <- ev;
+      s.s_clk <- clk;
+      s.s_loc <- loc;
+      slots
+  | None -> (tid, { s_ev = ev; s_clk = clk; s_loc = loc }) :: slots
+
+let step p ev =
+  match ev with
+  | Event.Read { tid; base; base_id; idx; loc; kind; _ } ->
+      started p tid;
+      let c = Sp_trace.cell p.ix ~base_id ~base ~idx in
+      let sc = c.Sp_trace.data in
+      (* The candidate scan runs BEFORE this read's own observation
+         edge is absorbed: a candidate pair is tested for ordering by
+         its prefixes alone — the closure likewise never consults the
+         candidate events' own requirements (they are co-enabled, not
+         executed).  Joining first would wrongly prune every
+         write→read race in which the read observed the racing
+         write. *)
+      if kind = Event.Plain && not sc.sup then begin
+        let i = Sp_trace.length p.ix in
+        scan_slots p c ~idx ~w1:true ~i ~tid ~loc ~w2:false sc.pw;
+        sc.pr <- update sc.pr tid i loc (Vc.mget p.vcs.(tid) tid)
+      end;
+      (* observation: the read's thread absorbs its writer's clock —
+         the edge inferred ad-hoc sync (spin loops, lowered locks)
+         rides on, so it applies to atomics too *)
+      if c.Sp_trace.last_write >= 0 then join p tid sc.writer_vc;
+      Sp_trace.read p.ix ~tid c
+  | Event.Write { tid; base; base_id; idx; loc; kind; _ } ->
+      started p tid;
+      let c = Sp_trace.cell p.ix ~base_id ~base ~idx in
+      let sc = c.Sp_trace.data in
+      if kind = Event.Plain && not sc.sup then begin
+        let i = Sp_trace.length p.ix in
+        scan_slots p c ~idx ~w1:true ~i ~tid ~loc ~w2:true sc.pw;
+        scan_slots p c ~idx ~w1:false ~i ~tid ~loc ~w2:true sc.pr;
+        sc.pw <- update sc.pw tid i loc (Vc.mget p.vcs.(tid) tid)
+      end;
+      (* every write is an observation source, whatever its kind *)
+      sc.writer_vc <- snap p tid;
+      tick p tid;
+      Sp_trace.write p.ix ~tid c
+  | _ -> (
+      (match ev with
+      | Event.Thread_start { tid } -> started p tid
+      | Event.Spawn_ev { parent; child; _ } ->
+          started p parent;
+          Vc.mjoin_m p.vcs.(child) p.vcs.(parent);
+          p.snap_ok.(child) <- false;
+          tick p child;
+          tick p parent
+      | Event.Thread_exit { tid } ->
+          started p tid;
+          p.exit_vcs.(tid) <- snap p tid
+      | Event.Join_return { tid; target; _ } ->
+          started p tid;
+          join p tid p.exit_vcs.(target)
+      | Event.Cv_signal { tid; base; idx; _ } ->
+          started p tid;
+          table_join p p.cv_vc (base, idx) tid
+      | Event.Cv_wait_return { tid; base; idx; _ } ->
+          started p tid;
+          join p tid (table_get p.cv_vc (base, idx))
+      | Event.Barrier_arrive { tid; base; idx; generation; _ } ->
+          started p tid;
+          table_join p p.barrier_vc (base, idx, generation) tid
+      | Event.Barrier_pass { tid; base; idx; generation; _ } ->
+          started p tid;
+          join p tid (table_get p.barrier_vc (base, idx, generation))
+      | Event.Sem_post_ev { tid; base; idx; _ } ->
+          started p tid;
+          table_join p p.sem_vc (base, idx) tid
+      | Event.Sem_acquire { tid; base; idx; _ } ->
+          started p tid;
+          join p tid (table_get p.sem_vc (base, idx))
+      (* native lock order is deliberately absent from the weak order —
+         reorderings may permute critical sections; the closure's lock
+         rule enforces mutual exclusion instead *)
+      | Event.Lock_acq { tid; _ } | Event.Lock_rel { tid; _ } -> started p tid
+      | Event.Read _ | Event.Write _ | Event.Cv_wait_begin _
+      | Event.Spin_enter _ | Event.Spin_exit _ ->
+          ());
+      Sp_trace.push p.ix ev)
+
+(* Fail open: the predictor sits in front of the seed's engine, so an
+   exception here must not reach the machine.  The first one poisons
+   the predictor and [finish] re-raises it. *)
+let observe p ev =
+  match p.failed with
+  | Some _ -> ()
+  | None -> ( try step p ev with e -> p.failed <- Some e)
+
+(* ------------------------------------------------------------------ *)
+(* The closure pass: contexts in discovery order, nearest pairs first *)
+
+let finish p =
+  Option.iter raise p.failed;
+  let n = Sp_trace.length p.ix in
+  let w = Sp_trace.ideal (Sp_trace.finish p.ix) in
   let runs = ref 0 and steps = ref 0 and budget_hits = ref 0 in
   let races =
     List.filter_map
@@ -278,7 +300,7 @@ let predict ?(config = default_config) events =
               incr runs;
               let verdict, used =
                 Sp_trace.closure w ~e1:c.c_e1 ~e2:c.c_e2
-                  ~budget:config.closure_budget
+                  ~budget:p.config.closure_budget
               in
               steps := !steps + used;
               match verdict with
@@ -300,16 +322,21 @@ let predict ?(config = default_config) events =
                   try_cands rest)
         in
         try_cands (List.rev e.x_cands))
-      (List.rev !ctx_order)
+      (List.rev p.ctx_order)
   in
   ( races,
     {
       s_events = n;
-      s_candidates = !n_cands;
-      s_contexts = List.length !ctx_order;
+      s_candidates = p.n_cands;
+      s_contexts = List.length p.ctx_order;
       s_predicted = List.length races;
       s_closure_runs = !runs;
       s_closure_steps = !steps;
       s_budget_hits = !budget_hits;
-      s_dropped_contexts = !dropped;
+      s_dropped_contexts = p.dropped;
     } )
+
+let predict ?config events =
+  let p = create ?config () in
+  Array.iter (observe p) events;
+  finish p

@@ -1,8 +1,9 @@
-(** SpPredict — sync-preserving race prediction over one recorded
-    section (Mathur, Pavlogiannis, Viswanathan: "Optimal Prediction of
+(** SpPredict — sync-preserving race prediction over one seed's event
+    stream (Mathur, Pavlogiannis, Viswanathan: "Optimal Prediction of
     Synchronization-Preserving Races").
 
-    The input is the decoded event stream of a single seed; the output
+    The input is the event stream of a single seed, observed live as
+    the machine emits it or decoded from a recorded section; the output
     is the set of access pairs that race in {e some} correct reordering
     of that trace which keeps every synchronization operation and every
     read's observed writer — without re-executing the program.  The
@@ -16,7 +17,9 @@
       release → acquire.  Conflicting same-cell plain accesses by
       different threads that this order leaves unordered become
       candidates — any pair it orders is unpredictable by construction,
-      which prunes almost everything;
+      which prunes almost everything.  The same pass feeds the
+      {!Sp_trace} indexer, sharing its dense cell table, so no event is
+      buffered;
     + candidates are grouped by report context (base + unordered loc
       pair, the same key {!Report} dedups on) with a per-context
       attempt budget, nearest pairs first;
@@ -69,7 +72,26 @@ type stats = {
   s_dropped_contexts : int;  (** contexts beyond [max_contexts] *)
 }
 
+(** {1 Streaming} *)
+
+type t
+(** One seed's predictor: the scan's clocks and candidates plus the
+    closure index, grown event by event. *)
+
+val create : ?config:config -> unit -> t
+
+val observe : t -> Arde_runtime.Observer.t
+(** Feed the next event in trace order.  Never raises: the first
+    exception (an event the scan cannot place, say a thread id out of
+    range) poisons the predictor, and later events are ignored.  This
+    is what lets it sit in front of a seed's engine. *)
+
+val finish : t -> race list * stats
+(** Run the closures and report.  Races come in deterministic order:
+    contexts in first-candidate (trace) order, one representative pair
+    each.  Re-raises the exception that poisoned the predictor, if
+    any. *)
+
 val predict :
   ?config:config -> Arde_runtime.Event.t array -> race list * stats
-(** Races in deterministic order: contexts in first-candidate (trace)
-    order, one representative pair each. *)
+(** [finish] over a fresh predictor fed the whole array. *)

@@ -38,105 +38,220 @@ type t = {
       (* per acquire: matching release event, -1 if never released *)
 }
 
-let build (events : Event.t array) =
-  let n = Array.length events in
-  let tid = Array.make n 0 in
-  let tpos = Array.make n 0 in
-  let req = Array.make n (-1) in
-  let multi = Array.make n [] in
-  let lock_key = Array.make n (-1) in
-  let lock_rel = Array.make n (-1) in
-  let spawn_of = Array.make max_threads (-1) in
-  let thr = Array.init max_threads (fun _ -> Vec.create ()) in
-  let nthreads = ref 0 in
-  (* last write per cell, for observation edges *)
-  let last_write : (string * int, int) Hashtbl.t = Hashtbl.create 64 in
+(* ------------------------------------------------------------------ *)
+(* The streaming indexer                                              *)
+
+type 'a cell = { base : string; mutable last_write : int; data : 'a }
+
+type 'a indexer = {
+  fresh : string -> 'a;
+  mutable rows : 'a cell option array array;  (* by interned base id *)
+  spill : (string * int, 'a cell) Hashtbl.t;  (* events without a base id *)
+  mutable n : int;
+  (* per event, grown by doubling; only the first [n] slots are live *)
+  mutable tid : int array;
+  mutable tpos : int array;
+  mutable req : int array;
+  mutable lock_key : int array;
+  (* sparse until [finish]: few events carry these *)
+  mutable multi : (int * int list) list;
+  mutable lock_rel : (int * int) list;
+  thr : Vec.t array;  (* per thread: its event indices *)
+  mutable nthreads : int;
+  spawn_of : int array;
+  exits : int array;
   (* accumulated producer lists *)
-  let cv_signals : (string * int, int list) Hashtbl.t = Hashtbl.create 8 in
-  let barrier_arrives : (string * int * int, int list) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let sem_posts : (string * int, int list) Hashtbl.t = Hashtbl.create 8 in
-  let exits = Array.make max_threads (-1) in
+  cv_signals : (string * int, int list) Hashtbl.t;
+  barrier_arrives : (string * int * int, int list) Hashtbl.t;
+  sem_posts : (string * int, int list) Hashtbl.t;
   (* native locks: interned (base, idx) keys and per-(tid, lock)
      pending acquire *)
-  let lock_ids : (string * int, int) Hashtbl.t = Hashtbl.create 8 in
-  let next_lock = ref 0 in
-  let pending_acq : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
-  let lock_id key =
-    match Hashtbl.find_opt lock_ids key with
-    | Some id -> id
-    | None ->
-        let id = !next_lock in
-        incr next_lock;
-        Hashtbl.replace lock_ids key id;
-        id
-  in
-  let prior tbl key = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-  for i = 0 to n - 1 do
-    let ev = events.(i) in
-    let t = Event.tid_of ev in
-    let t = if t < 0 || t >= max_threads then 0 else t in
-    tid.(i) <- t;
-    tpos.(i) <- (thr.(t)).Vec.n;
-    Vec.push thr.(t) i;
-    if t >= !nthreads then nthreads := t + 1;
-    match ev with
-    | Event.Read { base; idx; _ } -> (
-        match Hashtbl.find_opt last_write (base, idx) with
-        | Some w -> req.(i) <- w
-        | None -> ())
-    | Event.Write { base; idx; _ } -> Hashtbl.replace last_write (base, idx) i
-    | Event.Lock_acq { tid = lt; base; idx; _ } ->
-        let id = lock_id (base, idx) in
-        lock_key.(i) <- id;
-        Hashtbl.replace pending_acq (lt, id) i
-    | Event.Lock_rel { tid = lt; base; idx; _ } -> (
-        let id = lock_id (base, idx) in
-        match Hashtbl.find_opt pending_acq (lt, id) with
-        | Some a ->
-            lock_rel.(a) <- i;
-            Hashtbl.remove pending_acq (lt, id)
-        | None -> ())
-    | Event.Cv_signal { base; idx; _ } ->
-        Hashtbl.replace cv_signals (base, idx) (i :: prior cv_signals (base, idx))
-    | Event.Cv_wait_return { base; idx; _ } ->
-        multi.(i) <- prior cv_signals (base, idx)
-    | Event.Barrier_arrive { base; idx; generation; _ } ->
-        Hashtbl.replace barrier_arrives
-          (base, idx, generation)
-          (i :: prior barrier_arrives (base, idx, generation))
-    | Event.Barrier_pass { base; idx; generation; _ } ->
-        multi.(i) <- prior barrier_arrives (base, idx, generation)
-    | Event.Sem_post_ev { base; idx; _ } ->
-        Hashtbl.replace sem_posts (base, idx) (i :: prior sem_posts (base, idx))
-    | Event.Sem_acquire { base; idx; _ } ->
-        multi.(i) <- prior sem_posts (base, idx)
-    | Event.Spawn_ev { child; _ } ->
-        if child >= 0 && child < max_threads then spawn_of.(child) <- i
-    | Event.Join_return { target; _ } ->
-        if target >= 0 && target < max_threads && exits.(target) >= 0 then
-          req.(i) <- exits.(target)
-    | Event.Thread_exit { tid = et } ->
-        if et >= 0 && et < max_threads then exits.(et) <- i
-    | Event.Cv_wait_begin _ | Event.Thread_start _ | Event.Spin_enter _
-    | Event.Spin_exit _ ->
-        ()
-  done;
-  let nthreads = max 1 !nthreads in
+  lock_ids : (string * int, int) Hashtbl.t;
+  pending_acq : (int * int, int) Hashtbl.t;
+}
+
+let no_row = [||]
+
+let indexer_sized ~capacity fresh =
+  let capacity = max 16 capacity in
   {
-    tid;
-    tpos;
-    threads =
-      Array.init nthreads (fun t ->
-          Array.sub (thr.(t)).Vec.a 0 (thr.(t)).Vec.n);
+    fresh;
+    rows = Array.make 16 no_row;
+    spill = Hashtbl.create 16;
+    n = 0;
+    tid = Array.make capacity 0;
+    tpos = Array.make capacity 0;
+    req = Array.make capacity 0;
+    lock_key = Array.make capacity 0;
+    multi = [];
+    lock_rel = [];
+    thr = Array.init max_threads (fun _ -> Vec.create ());
+    nthreads = 0;
+    spawn_of = Array.make max_threads (-1);
+    exits = Array.make max_threads (-1);
+    cv_signals = Hashtbl.create 8;
+    barrier_arrives = Hashtbl.create 8;
+    sem_posts = Hashtbl.create 8;
+    lock_ids = Hashtbl.create 8;
+    pending_acq = Hashtbl.create 8;
+  }
+
+let indexer fresh = indexer_sized ~capacity:256 fresh
+let length ix = ix.n
+
+let fresh_cell ix base =
+  { base; last_write = -1; data = ix.fresh base }
+
+let spill_cell ix base idx =
+  match Hashtbl.find_opt ix.spill (base, idx) with
+  | Some c -> c
+  | None ->
+      let c = fresh_cell ix base in
+      Hashtbl.replace ix.spill (base, idx) c;
+      c
+
+let cell ix ~base_id ~base ~idx =
+  if base_id < 0 || idx < 0 then spill_cell ix base idx
+  else begin
+    if base_id >= Array.length ix.rows then begin
+      let rows =
+        Array.make (max (2 * Array.length ix.rows) (base_id + 1)) no_row
+      in
+      Array.blit ix.rows 0 rows 0 (Array.length ix.rows);
+      ix.rows <- rows
+    end;
+    let row = ix.rows.(base_id) in
+    let row =
+      if idx < Array.length row then row
+      else begin
+        let row' = Array.make (max (2 * Array.length row) (idx + 1)) None in
+        Array.blit row 0 row' 0 (Array.length row);
+        ix.rows.(base_id) <- row';
+        row'
+      end
+    in
+    match Array.unsafe_get row idx with
+    | Some c -> c
+    | None ->
+        let c = fresh_cell ix base in
+        row.(idx) <- Some c;
+        c
+  end
+
+let grow ix =
+  let cap = 2 * Array.length ix.tid in
+  let g a =
+    let b = Array.make cap 0 in
+    Array.blit a 0 b 0 ix.n;
+    b
+  in
+  ix.tid <- g ix.tid;
+  ix.tpos <- g ix.tpos;
+  ix.req <- g ix.req;
+  ix.lock_key <- g ix.lock_key
+
+(* Give the next event its trace and thread positions; returns its
+   index. *)
+let slot ix t =
+  let t = if t < 0 || t >= max_threads then 0 else t in
+  let i = ix.n in
+  if i = Array.length ix.tid then grow ix;
+  let v = ix.thr.(t) in
+  ix.tid.(i) <- t;
+  ix.tpos.(i) <- v.Vec.n;
+  Vec.push v i;
+  ix.req.(i) <- -1;
+  ix.lock_key.(i) <- -1;
+  if t >= ix.nthreads then ix.nthreads <- t + 1;
+  ix.n <- i + 1;
+  i
+
+let read ix ~tid c = ix.req.(slot ix tid) <- c.last_write
+let write ix ~tid c = c.last_write <- slot ix tid
+
+let lock_id ix key =
+  match Hashtbl.find_opt ix.lock_ids key with
+  | Some id -> id
+  | None ->
+      let id = Hashtbl.length ix.lock_ids in
+      Hashtbl.replace ix.lock_ids key id;
+      id
+
+let prior tbl key = Option.value ~default:[] (Hashtbl.find_opt tbl key)
+let need_all ix i l = if l <> [] then ix.multi <- (i, l) :: ix.multi
+
+let push ix ev =
+  match ev with
+  | Event.Read { tid; base; base_id; idx; _ } ->
+      read ix ~tid (cell ix ~base_id ~base ~idx)
+  | Event.Write { tid; base; base_id; idx; _ } ->
+      write ix ~tid (cell ix ~base_id ~base ~idx)
+  | _ -> (
+      let i = slot ix (Event.tid_of ev) in
+      match ev with
+      | Event.Lock_acq { tid = lt; base; idx; _ } ->
+          let id = lock_id ix (base, idx) in
+          ix.lock_key.(i) <- id;
+          Hashtbl.replace ix.pending_acq (lt, id) i
+      | Event.Lock_rel { tid = lt; base; idx; _ } -> (
+          let id = lock_id ix (base, idx) in
+          match Hashtbl.find_opt ix.pending_acq (lt, id) with
+          | Some a ->
+              ix.lock_rel <- (a, i) :: ix.lock_rel;
+              Hashtbl.remove ix.pending_acq (lt, id)
+          | None -> ())
+      | Event.Cv_signal { base; idx; _ } ->
+          Hashtbl.replace ix.cv_signals (base, idx)
+            (i :: prior ix.cv_signals (base, idx))
+      | Event.Cv_wait_return { base; idx; _ } ->
+          need_all ix i (prior ix.cv_signals (base, idx))
+      | Event.Barrier_arrive { base; idx; generation; _ } ->
+          Hashtbl.replace ix.barrier_arrives
+            (base, idx, generation)
+            (i :: prior ix.barrier_arrives (base, idx, generation))
+      | Event.Barrier_pass { base; idx; generation; _ } ->
+          need_all ix i (prior ix.barrier_arrives (base, idx, generation))
+      | Event.Sem_post_ev { base; idx; _ } ->
+          Hashtbl.replace ix.sem_posts (base, idx)
+            (i :: prior ix.sem_posts (base, idx))
+      | Event.Sem_acquire { base; idx; _ } ->
+          need_all ix i (prior ix.sem_posts (base, idx))
+      | Event.Spawn_ev { child; _ } ->
+          if child >= 0 && child < max_threads then ix.spawn_of.(child) <- i
+      | Event.Join_return { target; _ } ->
+          if target >= 0 && target < max_threads && ix.exits.(target) >= 0
+          then ix.req.(i) <- ix.exits.(target)
+      | Event.Thread_exit { tid = et } ->
+          if et >= 0 && et < max_threads then ix.exits.(et) <- i
+      | Event.Read _ | Event.Write _ | Event.Cv_wait_begin _
+      | Event.Thread_start _ | Event.Spin_enter _ | Event.Spin_exit _ ->
+          ())
+
+(* The per-event arrays are handed over as grown, not trimmed: every
+   read of them is at an event index below [n]. *)
+let finish ix =
+  let n = ix.n in
+  let multi = Array.make n [] in
+  List.iter (fun (i, l) -> multi.(i) <- l) ix.multi;
+  let lock_rel = Array.make n (-1) in
+  List.iter (fun (a, r) -> lock_rel.(a) <- r) ix.lock_rel;
+  let nthreads = max 1 ix.nthreads in
+  {
+    tid = ix.tid;
+    tpos = ix.tpos;
+    threads = Array.init nthreads (fun t -> ix.thr.(t).Vec.a);
     nthreads;
-    req;
+    req = ix.req;
     multi;
-    spawn_of = Array.sub spawn_of 0 nthreads;
-    lock_key;
+    spawn_of = Array.sub ix.spawn_of 0 nthreads;
+    lock_key = ix.lock_key;
     lock_rel;
   }
+
+let build events =
+  let ix = indexer_sized ~capacity:(Array.length events) (fun _ -> ()) in
+  Array.iter (push ix) events;
+  finish ix
 
 (* ------------------------------------------------------------------ *)
 (* Closure over per-thread ideals                                     *)

@@ -3,11 +3,11 @@
 
     A growable [Event.t] array: {!push} appends in emission order and is
     itself an {!Observer.t}, so it plugs into {!Machine.config} and
-    {!Trace_codec.decode_events} alike.  Live prediction collects a
-    seed's events here, a recorded section decodes into one, and tests
-    and the CLI's trace dump read it back with {!events}.  Pushing does
-    no per-event work beyond the store; {!hash} folds over the buffer on
-    demand. *)
+    {!Trace_codec.decode_events} alike.  No detection path buffers
+    events (prediction streams them); the CLI's trace dump, the trace
+    fixtures, the timing gates and the tests collect them here and read
+    them back with {!events}.  Pushing does no per-event work beyond the
+    store; {!hash} folds over the buffer on demand. *)
 
 type t
 

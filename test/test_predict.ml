@@ -117,6 +117,30 @@ let test_unit_cv_synced () =
   in
   checki "cv handoff kills the pair" 0 (List.length races)
 
+(* An event the scan cannot place (a join on a thread id beyond
+   [max_threads]) poisons a streaming predictor instead of raising out
+   of [observe], which sits in front of a seed's engine; the events
+   after it are ignored and [finish] reports the failure.  The array
+   entry point, a fold over the same stream, raises it too. *)
+let test_unit_fail_open () =
+  let bad =
+    E.Join_return
+      { tid = 0; target = Arde.Types.max_threads; loc = loc "m" 1 }
+  in
+  let stream =
+    preamble
+    @ [ wr 0 "x" 0 1 0; bad; E.Thread_start { tid = 1 }; wr 1 "x" 0 2 1 ]
+    @ postamble
+  in
+  let sp = Sp.create () in
+  List.iter (Sp.observe sp) stream;
+  (match Sp.finish sp with
+  | _ -> Alcotest.fail "finish reported no failure"
+  | exception Invalid_argument _ -> ());
+  match Sp.predict (Array.of_list stream) with
+  | _ -> Alcotest.fail "predict reported no failure"
+  | exception Invalid_argument _ -> ()
+
 (* -- the differential oracle --------------------------------------- *)
 
 let racy_case name =
@@ -356,10 +380,11 @@ let replayed_prediction ?should_stop ~options ~mode program =
 let take n xs = List.filteri (fun i _ -> i < n) xs
 
 (* A live [Predict] or [Both] run predicts from the events its seeds'
-   engines saw, collected in memory; predicting from the sections a
-   recording of the same run decodes must give the same bytes.  The
-   chaos case crashes every seed mid-run, which pins the collector
-   between the injector and the engine, where the codec sink sits. *)
+   engines saw, streamed into its predictors; predicting from the
+   sections a recording of the same run decodes must give the same
+   bytes.  The chaos case crashes every seed mid-run, which pins the
+   predictor between the injector and the engine, where the codec sink
+   sits. *)
 let test_live_events_equal_decoded_sections () =
   let base = Arde.Options.make ~seeds:[ 1; 2; 3 ] ~fuel:100_000 () in
   let slice = List.filteri (fun i _ -> i mod 12 = 0) (W.Racey.all ()) in
@@ -413,6 +438,209 @@ let test_live_events_equal_decoded_sections () =
   in
   checkb "the chaos case crashes its seeds" true
     (crashed.D.health.D.h_crashed > 0)
+
+(* -- the streaming predictor = the array entry point ---------------- *)
+
+let race_of_predicted (p : Sp.race) =
+  {
+    Report.r_base = p.Sp.p_base;
+    r_idx = p.Sp.p_idx;
+    r_first_tid = p.Sp.p_first_tid;
+    r_first_loc = p.Sp.p_first_loc;
+    r_first_write = p.Sp.p_first_write;
+    r_second_tid = p.Sp.p_second_tid;
+    r_second_loc = p.Sp.p_second_loc;
+    r_second_write = p.Sp.p_second_write;
+    r_predicted = true;
+  }
+
+let report_bytes r = J.to_string (Report.to_json r)
+let spin_modes = [ Arde.Config.Helgrind_spin 7; Arde.Config.Nolib_spin 7 ]
+
+(* A live [Predict] run streams each predicted seed's events into its
+   predictor through the tap.  The injector hook is teed in ahead of the
+   tap, so it sees the same stream: collected there with [Trace.push]
+   and handed to [Sp.predict], it must give the races and statistics
+   the live run reports — the predicted races merged after the observed
+   ones of the same two seeds, and the summed [prediction] record.
+   PARSEC with the benchmark's knobs, and the whole Racey catalog, each
+   under the Table-1 spin modes. *)
+let test_streaming_equals_array () =
+  let parsec =
+    List.map
+      (fun ((info : W.Parsec.info), program) ->
+        ( info.W.Parsec.pname,
+          program,
+          Arde.Options.make ~sensitivity:Arde.Msm.Long_running
+            ~lower_style:info.W.Parsec.nolib_style ~fuel:4_000_000
+            ~seeds:[ 1; 2 ] ~jobs:1 () ))
+      (W.Parsec.all ())
+  in
+  let racey =
+    List.map
+      (fun (c : W.Racey.case) ->
+        ( c.W.Racey.name,
+          c.W.Racey.program,
+          Arde.Options.make ~seeds:[ 1; 2 ] ~fuel:200_000 ~jobs:1 () ))
+      (W.Racey.all ())
+  in
+  let predicted_somewhere = ref 0 in
+  List.iter
+    (fun (name, program, options) ->
+      List.iter
+        (fun mode ->
+          let label what =
+            Printf.sprintf "%s under %s: %s" name
+              (Arde.Config.mode_name mode) what
+          in
+          let run options =
+            Arde.detect ~ctx:(D.ctx ~options ()) ~mode
+              (Arde.Input.Program program)
+          in
+          let collected = Hashtbl.create 2 in
+          let inject ~seed =
+            let buf = Arde.Trace.create () in
+            Hashtbl.replace collected seed buf;
+            Arde.Trace.push buf
+          in
+          let live =
+            run
+              (options
+              |> Arde.Options.with_analysis Arde.Options.Predict
+              |> Arde.Options.with_inject (Some inject))
+          in
+          let p =
+            Arde.Analysis_cache.prepare
+              ~style:options.Arde.Options.lower_style
+              ~count_callees:options.Arde.Options.count_callee_blocks mode
+              program
+          in
+          let suppress =
+            match p.Arde.Analysis_cache.p_instrument with
+            | Some inst -> Arde.Instrument.is_sync_base inst
+            | None -> fun _ -> false
+          in
+          let per_seed =
+            List.map
+              (fun seed ->
+                Sp.predict
+                  ~config:{ Sp.default_config with Sp.suppress }
+                  (Arde.Trace.events (Hashtbl.find collected seed)))
+              options.Arde.Options.seeds
+          in
+          let merged = (run options).D.merged in
+          let before = Report.n_contexts merged in
+          List.iter
+            (fun (races, _) ->
+              List.iter
+                (fun r -> Report.add merged (race_of_predicted r))
+                races)
+            per_seed;
+          Alcotest.(check string) (label "merged report")
+            (report_bytes merged) (report_bytes live.D.merged);
+          let sum f =
+            List.fold_left (fun acc (_, st) -> acc + f st) 0 per_seed
+          in
+          match live.D.prediction with
+          | None -> Alcotest.fail (label "no prediction")
+          | Some pr ->
+              predicted_somewhere := !predicted_somewhere + pr.D.pr_predicted;
+              checki (label "sections") (List.length per_seed) pr.D.pr_sections;
+              checki (label "events")
+                (sum (fun st -> st.Sp.s_events))
+                pr.D.pr_events;
+              checki (label "candidates")
+                (sum (fun st -> st.Sp.s_candidates)) pr.D.pr_candidates;
+              checki (label "predicted")
+                (sum (fun st -> st.Sp.s_predicted)) pr.D.pr_predicted;
+              checki (label "closure steps")
+                (sum (fun st -> st.Sp.s_closure_steps)) pr.D.pr_closure_steps;
+              checki (label "budget hits")
+                (sum (fun st -> st.Sp.s_budget_hits)) pr.D.pr_budget_hits;
+              checki (label "new contexts")
+                (Report.n_contexts merged - before) pr.D.pr_new_contexts;
+              checkb (label "no skip notes") true (pr.D.pr_notes = []))
+        spin_modes)
+    (parsec @ racey);
+  checkb "some run predicted races" true (!predicted_somewhere > 0)
+
+(* -- fail-open at the driver --------------------------------------- *)
+
+(* A seed whose predictor fails is skipped with a note, and the run's
+   detection is untouched.  A live run cannot reach this case (the
+   machine emits no event the scan cannot place), so it is built from a
+   recording: each section gets a join on an out-of-range thread after
+   its first event.  The nolib mode's engine ignores library joins, so
+   only the predictor sees the doctored event; predicting over the
+   recording must then report the same bytes as sweeping it, apart from
+   the prediction object, which carries one skip note per seed. *)
+let test_driver_fail_open () =
+  let case = racy_case "racy_counter/2" in
+  let mode = Arde.Config.Nolib_spin 7 in
+  let options = Arde.Options.make ~seeds:[ 1; 2 ] ~fuel:50_000 () in
+  let trace =
+    match
+      Arde.record ~ctx:(D.ctx ~options ()) ~mode
+        (Arde.Input.Program case.W.Racey.program)
+    with
+    | Ok { D.rec_trace; _ } -> rec_trace
+    | Error e -> Alcotest.failf "record: %s" e
+  in
+  let module C = Arde.Trace_codec in
+  let header, sections =
+    match C.read_sections trace with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "read: %s" (C.error_to_string e)
+  in
+  let bad =
+    E.Join_return
+      { tid = 0; target = Arde.Types.max_threads; loc = loc "main" 0 }
+  in
+  let doctor (sec : C.section) =
+    let sink = C.sink () in
+    let out = C.sink_observer sink in
+    let n = ref 0 in
+    (match
+       C.decode_events sec (fun ev ->
+           out ev;
+           incr n;
+           if !n = 1 then out bad)
+     with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "decode: %s" (C.error_to_string e));
+    C.section_of_sink sink ~seed:sec.C.s_seed sec.C.s_trailer
+  in
+  let recorded =
+    match
+      Arde.Recorded.of_string (C.assemble header (List.map doctor sections))
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "doctored recording failed to load: %s" e
+  in
+  let replay analysis =
+    Arde.detect
+      ~ctx:
+        (D.ctx
+           ~options:(Arde.Options.with_analysis analysis Arde.Options.default)
+           ())
+      (Arde.Input.Recorded_trace recorded)
+  in
+  let swept = replay Arde.Options.Sweep in
+  let predicted = replay Arde.Options.Predict in
+  checki "no seed crashed" 0 swept.D.health.D.h_crashed;
+  Alcotest.(check string) "detection unchanged" (result_bytes swept)
+    (result_bytes { predicted with D.prediction = None });
+  match predicted.D.prediction with
+  | None -> Alcotest.fail "no prediction"
+  | Some pr ->
+      checki "nothing predicted from" 0 pr.D.pr_sections;
+      Alcotest.(check (list string))
+        "one skip note per seed"
+        [
+          "predict: seed 1 skipped: index out of bounds";
+          "predict: seed 2 skipped: index out of bounds";
+        ]
+        pr.D.pr_notes
 
 (* The predicted seeds are those at the first [predict_limit] positions
    of the seed list; a cancelled one among them is skipped, not replaced
@@ -555,6 +783,8 @@ let suite =
     Alcotest.test_case "unit: sync-base suppression" `Quick
       test_unit_suppression;
     Alcotest.test_case "unit: cv handoff rejected" `Quick test_unit_cv_synced;
+    Alcotest.test_case "unit: a failing stream poisons, never raises" `Quick
+      test_unit_fail_open;
     Alcotest.test_case "differential: predict-from-2 vs the 16-seed sweep"
       `Slow test_differential;
     Alcotest.test_case "prediction over chaos-salvaged traces" `Quick
@@ -563,6 +793,10 @@ let suite =
       test_predict_salvaged_cancellation;
     Alcotest.test_case "live events = decoded sections" `Slow
       test_live_events_equal_decoded_sections;
+    Alcotest.test_case "streaming predictor = the array entry point" `Slow
+      test_streaming_equals_array;
+    Alcotest.test_case "a failed predictor leaves detection untouched" `Quick
+      test_driver_fail_open;
     Alcotest.test_case "a cancelled predicted seed is not replaced" `Quick
       test_cancelled_predicted_seed_not_replaced;
     Alcotest.test_case "corrupt sections never reach the predictor" `Quick

@@ -1303,10 +1303,35 @@ let test_restart_storm_circuit_breaker () =
                 (Astring.String.is_infix ~affix:"circuit" msg)
           | None -> Alcotest.fail "no error payload"))
 
+(* Fuel for [busy_tir] that keeps a run of it busy for at least
+   [seconds] here: the step rate comes from the fastest of three short
+   in-process runs under the blocker's own mode, so a noisy moment can
+   only raise the estimate of how long the fuel lasts. *)
+let busy_fuel ~seconds =
+  let probe = 1_000_000 in
+  let options = Arde.Options.make ~seeds:[ 1 ] ~fuel:probe () in
+  let time_probe () =
+    let t0 = Unix.gettimeofday () in
+    ignore
+      (Arde.detect
+         ~ctx:(Arde.Driver.ctx ~options ())
+         ~mode:Arde.Config.Helgrind_lib (Arde.Input.Text busy_tir));
+    Unix.gettimeofday () -. t0
+  in
+  let best =
+    List.fold_left min infinity (List.init 3 (fun _ -> time_probe ()))
+  in
+  int_of_float
+    (Float.ceil (float_of_int probe *. seconds /. Float.max best 1e-6))
+
 (* A request whose deadline elapses while still queued is cancelled
    without touching a worker, releases its admission slot, and is
-   answered with [deadline_expired]. *)
+   answered with [deadline_expired].  The blocker holding the only
+   worker is sized to run at least 20x the queued request's deadline,
+   whatever this host's interpreter speed. *)
 let test_deadline_expires_in_queue () =
+  let deadline_ms = 100 in
+  let fuel = busy_fuel ~seconds:(20. *. float_of_int deadline_ms /. 1000.) in
   with_server ~workers:1 (fun srv ->
       with_client srv (fun blocker ->
           ignore
@@ -1315,8 +1340,7 @@ let test_deadline_expires_in_queue () =
                   (J.to_string
                      (P.run_request_json ~id:(J.Int 0) ~program:busy_tir
                         ~mode:Arde.Config.Helgrind_lib
-                        ~options:
-                          (Arde.Options.make ~seeds:[ 1 ] ~fuel:20_000_000 ())
+                        ~options:(Arde.Options.make ~seeds:[ 1 ] ~fuel ())
                         ()))));
           with_client srv (fun cl ->
               await_stats cl ~what:"blocker in flight"
@@ -1324,7 +1348,7 @@ let test_deadline_expires_in_queue () =
                   int_at [ "queue"; "in_flight" ] = Some 1);
               let resp =
                 ok_exn "queued run with a tight deadline"
-                  (C.run cl ~deadline_ms:100 ~program:busy_tir
+                  (C.run cl ~deadline_ms ~program:busy_tir
                      ~mode:Arde.Config.Helgrind_lib ~options:quick_options ())
               in
               checks "expired in the queue" "deadline_expired"
