@@ -15,15 +15,17 @@ module W = Arde_workloads
 open Cmdliner
 
 (* A workload name, or a path to a .tir file: the program, its catalog
-   case if any, and the detector input for it — a file's own text (so
-   detection digests the bytes already read instead of re-printing the
-   program), a catalog entry's built program. *)
+   case if any, and the detector input for it with the digest that keys
+   it.  A file is parsed and validated here, to report its errors, so
+   its input is the validated program (detection does not check it
+   again) keyed by the digest of the bytes already read (nothing is
+   re-printed); a catalog entry's input is its built program. *)
 let find_program name =
   match W.Catalog.find name with
   | Some (W.Catalog.Case c) ->
       let p = c.W.Racey.program in
-      Ok (p, Some c, Arde.Input.Program p)
-  | Some (W.Catalog.Parsec (_, p)) -> Ok (p, None, Arde.Input.Program p)
+      Ok (p, Some c, (Arde.Input.Program p, None))
+  | Some (W.Catalog.Parsec (_, p)) -> Ok (p, None, (Arde.Input.Program p, None))
   | None -> (
       match () with
       | () ->
@@ -34,8 +36,12 @@ let find_program name =
             close_in ic;
             match Arde.Parse.program text with
             | Ok p -> (
-                match Arde.Validate.check p with
-                | Ok () -> Ok (p, None, Arde.Input.Text text)
+                match Arde.Validate.validate p with
+                | Ok v ->
+                    Ok
+                      ( p,
+                        None,
+                        (Arde.Input.Valid v, Some (Digest.string text)) )
                 | Error es ->
                     Error
                       (Printf.sprintf "%s: %s" name
@@ -365,11 +371,13 @@ let run_cmd =
     | Error e ->
         prerr_endline e;
         exit 1
-    | Ok (_, case, input) ->
+    | Ok (_, case, (input, program_digest)) ->
         let options = opts Arde.Options.default in
         let before = Arde.Analysis_cache.stats () in
         let result =
-          Arde.detect ~ctx:(Arde.Driver.ctx ~options ()) ~mode input
+          Arde.detect
+            ~ctx:(Arde.Driver.ctx ~options ?program_digest ())
+            ~mode input
         in
         let cache_delta =
           Arde.Analysis_cache.stats_delta ~before
@@ -431,12 +439,11 @@ let record_cmd =
     | Error e ->
         prerr_endline e;
         exit 1
-    | Ok (p, case, _) ->
+    | Ok (_, case, (input, _)) ->
         let options = opts Arde.Options.default in
         let ctx = Arde.Driver.ctx ~options () in
         (match
-           Arde.record ~ctx ~mode ~detect:detect_too ~source:name
-             (Arde.Input.Program p)
+           Arde.record ~ctx ~mode ~detect:detect_too ~source:name input
          with
         | Error e ->
             prerr_endline ("record: " ^ e);
@@ -633,13 +640,15 @@ let predict_cmd =
         | Error e ->
             prerr_endline e;
             exit 1
-        | Ok (_, case, input) ->
+        | Ok (_, case, (input, program_digest)) ->
             let options =
               opts Arde.Options.default
               |> Arde.Options.with_analysis Arde.Options.Predict
             in
             let result =
-              Arde.detect ~ctx:(Arde.Driver.ctx ~options ()) ~mode input
+              Arde.detect
+                ~ctx:(Arde.Driver.ctx ~options ?program_digest ())
+                ~mode input
             in
             exit (render_result ~format ~workload:target ?case result))
   in

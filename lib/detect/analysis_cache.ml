@@ -32,7 +32,9 @@ let max_prepared = 128
 let max_inner = 4 * max_prepared
 let lock = Mutex.create ()
 
-let lower_tbl : (string * Arde_tir.Lower.style, Arde_tir.Types.program) Fifo.t =
+(* Lowerings are validated once, when computed: the table holds them
+   ready to compile. *)
+let lower_tbl : (string * Arde_tir.Lower.style, Arde_tir.Validate.valid) Fifo.t =
   Fifo.create max_inner
 
 (* Keyed by the digest of the program {e before} lowering plus the
@@ -86,7 +88,7 @@ let memo tbl hits misses key compute =
 
 let lower_keyed ~digest ~style prog =
   memo lower_tbl lower_hits lower_misses (digest, style) (fun () ->
-      Arde_tir.Lower.lower ~style prog)
+      Arde_tir.Validate.validate_exn (Arde_tir.Lower.lower ~style prog))
 
 (* [prog] is the analyzed program: the [lowering]-style lowering of the
    program [digest] identifies. *)
@@ -95,23 +97,28 @@ let instrument_keyed ~digest ~lowering ~count_callees ~k prog =
     (fun () -> Arde_cfg.Instrument.analyze ~count_callees ~k prog)
 
 let lowered ~style prog =
-  lower_keyed ~digest:(digest_of_program prog) ~style prog
+  (lower_keyed ~digest:(digest_of_program prog) ~style prog
+    :> Arde_tir.Types.program)
 
 let instrumented ~count_callees ~k prog =
   instrument_keyed ~digest:(digest_of_program prog) ~lowering:None
     ~count_callees ~k prog
 
 (* The full static half of the pipeline, computed once per
-   (program, mode, knobs).  The inner stages are keyed by the prepare
-   digest itself, so a prepared miss records their hits/misses without
-   digesting anything; a prepared hit touches neither. *)
-let compute_prepared ~digest ~style ~count_callees mode program =
+   (program, mode, knobs) from a validated program.  The inner stages
+   are keyed by the prepare digest itself, so a prepared miss records
+   their hits/misses without digesting anything; a prepared hit touches
+   neither. *)
+let compute_prepared ~digest ~style ~count_callees mode
+    (valid : Arde_tir.Validate.valid) =
   let lowering = if Config.needs_lowering mode then Some style else None in
-  let program =
+  let valid =
     match lowering with
-    | Some style -> lower_keyed ~digest ~style program
-    | None -> program
+    | Some style ->
+        lower_keyed ~digest ~style (valid :> Arde_tir.Types.program)
+    | None -> valid
   in
+  let program = (valid :> Arde_tir.Types.program) in
   let instrument =
     match Config.spin_k mode with
     | Some k ->
@@ -124,7 +131,7 @@ let compute_prepared ~digest ~style ~count_callees mode program =
       Arde_cfg.Lock_infer.inferred_locks (Arde_cfg.Lock_infer.analyze program)
     else []
   in
-  let compiled = Arde_runtime.Machine.compile program in
+  let compiled = Arde_runtime.Machine.compile_valid valid in
   {
     p_program = program;
     p_instrument = instrument;
@@ -137,13 +144,24 @@ let compute_prepared ~digest ~style ~count_callees mode program =
 let prep_key ~digest ~style ~count_callees mode =
   (digest, Config.mode_id mode, style, count_callees)
 
-let prepare ?digest ~style ~count_callees mode program =
+(* [valid_of] validates the program, once and only on a miss. *)
+let prepare_via valid_of ?digest ~style ~count_callees mode program =
   let digest =
     match digest with Some d -> d | None -> digest_of_program program
   in
   memo prep_tbl prep_hits prep_misses
     (prep_key ~digest ~style ~count_callees mode)
-    (fun () -> compute_prepared ~digest ~style ~count_callees mode program)
+    (fun () ->
+      compute_prepared ~digest ~style ~count_callees mode (valid_of program))
+
+let prepare = prepare_via Arde_tir.Validate.validate_exn
+
+let prepare_valid ?digest ~style ~count_callees mode
+    (valid : Arde_tir.Validate.valid) =
+  prepare_via
+    (fun _ -> valid)
+    ?digest ~style ~count_callees mode
+    (valid :> Arde_tir.Types.program)
 
 (* A lookup that never computes: it counts its hits, and leaves a miss
    to the {!prepare} the caller makes once it has a program. *)

@@ -62,12 +62,26 @@ val prepare :
   Arde_tir.Types.program ->
   prepared
 (** The full static half for one (program, mode): what {!Driver.run}
-    does before any seed executes.  [?digest] must uniquely identify
-    [program] and also keys the inner lowering and instrumentation
-    lookups; omitted, the canonical digest is computed here (a full
-    pretty-print).  Concurrent misses on one key may each compute; the
-    first bundle published is kept and, while the cache is enabled,
-    every caller gets that one. *)
+    does before any seed executes.  A miss validates [program] first,
+    before lowering or instrumenting it, so an invalid program fails
+    with the validator's [Invalid_argument] in every mode; a hit
+    validates nothing.  [?digest] must uniquely identify [program] and
+    also keys the inner lowering and instrumentation lookups; omitted,
+    the canonical digest is computed here (a full pretty-print).
+    Concurrent misses on one key may each compute; the first bundle
+    published is kept and, while the cache is enabled, every caller gets
+    that one. *)
+
+val prepare_valid :
+  ?digest:string ->
+  style:Arde_tir.Lower.style ->
+  count_callees:bool ->
+  Config.mode ->
+  Arde_tir.Validate.valid ->
+  prepared
+(** {!prepare} for a program that already passed validation: nothing is
+    checked again.  A lowering is validated once, when it is computed,
+    and compiled as it is. *)
 
 val find_prepared :
   digest:string ->
@@ -87,7 +101,8 @@ val digest_of_program : Arde_tir.Types.program -> string
 
 val lowered : style:Arde_tir.Lower.style -> Arde_tir.Types.program ->
   Arde_tir.Types.program
-(** Memoized lowering, keyed by the canonical digest. *)
+(** Memoized lowering, keyed by the canonical digest.
+    @raise Invalid_argument if the lowering does not validate. *)
 
 val instrumented :
   count_callees:bool -> k:int -> Arde_tir.Types.program -> Arde_cfg.Instrument.t

@@ -206,6 +206,10 @@ let prepare ?digest (options : Options.t) mode program =
   Analysis_cache.prepare ?digest ~style:options.Options.lower_style
     ~count_callees:options.Options.count_callee_blocks mode program
 
+let prepare_valid ?digest (options : Options.t) mode valid =
+  Analysis_cache.prepare_valid ?digest ~style:options.Options.lower_style
+    ~count_callees:options.Options.count_callee_blocks mode valid
+
 (* One seed's detector: a fresh engine and condition-variable checker
    over the prepared bundle, teed into the observer the stream feeds. *)
 let seed_detector (options : Options.t) mode ~engine_factory
@@ -457,15 +461,10 @@ let run_live (c : ctx) mode p ~tap ~on_cancel =
 (* ------------------------------------------------------------------ *)
 (* Inputs                                                             *)
 
-let resolve_text text =
-  match Arde_tir.Parse.program text with
-  | Error e -> Error (Arde_tir.Parse.error_to_string e)
-  | Ok program -> (
-      match Arde_tir.Validate.check program with
-      | Ok () -> Ok program
-      | Error errs ->
-          Error
-            (String.concat "; " (List.map Arde_tir.Validate.error_to_string errs)))
+(* Parsing only: the prepare that follows validates, as it does for a
+   [Program] input, so an invalid program reads the same either way. *)
+let parse_text text =
+  Result.map_error Arde_tir.Parse.error_to_string (Arde_tir.Parse.program text)
 
 (* ------------------------------------------------------------------ *)
 (* Replay: the detection half alone, fed from a recording             *)
@@ -506,10 +505,9 @@ let replay_with ctx recorded =
      cancellation. *)
   let mode = Recorded.mode recorded in
   let options = Recorded.options recorded in
-  let program = Recorded.program recorded in
-  (* verified equal to the canonical digest at load time *)
+  (* validated, and its digest verified canonical, at load time *)
   let digest = Digest.from_hex (Recorded.digest_hex recorded) in
-  match prepare ~digest options mode program with
+  match prepare_valid ~digest options mode (Recorded.program recorded) with
   | exception e -> (failed_result mode (snd (describe_exn e)), None)
   | p ->
       let notes = clamp_notes ctx options in
@@ -732,6 +730,10 @@ let run ?(ctx = default_ctx) ?mode input =
       let mode = Option.value mode ~default:default_mode in
       run_live_analyzed ctx mode (fun () ->
           prepare ?digest:ctx.c_program_digest ctx.c_options mode program)
+  | Input.Valid valid ->
+      let mode = Option.value mode ~default:default_mode in
+      run_live_analyzed ctx mode (fun () ->
+          prepare_valid ?digest:ctx.c_program_digest ctx.c_options mode valid)
   | Input.Text text -> (
       let mode = Option.value mode ~default:default_mode in
       (* The text determines the program, so its bytes are a cache key:
@@ -750,7 +752,7 @@ let run ?(ctx = default_ctx) ?mode input =
       with
       | Some p -> run_live_analyzed ctx mode (fun () -> p)
       | None -> (
-          match resolve_text text with
+          match parse_text text with
           | Error msg -> failed_result mode msg
           | Ok program ->
               run_live_analyzed ctx mode (fun () ->
@@ -813,16 +815,23 @@ let record_tap ~pos:_ seed =
 
 let record ?(ctx = default_ctx) ?(mode = default_mode) ?(detect = false)
     ?(source = "") input =
+  let options = ctx.c_options in
+  (* the program, and its prepare under a digest *)
   let resolved =
     match (input : Input.t) with
     | Input.Recorded_trace _ ->
         Error "record: input is already a recording; replay it instead"
-    | Input.Program p -> Ok p
-    | Input.Text text -> resolve_text text
+    | Input.Program p -> Ok (p, fun digest -> prepare ~digest options mode p)
+    | Input.Valid v ->
+        Ok ((v :> program), fun digest -> prepare_valid ~digest options mode v)
+    | Input.Text text ->
+        Result.map
+          (fun p -> (p, fun digest -> prepare ~digest options mode p))
+          (parse_text text)
   in
   match resolved with
   | Error msg -> Error msg
-  | Ok program -> (
+  | Ok (program, prepare_under) -> (
       (* The header pins the recording to the canonical program text: a
          loader re-derives the digest from the embedded text and refuses
          a mismatch, and replay re-runs the static half from it. *)
@@ -838,8 +847,7 @@ let record ?(ctx = default_ctx) ?(mode = default_mode) ?(detect = false)
           h_program = text;
         }
       in
-      let options = ctx.c_options in
-      match prepare ~digest options mode program with
+      match prepare_under digest with
       | exception e ->
           let msg = snd (describe_exn e) in
           (* with [detect], the failure reads as the failed run's note *)
@@ -1062,9 +1070,10 @@ let compare_on_trace ?(options = Options.default) ~k program modes =
           "Driver.compare_on_trace: library-free modes run a different \
            (lowered) program and cannot share a trace")
     modes;
+  let valid = Arde_tir.Validate.validate_exn program in
   let instrument = Some (Arde_cfg.Instrument.analyze ~k program) in
   let cv_mutexes = Engine.cv_mutexes_of program in
-  let compiled = Machine.compile program in
+  let compiled = Machine.compile_valid valid in
   let merged =
     List.map (fun mode -> (mode, Report.create ~cap:max_int ())) modes
   in

@@ -207,8 +207,9 @@ val predict_limit : int
 val run : ?ctx:ctx -> ?mode:Config.mode -> Input.t -> result
 (** The one front door.  [Text] input is looked up in the analysis
     cache by its digest first and parsed and validated only on a miss
-    ([Failed] health on errors); [Program] runs as is; and
-    [Recorded_trace] is replayed — the machine never
+    ([Failed] health on errors); [Program] is validated on a miss;
+    [Valid] is not checked again; and [Recorded_trace] is replayed
+    (validated when it was loaded) — the machine never
     executes for a trace, and [mode] (if given) must agree with the
     recorded one.  [mode] defaults to [Helgrind_spin 7] for text/program
     inputs and to the recorded mode for traces.

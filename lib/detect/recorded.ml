@@ -4,7 +4,7 @@ type t = {
   r_header : Codec.header;
   r_mode : Config.mode;
   r_options : Options.t;
-  r_program : Arde_tir.Types.program;
+  r_program : Arde_tir.Validate.valid;
   r_sections : Codec.section list;
 }
 
@@ -35,16 +35,19 @@ let of_string data =
         Printf.sprintf "trace program: %s" (Arde_tir.Parse.error_to_string e))
       (Arde_tir.Parse.program header.Codec.h_program)
   in
-  let* () =
-    match Arde_tir.Validate.check program with
-    | Ok () -> Ok ()
+  let* program =
+    match Arde_tir.Validate.validate program with
+    | Ok valid -> Ok valid
     | Error errs ->
         Error
           (Printf.sprintf "trace program fails validation: %s"
              (String.concat "; "
                 (List.map Arde_tir.Validate.error_to_string errs)))
   in
-  let actual = Digest.to_hex (Analysis_cache.digest_of_program program) in
+  let actual =
+    Digest.to_hex
+      (Analysis_cache.digest_of_program (program :> Arde_tir.Types.program))
+  in
   let* () =
     if String.equal actual header.Codec.h_digest then Ok ()
     else

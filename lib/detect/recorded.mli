@@ -22,10 +22,11 @@ val options : t -> Options.t
 (** The recording run's options; [inject] is always [None] (closures
     never cross the wire). *)
 
-val program : t -> Arde_tir.Types.program
-(** The recorded program, parsed from the embedded canonical text.
-    This is the {e original} (pre-lowering) program: replay re-runs the
-    static half, so a lowering mode lowers it again, identically. *)
+val program : t -> Arde_tir.Validate.valid
+(** The recorded program, parsed from the embedded canonical text and
+    validated at load, so replay does not check it again.  This is the
+    {e original} (pre-lowering) program: replay re-runs the static half,
+    so a lowering mode lowers it again, identically. *)
 
 val sections : t -> Arde_runtime.Trace_codec.section list
 (** One per recorded seed, in recording (seed) order. *)

@@ -132,9 +132,11 @@ and cfunc = {
   cfid : int; (* index into [compiled.cfuncs] *)
   cfname : string;
   cnparams : int; (* parameters occupy slots 0 .. cnparams-1 *)
-  cnregs : int;
-  crnames : string array; (* slot -> source register name, for faults *)
-  mutable cblocks : cblock array; (* filled in compile pass 2 *)
+  mutable cnregs : int;
+  mutable crnames : string array; (* slot -> source register name, for faults *)
+  mutable cblocks : cblock array;
+      (* these three are filled once every shell exists, so calls can
+         point at their callee *)
 }
 
 (* Per-instrumentation spin cache: every query the reference machine made
@@ -166,119 +168,50 @@ type compiled = {
          instrumentation (compile once, run many seeds) *)
 }
 
-let compile prog =
-  Arde_tir.Validate.check_exn prog;
+(* One pass over a validated program.  Function shells come first so a
+   call can point straight at its callee; then each function's blocks
+   are translated in order, and a register gets its slot at its first
+   occurrence (parameters first, then textual order, destination before
+   operands), so one lookup per occurrence numbers and resolves it.  The
+   validator has already rejected unknown labels, unknown or
+   arity-mismatched direct callees/spawnees and undeclared globals, so
+   those runtime faults disappear here. *)
+let compile_valid (valid : Arde_tir.Validate.valid) =
+  let prog = (valid :> program) in
   let cintern = Arde_tir.Intern.of_program prog in
-  (* Pass 1: number every register of every function (parameters first,
-     then first textual occurrence, destination before operands) and
-     create the function shells so calls can point straight at their
-     callee. *)
   let by_name = Hashtbl.create 16 in
   let shells =
     List.mapi
       (fun fid (f : func) ->
-        let slots = Hashtbl.create 16 in
-        let count = ref 0 in
-        let names = ref [] in
-        let slot r =
-          if not (Hashtbl.mem slots r) then begin
-            Hashtbl.replace slots r !count;
-            incr count;
-            names := r :: !names
-          end
-        in
-        List.iter slot f.params;
-        let op = function Imm _ -> () | Reg r -> slot r in
-        let ad (a : addr) = op a.index in
-        let visit_ins = function
-          | Mov (d, o) ->
-              slot d;
-              op o
-          | Binop (d, _, a, b) | Cmp (d, _, a, b) ->
-              slot d;
-              op a;
-              op b
-          | Load (d, a) ->
-              slot d;
-              ad a
-          | Store (a, o) ->
-              ad a;
-              op o
-          | Cas (d, a, e, n) ->
-              slot d;
-              ad a;
-              op e;
-              op n
-          | Rmw (d, _, a, o) ->
-              slot d;
-              ad a;
-              op o
-          | Fence | Nop | Yield -> ()
-          | Check (o, _) -> op o
-          | Call (ret, _, args) ->
-              Option.iter slot ret;
-              List.iter op args
-          | Call_indirect (ret, tgt, args) ->
-              Option.iter slot ret;
-              op tgt;
-              List.iter op args
-          | Spawn (d, _, args) ->
-              slot d;
-              List.iter op args
-          | Join o -> op o
-          | Lock a
-          | Unlock a
-          | Cond_signal a
-          | Cond_broadcast a
-          | Barrier_wait a
-          | Sem_post a
-          | Sem_wait a ->
-              ad a
-          | Cond_wait (a, b) ->
-              ad a;
-              ad b
-          | Barrier_init (a, n) | Sem_init (a, n) ->
-              ad a;
-              op n
-        in
-        let visit_term = function
-          | Goto _ | Exit -> ()
-          | Br (o, _, _) -> op o
-          | Ret o -> Option.iter op o
-        in
-        List.iter
-          (fun (b : block) ->
-            List.iter visit_ins b.ins;
-            visit_term b.term)
-          f.blocks;
-        let crnames = Array.make !count "" in
-        List.iteri (fun i r -> crnames.(!count - 1 - i) <- r) !names;
         let shell =
           {
             cfid = fid;
             cfname = f.fname;
             cnparams = List.length f.params;
-            cnregs = !count;
-            crnames;
+            cnregs = 0;
+            crnames = [||];
             cblocks = [||];
           }
         in
         Hashtbl.replace by_name f.fname shell;
-        (shell, slots, f))
+        (shell, f))
       prog.funcs
   in
   let fn_of name = Hashtbl.find by_name name in
-  (* Pass 2: translate blocks, resolving labels to block indices, bases to
-     interned ids and callees to shells.  The validator has already
-     rejected unknown labels, unknown or arity-mismatched direct
-     callees/spawnees and undeclared globals, so those runtime faults
-     disappear here. *)
   List.iter
-    (fun (shell, slots, (f : func)) ->
+    (fun (shell, (f : func)) ->
+      (* a register's id is its slot *)
+      let slots = Arde_tir.Names.create 64 in
+      let slot r = Arde_tir.Names.intern slots r 0 (String.length r) in
+      List.iter (fun r -> ignore (slot r)) f.params;
+      (* labels are unique, so a label's id is its block's index *)
       let blocks = Array.of_list f.blocks in
-      let lbl_index = Hashtbl.create (Array.length blocks) in
-      Array.iteri (fun i (b : block) -> Hashtbl.replace lbl_index b.lbl i) blocks;
-      let slot r = Hashtbl.find slots r in
+      let labels = Arde_tir.Names.create (Array.length blocks) in
+      Array.iter
+        (fun (b : block) ->
+          ignore (Arde_tir.Names.intern labels b.lbl 0 (String.length b.lbl)))
+        blocks;
+      let label l = Arde_tir.Names.find labels l 0 (String.length l) in
       let cop = function Imm n -> Cimm n | Reg r -> Creg (slot r) in
       let ca (a : addr) =
         {
@@ -288,41 +221,75 @@ let compile prog =
         }
       in
       let ret_slot = function None -> -1 | Some r -> slot r in
+      (* [List.map] applies in list order *)
       let args_of args = Array.of_list (List.map cop args) in
       let tr = function
-        | Mov (d, o) -> CMov (slot d, cop o)
-        | Binop (d, op, a, b) -> CBinop (slot d, op, cop a, cop b)
-        | Cmp (d, op, a, b) -> CCmp (slot d, op, cop a, cop b)
-        | Load (d, a) -> CLoad (slot d, ca a)
-        | Store (a, o) -> CStore (ca a, cop o)
-        | Cas (d, a, e, n) -> CCas (slot d, ca a, cop e, cop n)
-        | Rmw (d, op, a, o) -> CRmw (slot d, op, ca a, cop o)
+        | Mov (d, o) ->
+            let d = slot d in
+            CMov (d, cop o)
+        | Binop (d, op, a, b) ->
+            let d = slot d in
+            let a = cop a in
+            CBinop (d, op, a, cop b)
+        | Cmp (d, op, a, b) ->
+            let d = slot d in
+            let a = cop a in
+            CCmp (d, op, a, cop b)
+        | Load (d, a) ->
+            let d = slot d in
+            CLoad (d, ca a)
+        | Store (a, o) ->
+            let a = ca a in
+            CStore (a, cop o)
+        | Cas (d, a, e, n) ->
+            let d = slot d in
+            let a = ca a in
+            let e = cop e in
+            CCas (d, a, e, cop n)
+        | Rmw (d, op, a, o) ->
+            let d = slot d in
+            let a = ca a in
+            CRmw (d, op, a, cop o)
         | Fence | Nop -> CNop
         | Yield -> CYield
         | Check (o, msg) -> CCheck (cop o, msg)
-        | Call (ret, name, args) -> CCall (fn_of name, args_of args, ret_slot ret)
+        | Call (ret, name, args) ->
+            let r = ret_slot ret in
+            CCall (fn_of name, args_of args, r)
         | Call_indirect (ret, tgt, args) ->
-            CCall_indirect (ret_slot ret, cop tgt, args_of args)
-        | Spawn (d, name, args) -> CSpawn (slot d, fn_of name, args_of args)
+            let r = ret_slot ret in
+            let t = cop tgt in
+            CCall_indirect (r, t, args_of args)
+        | Spawn (d, name, args) ->
+            let d = slot d in
+            CSpawn (d, fn_of name, args_of args)
         | Join o -> CJoin (cop o)
         | Lock a -> CLock (ca a)
         | Unlock a -> CUnlock (ca a)
-        | Cond_wait (a, b) -> CCond_wait (ca a, ca b)
+        | Cond_wait (a, b) ->
+            let a = ca a in
+            CCond_wait (a, ca b)
         | Cond_signal a -> CCond_signal (ca a)
         | Cond_broadcast a -> CCond_broadcast (ca a)
-        | Barrier_init (a, n) -> CBarrier_init (ca a, cop n)
+        | Barrier_init (a, n) ->
+            let a = ca a in
+            CBarrier_init (a, cop n)
         | Barrier_wait a -> CBarrier_wait (ca a)
-        | Sem_init (a, n) -> CSem_init (ca a, cop n)
+        | Sem_init (a, n) ->
+            let a = ca a in
+            CSem_init (a, cop n)
         | Sem_post a -> CSem_post (ca a)
         | Sem_wait a -> CSem_wait (ca a)
       in
       let trt = function
-        | Goto l -> CGoto (Hashtbl.find lbl_index l)
+        | Goto l -> CGoto (label l)
         | Br (o, a, b) ->
-            CBr (cop o, Hashtbl.find lbl_index a, Hashtbl.find lbl_index b)
+            let o = cop o in
+            CBr (o, label a, label b)
         | Ret o -> CRet (Option.map cop o)
         | Exit -> CExit
       in
+      (* [Array.map] too *)
       shell.cblocks <-
         Array.map
           (fun (b : block) ->
@@ -333,9 +300,11 @@ let compile prog =
                   { lfunc = f.fname; lblk = b.lbl; lidx = (if i < n then i else -1) })
             in
             { clbl = b.lbl; cins; cterm = trt b.term; clocs })
-          blocks)
+          blocks;
+      shell.cnregs <- Arde_tir.Names.count slots;
+      shell.crnames <- Array.init shell.cnregs (Arde_tir.Names.name slots))
     shells;
-  let cfuncs = Array.of_list (List.map (fun (s, _, _) -> s) shells) in
+  let cfuncs = Array.of_list (List.map fst shells) in
   (* Flat cell numbering for synchronization state: every (base, index)
      pair gets one cell.  Offsets use the interned extent, which is the
      maximum over duplicate declarations, so any index that survives the
@@ -373,6 +342,8 @@ let compile prog =
     ccell_idx;
     cicache = Atomic.make [];
   }
+
+let compile prog = compile_valid (Arde_tir.Validate.validate_exn prog)
 
 (* ------------------------------------------------------------------ *)
 (* Machine state                                                      *)

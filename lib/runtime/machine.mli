@@ -84,7 +84,12 @@ type compiled
     resolved).  Compile once, run under many seeds. *)
 
 val compile : program -> compiled
-(** @raise Invalid_argument if the program does not validate. *)
+(** {!Arde_tir.Validate.validate_exn}, then {!compile_valid}.
+    @raise Invalid_argument if the program does not validate. *)
+
+val compile_valid : Arde_tir.Validate.valid -> compiled
+(** Compile a program that already passed validation, without checking
+    it again. *)
 
 type spin_cache = {
   sc_header : int array array; (* fid -> blk -> loop id, or -1 *)

@@ -76,11 +76,11 @@ let parse_args argv =
 (* Execution (one request at a time, same pipeline as PR 5's worker
    domain, now in its own process)                                    *)
 
-(* Parsed programs by request-text digest, bounded like the analysis
+(* Validated programs by request-text digest, bounded like the analysis
    cache so a worker that runs indefinitely plateaus.  128 keeps a
    working set of a hundred-odd distinct programs resident, each
    re-submitted under several modes. *)
-type programs = (string, Arde.Types.program) Arde.Fifo_table.t
+type programs = (string, Arde.Validate.valid) Arde.Fifo_table.t
 
 let max_programs = 128
 let programs () = Arde.Fifo_table.create max_programs
@@ -118,15 +118,15 @@ let lookup_program programs ~digest text =
       match Arde.Parse.program text with
       | Error e -> Error ("program: " ^ Arde.Parse.error_to_string e)
       | Ok p -> (
-          match Arde.Validate.check p with
+          match Arde.Validate.validate p with
           | Error es ->
               Error
                 ("program: "
                 ^ String.concat "; "
                     (List.map Arde.Validate.error_to_string es))
-          | Ok () ->
-              Arde.Fifo_table.add programs digest p;
-              Ok p))
+          | Ok valid ->
+              Arde.Fifo_table.add programs digest valid;
+              Ok valid))
 
 (* The one request executor: the frame loop runs every request through
    it and {!replay} runs crash bundles through it, so a postmortem
@@ -184,7 +184,7 @@ let execute ?sealed_trace env ~digest (req : P.run_request) =
               ~program_digest:digest ()
           in
           if not rp_record then
-            match Arde.detect ~ctx ~mode:rp_mode (Arde.Input.Program program) with
+            match Arde.detect ~ctx ~mode:rp_mode (Arde.Input.Valid program) with
             | result -> respond result []
             | exception e -> internal e
           else
@@ -201,7 +201,7 @@ let execute ?sealed_trace env ~digest (req : P.run_request) =
               | None -> (
                   match
                     Arde.record ~ctx ~mode:rp_mode ~source:"serve"
-                      (Arde.Input.Program program)
+                      (Arde.Input.Valid program)
                   with
                   | Ok { Arde.Driver.rec_trace; _ } ->
                       env.keep_trace rec_trace;

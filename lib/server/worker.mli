@@ -28,8 +28,8 @@ val hook : unit -> unit
 
 (** {2 Parsed-program table}
 
-    Each worker keeps the programs it has parsed, keyed by the digest of
-    the request text, so a repeat submission skips parsing.  The table
+    Each worker keeps the programs it has parsed and validated, keyed by
+    the digest of the request text, so a repeat submission skips both.  The table
     is bounded: past {!max_programs} distinct programs the oldest is
     evicted. *)
 
@@ -42,11 +42,11 @@ val programs : unit -> programs
 (** An empty table. *)
 
 val lookup_program :
-  programs -> digest:string -> string -> (Arde.Types.program, string) result
+  programs -> digest:string -> string -> (Arde.Validate.valid, string) result
 (** The program [text] parses to, from the table when [digest] (which
     must identify [text]) is resident; otherwise parse and validate it,
     and keep it if valid.  [Error] carries the parse or validation
-    message. *)
+    message.  The detection that follows does not validate it again. *)
 
 val resident : programs -> digest:string -> bool
 

@@ -1,13 +1,38 @@
 open Types
 
-let operand ppf = function
-  | Imm n -> Format.fprintf ppf "%d" n
-  | Reg x -> Format.fprintf ppf "%%%s" x
+(* The canonical text is built in a [Buffer], with no [Format]: it is
+   printed on every canonical digest, every recording and every trace
+   load.  Recording headers carry its MD5, so its bytes are fixed:
+   blocks indented by two, their instructions and terminators by four,
+   one blank line between functions. *)
 
-let addr ppf a =
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else if n = min_int then Buffer.add_string b (string_of_int n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
+
+let operand b = function
+  | Imm n -> add_int b n
+  | Reg x ->
+      Buffer.add_char b '%';
+      Buffer.add_string b x
+
+let addr b a =
+  Buffer.add_char b '@';
+  Buffer.add_string b a.base;
   match a.index with
-  | Imm 0 -> Format.fprintf ppf "@%s" a.base
-  | idx -> Format.fprintf ppf "@%s[%a]" a.base operand idx
+  | Imm 0 -> ()
+  | idx ->
+      Buffer.add_char b '[';
+      operand b idx;
+      Buffer.add_char b ']'
 
 let binop_name = function
   | Add -> "add"
@@ -35,87 +60,198 @@ let rmw_name = function
   | Rmw_or -> "or"
   | Rmw_and -> "and"
 
-let args ppf xs =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-    operand ppf xs
+let args b xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string b ", ";
+      operand b x)
+    xs
 
-let ret_prefix ppf = function
-  | Some d -> Format.fprintf ppf "%%%s <- " d
-  | None -> ()
+(* "%d <- " *)
+let dest b d =
+  Buffer.add_char b '%';
+  Buffer.add_string b d;
+  Buffer.add_string b " <- "
 
-let instr ppf = function
-  | Mov (d, o) -> Format.fprintf ppf "%%%s <- %a" d operand o
-  | Binop (d, op, a, b) ->
-      Format.fprintf ppf "%%%s <- %s %a, %a" d (binop_name op) operand a
-        operand b
-  | Cmp (d, op, a, b) ->
-      Format.fprintf ppf "%%%s <- cmp.%s %a, %a" d (cmpop_name op) operand a
-        operand b
-  | Load (d, a) -> Format.fprintf ppf "%%%s <- load %a" d addr a
-  | Store (a, v) -> Format.fprintf ppf "store %a, %a" addr a operand v
+(* "a, b" *)
+let two b x y =
+  operand b x;
+  Buffer.add_string b ", ";
+  operand b y
+
+let with_addr b kw a =
+  Buffer.add_string b kw;
+  addr b a
+
+let with_addr_operand b kw a v =
+  with_addr b kw a;
+  Buffer.add_string b ", ";
+  operand b v
+
+let call b f xs =
+  Buffer.add_string b f;
+  Buffer.add_char b '(';
+  args b xs;
+  Buffer.add_char b ')'
+
+let instr b = function
+  | Mov (d, o) ->
+      dest b d;
+      operand b o
+  | Binop (d, op, x, y) ->
+      dest b d;
+      Buffer.add_string b (binop_name op);
+      Buffer.add_char b ' ';
+      two b x y
+  | Cmp (d, op, x, y) ->
+      dest b d;
+      Buffer.add_string b "cmp.";
+      Buffer.add_string b (cmpop_name op);
+      Buffer.add_char b ' ';
+      two b x y
+  | Load (d, a) ->
+      dest b d;
+      with_addr b "load " a
+  | Store (a, v) -> with_addr_operand b "store " a v
   | Cas (ok, a, e, n) ->
-      Format.fprintf ppf "%%%s <- cas %a, %a, %a" ok addr a operand e operand n
+      dest b ok;
+      with_addr b "cas " a;
+      Buffer.add_string b ", ";
+      two b e n
   | Rmw (old, op, a, v) ->
-      Format.fprintf ppf "%%%s <- rmw.%s %a, %a" old (rmw_name op) addr a
-        operand v
-  | Fence -> Format.pp_print_string ppf "fence"
-  | Call (d, f, xs) -> Format.fprintf ppf "%acall %s(%a)" ret_prefix d f args xs
+      dest b old;
+      Buffer.add_string b "rmw.";
+      Buffer.add_string b (rmw_name op);
+      Buffer.add_char b ' ';
+      addr b a;
+      Buffer.add_string b ", ";
+      operand b v
+  | Fence -> Buffer.add_string b "fence"
+  | Call (d, f, xs) ->
+      Option.iter (dest b) d;
+      Buffer.add_string b "call ";
+      call b f xs
   | Call_indirect (d, t, xs) ->
-      Format.fprintf ppf "%acall.ind [%a](%a)" ret_prefix d operand t args xs
-  | Spawn (d, f, xs) -> Format.fprintf ppf "%%%s <- spawn %s(%a)" d f args xs
-  | Join t -> Format.fprintf ppf "join %a" operand t
-  | Lock m -> Format.fprintf ppf "lock %a" addr m
-  | Unlock m -> Format.fprintf ppf "unlock %a" addr m
-  | Cond_wait (cv, m) -> Format.fprintf ppf "wait %a, %a" addr cv addr m
-  | Cond_signal cv -> Format.fprintf ppf "signal %a" addr cv
-  | Cond_broadcast cv -> Format.fprintf ppf "broadcast %a" addr cv
-  | Barrier_init (b, n) ->
-      Format.fprintf ppf "barrier_init %a, %a" addr b operand n
-  | Barrier_wait b -> Format.fprintf ppf "barrier_wait %a" addr b
-  | Sem_init (s, n) -> Format.fprintf ppf "sem_init %a, %a" addr s operand n
-  | Sem_post s -> Format.fprintf ppf "sem_post %a" addr s
-  | Sem_wait s -> Format.fprintf ppf "sem_wait %a" addr s
-  | Yield -> Format.pp_print_string ppf "yield"
-  | Check (v, msg) -> Format.fprintf ppf "check %a %S" operand v msg
-  | Nop -> Format.pp_print_string ppf "nop"
+      Option.iter (dest b) d;
+      Buffer.add_string b "call.ind [";
+      operand b t;
+      Buffer.add_string b "](";
+      args b xs;
+      Buffer.add_char b ')'
+  | Spawn (d, f, xs) ->
+      dest b d;
+      Buffer.add_string b "spawn ";
+      call b f xs
+  | Join t ->
+      Buffer.add_string b "join ";
+      operand b t
+  | Lock m -> with_addr b "lock " m
+  | Unlock m -> with_addr b "unlock " m
+  | Cond_wait (cv, m) ->
+      with_addr b "wait " cv;
+      Buffer.add_string b ", ";
+      addr b m
+  | Cond_signal cv -> with_addr b "signal " cv
+  | Cond_broadcast cv -> with_addr b "broadcast " cv
+  | Barrier_init (x, n) -> with_addr_operand b "barrier_init " x n
+  | Barrier_wait x -> with_addr b "barrier_wait " x
+  | Sem_init (s, n) -> with_addr_operand b "sem_init " s n
+  | Sem_post s -> with_addr b "sem_post " s
+  | Sem_wait s -> with_addr b "sem_wait " s
+  | Yield -> Buffer.add_string b "yield"
+  | Check (v, msg) ->
+      Buffer.add_string b "check ";
+      operand b v;
+      Buffer.add_string b " \"";
+      Buffer.add_string b (String.escaped msg);
+      Buffer.add_char b '"'
+  | Nop -> Buffer.add_string b "nop"
 
-let term ppf = function
-  | Goto l -> Format.fprintf ppf "goto %s" l
-  | Br (v, a, b) -> Format.fprintf ppf "br %a ? %s : %s" operand v a b
-  | Ret None -> Format.pp_print_string ppf "ret"
-  | Ret (Some v) -> Format.fprintf ppf "ret %a" operand v
-  | Exit -> Format.pp_print_string ppf "exit"
+let term b = function
+  | Goto l ->
+      Buffer.add_string b "goto ";
+      Buffer.add_string b l
+  | Br (v, x, y) ->
+      Buffer.add_string b "br ";
+      operand b v;
+      Buffer.add_string b " ? ";
+      Buffer.add_string b x;
+      Buffer.add_string b " : ";
+      Buffer.add_string b y
+  | Ret None -> Buffer.add_string b "ret"
+  | Ret (Some v) ->
+      Buffer.add_string b "ret ";
+      operand b v
+  | Exit -> Buffer.add_string b "exit"
 
-let block ppf b =
-  Format.fprintf ppf "@[<v 2>%s:" b.lbl;
-  List.iter (fun i -> Format.fprintf ppf "@,%a" instr i) b.ins;
-  Format.fprintf ppf "@,%a@]" term b.term
+let add_func b f =
+  Buffer.add_string b "func ";
+  Buffer.add_string b f.fname;
+  Buffer.add_char b '(';
+  List.iteri
+    (fun i p ->
+      if i > 0 then Buffer.add_string b ", ";
+      Buffer.add_string b p)
+    f.params;
+  Buffer.add_string b "):";
+  List.iter
+    (fun blk ->
+      Buffer.add_string b "\n  ";
+      Buffer.add_string b blk.lbl;
+      Buffer.add_char b ':';
+      List.iter
+        (fun i ->
+          Buffer.add_string b "\n    ";
+          instr b i)
+        blk.ins;
+      Buffer.add_string b "\n    ";
+      term b blk.term)
+    f.blocks
 
-let func ppf f =
-  Format.fprintf ppf "@[<v 2>func %s(%s):" f.fname
-    (String.concat ", " f.params);
-  List.iter (fun b -> Format.fprintf ppf "@,%a" block b) f.blocks;
-  Format.fprintf ppf "@]"
-
-let program ppf p =
-  Format.fprintf ppf "@[<v>";
+let program_to_string p =
+  let b = Buffer.create 4096 in
   List.iter
     (fun gl ->
-      if gl.gname <> thread_done_global then
-        Format.fprintf ppf "global %s[%d] = %d@," gl.gname gl.size gl.ginit)
+      if gl.gname <> thread_done_global then begin
+        Buffer.add_string b "global ";
+        Buffer.add_string b gl.gname;
+        Buffer.add_char b '[';
+        add_int b gl.size;
+        Buffer.add_string b "] = ";
+        add_int b gl.ginit;
+        Buffer.add_char b '\n'
+      end)
     p.globals;
-  if p.func_table <> [] then
-    Format.fprintf ppf "func_table = [%s]@," (String.concat "; " p.func_table);
-  Format.fprintf ppf "entry = %s@," p.entry;
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.fprintf ppf "@,@,")
-    func ppf p.funcs;
-  Format.fprintf ppf "@]"
+  if p.func_table <> [] then begin
+    Buffer.add_string b "func_table = [";
+    Buffer.add_string b (String.concat "; " p.func_table);
+    Buffer.add_string b "]\n"
+  end;
+  Buffer.add_string b "entry = ";
+  Buffer.add_string b p.entry;
+  Buffer.add_char b '\n';
+  List.iteri
+    (fun i f ->
+      if i > 0 then Buffer.add_string b "\n\n";
+      add_func b f)
+    p.funcs;
+  Buffer.contents b
+
+(* The same text as lines of a vertical box, so a function printed
+   inside an enclosing box is indented from the column it starts at. *)
+let func ppf f =
+  let b = Buffer.create 1024 in
+  add_func b f;
+  Format.pp_open_vbox ppf 0;
+  List.iteri
+    (fun i line ->
+      if i > 0 then Format.pp_print_cut ppf ();
+      Format.pp_print_string ppf line)
+    (String.split_on_char '\n' (Buffer.contents b));
+  Format.pp_close_box ppf ()
 
 let loc ppf l =
   if l.lidx < 0 then Format.fprintf ppf "%s:%s:term" l.lfunc l.lblk
   else Format.fprintf ppf "%s:%s:%d" l.lfunc l.lblk l.lidx
 
 let loc_to_string l = Format.asprintf "%a" loc l
-let program_to_string p = Format.asprintf "%a" program p

@@ -4,16 +4,17 @@ type error = { where : string; what : string }
 
 let error_to_string e = Printf.sprintf "%s: %s" e.where e.what
 
-(* The checks run on every compile, so they walk the program with
-   iterators over string-keyed hash tables and build no per-instruction
-   list.  Each iterator visits in the order the error list reports. *)
+(* The checks run once per program, so they walk it with iterators over
+   {!Names} tables and build no per-instruction list.  Each iterator
+   visits in the order the error list reports. *)
 
-module H = Hashtbl.Make (struct
-  type t = string
+let id t s = Names.find t s 0 (String.length s)
+let mem t s = id t s >= 0
 
-  let equal = String.equal
-  let hash = Hashtbl.hash
-end)
+(* [add t s] is false when [s] was already there *)
+let add t s =
+  let n = Names.count t in
+  Names.intern t s 0 (String.length s) = n
 
 let operand_iter f = function Imm _ -> () | Reg x -> f x
 let addr_iter f a = operand_iter f a.index
@@ -94,40 +95,41 @@ let term_uses f = function
   | Br (v, _, _) | Ret (Some v) -> operand_iter f v
   | Ret None | Goto _ | Exit -> ()
 
-(* [globals]: declared global names; [arity]: function name -> parameter
-   count, the last declaration winning for a duplicate name. *)
+(* [globals]: declared global names; [arity]: function names, and each
+   one's parameter count, the last declaration winning for a duplicate
+   name. *)
 let check_func ~globals ~arity here f =
   if f.blocks = [] then here "has no blocks";
-  let labels = H.create 16 in
+  let labels = Names.create 16 in
   List.iter
     (fun b ->
-      if H.mem labels b.lbl then here (Printf.sprintf "duplicate label %S" b.lbl)
-      else H.replace labels b.lbl ())
+      if not (add labels b.lbl) then
+        here (Printf.sprintf "duplicate label %S" b.lbl))
     f.blocks;
   let target l =
-    if not (H.mem labels l) then
+    if not (mem labels l) then
       here (Printf.sprintf "branch to unknown label %S" l)
   in
   (* sized up front: growing a table of a few thousand registers costs
      more than filling it *)
   let defined =
-    H.create (List.fold_left (fun n b -> n + List.length b.ins) 16 f.blocks)
+    Names.create (List.fold_left (fun n b -> n + List.length b.ins) 16 f.blocks)
   in
-  let define r = H.replace defined r () in
+  let define r = ignore (add defined r) in
   List.iter define f.params;
   List.iter (fun b -> List.iter (iter_def define) b.ins) f.blocks;
   let use u =
-    if not (H.mem defined u) then
+    if not (mem defined u) then
       here (Printf.sprintf "register %S read but never assigned" u)
   in
   let global gl =
-    if not (H.mem globals gl) then here (Printf.sprintf "undeclared global %S" gl)
+    if not (mem globals gl) then here (Printf.sprintf "undeclared global %S" gl)
   in
   let call callee args =
-    match H.find_opt arity callee with
-    | None -> here (Printf.sprintf "call to unknown function %S" callee)
-    | Some n ->
-        let k = List.length args in
+    match id (fst arity) callee with
+    | -1 -> here (Printf.sprintf "call to unknown function %S" callee)
+    | id ->
+        let n = (snd arity).(id) and k = List.length args in
         if n <> k then
           here (Printf.sprintf "call to %S with %d args, expected %d" callee k n)
   in
@@ -150,7 +152,12 @@ let check_func ~globals ~arity here f =
       | Ret _ | Exit -> ())
     f.blocks
 
-let check prog =
+type valid = program
+
+let run_count = Atomic.make 0
+
+let validate prog =
+  Atomic.incr run_count;
   let errs = ref [] in
   let report where what = errs := { where; what } :: !errs in
   let top = report "program" in
@@ -159,34 +166,43 @@ let check prog =
   | Some f ->
       if f.params <> [] then
         top (Printf.sprintf "entry function %S must take no parameters" prog.entry));
-  let arity = H.create 16 in
+  (* function names, and each one's parameter count *)
+  let fnames = Names.create 16 in
+  let arities = Array.make (List.length prog.funcs) 0 in
   List.iter
     (fun f ->
-      if H.mem arity f.fname then
+      if not (add fnames f.fname) then
         top (Printf.sprintf "duplicate function %S" f.fname);
-      H.replace arity f.fname (List.length f.params))
+      arities.(id fnames f.fname) <- List.length f.params)
     prog.funcs;
   List.iter
     (fun tf ->
-      if not (H.mem arity tf) then
+      if not (mem fnames tf) then
         top (Printf.sprintf "func_table entry %S not found" tf))
     prog.func_table;
-  let globals = H.create 16 in
+  let arity = (fnames, arities) in
+  let globals = Names.create 16 in
   List.iter
     (fun gl ->
-      H.replace globals gl.gname ();
+      ignore (add globals gl.gname);
       if gl.size <= 0 then
         top (Printf.sprintf "global %S has non-positive size" gl.gname))
     prog.globals;
   List.iter
     (fun f -> check_func ~globals ~arity (report ("func " ^ f.fname)) f)
     prog.funcs;
-  match !errs with [] -> Ok () | es -> Error (List.rev es)
+  match !errs with [] -> Ok prog | es -> Error (List.rev es)
 
-let check_exn prog =
-  match check prog with
-  | Ok () -> ()
+let check prog = Result.map ignore (validate prog)
+
+let validate_exn prog =
+  match validate prog with
+  | Ok v -> v
   | Error es ->
       invalid_arg
         ("Tir.Validate: "
         ^ String.concat "; " (List.map error_to_string es))
+
+let check_exn prog = ignore (validate_exn prog)
+
+let runs () = Atomic.get run_count

@@ -10,9 +10,26 @@
 
 type error = { where : string; what : string }
 
+type valid = private Types.program
+(** A program that passed {!validate}.  Whatever takes a [valid] (the
+    machine's compiler, the analysis cache) relies on the checks above
+    and does not run them again; [(v :> Types.program)] reads it. *)
+
+val validate : Types.program -> (valid, error list) result
+
+val validate_exn : Types.program -> valid
+(** @raise Invalid_argument ["Tir.Validate: "] followed by the rendered
+    errors, joined by ["; "]. *)
+
 val check : Types.program -> (unit, error list) result
+(** {!validate}, keeping only the verdict. *)
 
 val check_exn : Types.program -> unit
-(** @raise Invalid_argument with a rendered error list. *)
+(** {!validate_exn}, keeping only the verdict. *)
+
+val runs : unit -> int
+(** Validations run by this process so far, {!check} and {!validate}
+    alike.  Tests read it to pin that a cold detection validates each
+    program once and each lowering once. *)
 
 val error_to_string : error -> string

@@ -203,6 +203,82 @@ let test_pipeline_failure () =
        (fun n -> Astring.String.is_prefix ~affix:"pipeline:" n)
        r.D.health.D.h_notes)
 
+(* An invalid program fails before anything looks at it: lowering and
+   instrumentation never see it, so every mode and both input paths give
+   the validator's message. *)
+let invalid_text =
+  "entry = main\n\nfunc main():\nentry:\n  lock @m\n  %x <- load @g\n  \
+   goto nowhere\n"
+
+let invalid_message =
+  "pipeline: Tir.Validate: func main: undeclared global \"m\"; func main: \
+   undeclared global \"g\"; func main: branch to unknown label \"nowhere\""
+
+let test_invalid_program_one_message () =
+  let program = Arde.Parse.program_exn invalid_text in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun (path, input) ->
+          Arde.Analysis_cache.clear ();
+          let r = Arde.detect ~ctx:(D.ctx ~options:(options ()) ()) ~mode input in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, %s" (Arde.Config.mode_id mode) path)
+            [ invalid_message ] r.D.health.D.h_notes)
+        [ ("text", Arde.Input.Text invalid_text); ("program", Arde.Input.Program program) ])
+    Arde.Config.all_table1_modes
+
+(* Each cold path validates the program once, and a lowering once more;
+   a prepared hit validates nothing. *)
+let test_cold_paths_validate_once () =
+  let case = List.hd (Arde_workloads.Racey.all ()) in
+  let program = case.Arde_workloads.Racey.program in
+  let text = Arde.Pretty.program_to_string program in
+  let opts = options ~seeds:[ 1 ] () in
+  let validations f =
+    let before = Arde.Validate.runs () in
+    f ();
+    Arde.Validate.runs () - before
+  in
+  let detect ?(warm = false) mode input =
+    if not warm then Arde.Analysis_cache.clear ();
+    ignore (Arde.detect ~ctx:(D.ctx ~options:opts ()) ~mode input)
+  in
+  let trace mode =
+    match Arde.record ~ctx:(D.ctx ~options:opts ()) ~mode (Arde.Input.Program program) with
+    | Ok r -> r.D.rec_trace
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun mode ->
+      let name what = Printf.sprintf "%s, %s" (Arde.Config.mode_id mode) what in
+      let lowering = if Arde.Config.needs_lowering mode then 1 else 0 in
+      Alcotest.(check int) (name "text miss") (1 + lowering)
+        (validations (fun () -> detect mode (Arde.Input.Text text)));
+      Alcotest.(check int) (name "text hit") 0
+        (validations (fun () -> detect ~warm:true mode (Arde.Input.Text text)));
+      Alcotest.(check int) (name "program miss") (1 + lowering)
+        (validations (fun () -> detect mode (Arde.Input.Program program)));
+      let valid = Arde.Validate.validate_exn program in
+      Alcotest.(check int) (name "validated program") lowering
+        (validations (fun () -> detect mode (Arde.Input.Valid valid)));
+      let worker = Arde_server.Worker.programs () in
+      Alcotest.(check int) (name "serve worker") (1 + lowering)
+        (validations (fun () ->
+             match
+               Arde_server.Worker.lookup_program worker
+                 ~digest:(Digest.string text) text
+             with
+             | Ok v -> detect mode (Arde.Input.Valid v)
+             | Error e -> Alcotest.fail e));
+      let data = trace mode in
+      Alcotest.(check int) (name "trace load and replay") (1 + lowering)
+        (validations (fun () ->
+             match Arde.Recorded.of_string data with
+             | Ok r -> detect mode (Arde.Input.Recorded_trace r)
+             | Error e -> Alcotest.fail e)))
+    Arde.Config.all_table1_modes
+
 (* ------------------------------------------------------------------ *)
 (* Chaos properties                                                    *)
 
@@ -417,6 +493,10 @@ let suite =
       test_injected_machine_fault;
     Alcotest.test_case "pipeline failure yields a Failed health record" `Quick
       test_pipeline_failure;
+    Alcotest.test_case "invalid program: one message, every mode and path" `Quick
+      test_invalid_program_one_message;
+    Alcotest.test_case "cold paths validate once" `Quick
+      test_cold_paths_validate_once;
     prop_never_raises;
     Alcotest.test_case "chaos storm: 200+ runs, zero escapes" `Slow test_storm;
     Alcotest.test_case "benign perturbations never flip verdicts" `Slow
