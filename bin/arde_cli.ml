@@ -26,35 +26,24 @@ let find_program name =
       let p = c.W.Racey.program in
       Ok (p, Some c, (Arde.Input.Program p, None))
   | Some (W.Catalog.Parsec (_, p)) -> Ok (p, None, (Arde.Input.Program p, None))
-  | None -> (
-      match () with
-      | () ->
-          if Sys.file_exists name then begin
-            let ic = open_in name in
-            let len = in_channel_length ic in
-            let text = really_input_string ic len in
-            close_in ic;
-            match Arde.Parse.program text with
-            | Ok p -> (
-                match Arde.Validate.validate p with
-                | Ok v ->
-                    Ok
-                      ( p,
-                        None,
-                        (Arde.Input.Valid v, Some (Digest.string text)) )
-                | Error es ->
-                    Error
-                      (Printf.sprintf "%s: %s" name
-                         (String.concat "; "
-                            (List.map Arde.Validate.error_to_string es))))
-            | Error e ->
-                Error
-                  (Printf.sprintf "%s: %s" name (Arde.Parse.error_to_string e))
-          end
-          else
-            Error
-              (Printf.sprintf
-                 "unknown workload %S and no such file (try `arde list`)" name))
+  | None ->
+      if Sys.file_exists name then begin
+        let ic = open_in name in
+        let len = in_channel_length ic in
+        let text = really_input_string ic len in
+        close_in ic;
+        match Arde.Validate.of_text text with
+        | Ok v ->
+            Ok
+              ( (v :> Arde.Types.program),
+                None,
+                (Arde.Input.Valid v, Some (Digest.string text)) )
+        | Error e -> Error (Printf.sprintf "%s: %s" name e)
+      end
+      else
+        Error
+          (Printf.sprintf
+             "unknown workload %S and no such file (try `arde list`)" name)
 
 let style_conv =
   let parse = function
@@ -474,6 +463,84 @@ let record_cmd =
       const run $ name_arg $ mode_arg $ common_opts $ out_arg $ detect_arg
       $ format_arg)
 
+(* Client-side endpoint selection: daemons always own a Unix socket and
+   may additionally listen on TCP, so the client commands accept either
+   [--socket PATH] or [--connect HOST:PORT] — exactly one. *)
+let client_socket_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "socket" ] ~docv:"PATH"
+        ~doc:"Unix domain socket path of the daemon.")
+
+let connect_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "connect" ] ~docv:"HOST:PORT"
+        ~doc:
+          "Reach the daemon over its TCP listener (started with \
+           $(b,arde serve --tcp)) instead of the Unix socket.  The host \
+           part is optional and defaults to localhost.  Frames and \
+           responses are identical on both transports.")
+
+let endpoint_of ~cmd socket connect =
+  match (socket, connect) with
+  | Some path, None -> Arde_server.Client.Unix_socket path
+  | None, Some hp -> (
+      match Arde_server.Client.parse_tcp_endpoint hp with
+      | Ok e -> e
+      | Error e ->
+          prerr_endline (cmd ^ ": " ^ e);
+          exit 1)
+  | Some _, Some _ ->
+      prerr_endline (cmd ^ ": --socket and --connect are mutually exclusive");
+      exit 1
+  | None, None ->
+      prerr_endline (cmd ^ ": one of --socket or --connect is required");
+      exit 1
+
+(* A served run's response, printed as [arde run --format json] prints
+   the local result, with exit codes 0-3 likewise; 4 when the reply
+   carries no result (a transport failure, a server error, a malformed
+   response).  Messages carry the subcommand's prefix [cmd]. *)
+let print_served ~cmd ~workload ?case reply =
+  let fail msg =
+    prerr_endline (cmd ^ ": " ^ msg);
+    exit 4
+  in
+  match reply with
+  | Error e -> fail e
+  | Ok resp when not (Arde_server.Protocol.response_ok resp) -> (
+      match Arde_server.Protocol.response_error resp with
+      | Some (code, msg) ->
+          fail (Printf.sprintf "server error (%s): %s" code msg)
+      | None -> fail "malformed server response")
+  | Ok resp -> (
+      match Arde.Json.member "result" resp with
+      | None -> fail "response carries no result"
+      | Some result_json -> (
+          match
+            Arde_server.Protocol.run_output ~workload
+              ?expectation:(Option.map (fun c -> c.W.Racey.expectation) case)
+              ?analysis_cache:(Arde.Json.member "analysis_cache" resp)
+              result_json
+          with
+          | Ok (obj, code) ->
+              print_json obj;
+              exit code
+          | Error e -> fail ("malformed result json: " ^ e)))
+
+(* The label of a recorded trace's output, and the catalog case that
+   classifies it: the trace's recorded [source], or [fallback] when it
+   records none. *)
+let labelled ~fallback = function
+  | "" -> (fallback, None)
+  | s -> (
+      match W.Catalog.find s with
+      | Some (W.Catalog.Case c) -> (s, Some c)
+      | _ -> (s, None))
+
 let replay_cmd =
   let file_arg =
     Arg.(
@@ -500,78 +567,33 @@ let replay_cmd =
              (started with $(b,arde serve --tcp)).")
   in
   let run file socket connect format =
+    let remote =
+      match (socket, connect) with
+      | None, None -> None
+      | _ -> Some (endpoint_of ~cmd:"replay" socket connect)
+    in
     match read_binary_file file with
     | Error e ->
         prerr_endline ("replay: " ^ e);
         exit 4
     | Ok trace -> (
         (* Label the output (and classify labelled catalog cases) by the
-           recorded source, same as the local path — the header read is
-           cheap and skips the event bodies. *)
+           recorded source on both paths — the header read is cheap and
+           skips the event bodies. *)
         let workload, case =
-          match Arde.Trace_codec.read_header trace with
-          | Ok { Arde.Trace_codec.h_source = ""; _ } | Error _ -> (file, None)
-          | Ok { Arde.Trace_codec.h_source = s; _ } -> (
-              match W.Catalog.find s with
-              | Some (W.Catalog.Case c) -> (s, Some c)
-              | _ -> (s, None))
+          labelled ~fallback:file
+            (match Arde.Trace_codec.read_header trace with
+            | Ok h -> h.Arde.Trace_codec.h_source
+            | Error _ -> "")
         in
-        match (socket, connect) with
-        | Some _, Some _ ->
-            prerr_endline
-              "replay: --socket and --connect are mutually exclusive";
-            exit 1
-        | (Some _, None | None, Some _) as remote -> (
-            let endpoint =
-              match remote with
-              | Some path, None -> Arde_server.Client.Unix_socket path
-              | _, Some hp -> (
-                  match Arde_server.Client.parse_tcp_endpoint hp with
-                  | Ok e -> e
-                  | Error e ->
-                      prerr_endline ("replay: " ^ e);
-                      exit 1)
-              | None, None -> assert false
-            in
+        match remote with
+        | Some endpoint ->
             let reply, _attempts =
               Arde_server.Client.submit_trace_with_retry ~endpoint
                 ~policy:Arde_server.Client.no_retry ~trace ()
             in
-            match reply with
-            | Error e ->
-                prerr_endline ("replay: " ^ e);
-                exit 4
-            | Ok resp when not (Arde_server.Protocol.response_ok resp) -> (
-                match Arde_server.Protocol.response_error resp with
-                | Some (code, msg) ->
-                    Printf.eprintf "replay: server error (%s): %s\n" code msg;
-                    exit 4
-                | None ->
-                    prerr_endline "replay: malformed server response";
-                    exit 4)
-            | Ok resp -> (
-                match Arde.Json.member "result" resp with
-                | None ->
-                    prerr_endline "replay: response carries no result";
-                    exit 4
-                | Some result_json -> (
-                    match
-                      Arde_server.Protocol.run_output ~workload
-                        ?expectation:
-                          (Option.map
-                             (fun c -> c.W.Racey.expectation)
-                             case)
-                        ?analysis_cache:
-                          (Arde.Json.member "analysis_cache" resp)
-                        result_json
-                    with
-                    | Ok (obj, code) ->
-                        print_json obj;
-                        exit code
-                    | Error e ->
-                        prerr_endline ("replay: malformed result json: " ^ e);
-                        exit 4)))
-        | None, None -> (
+            print_served ~cmd:"replay" ~workload ?case reply
+        | None -> (
             match Arde.Recorded.of_string trace with
             | Error e ->
                 prerr_endline ("replay: " ^ file ^ ": " ^ e);
@@ -622,12 +644,7 @@ let predict_cmd =
           Arde.Options.with_analysis Arde.Options.Predict Arde.Options.default
         in
         let workload, case =
-          match Arde.Recorded.source recorded with
-          | "" -> (target, None)
-          | s -> (
-              match W.Catalog.find s with
-              | Some (W.Catalog.Case c) -> (s, Some c)
-              | _ -> (s, None))
+          labelled ~fallback:target (Arde.Recorded.source recorded)
         in
         let result =
           Arde.detect
@@ -1077,43 +1094,6 @@ let socket_arg =
     & opt (some string) None
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix domain socket path.")
 
-(* Client-side endpoint selection: daemons always own a Unix socket and
-   may additionally listen on TCP, so the client commands accept either
-   [--socket PATH] or [--connect HOST:PORT] — exactly one. *)
-let client_socket_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "socket" ] ~docv:"PATH"
-        ~doc:"Unix domain socket path of the daemon.")
-
-let connect_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "connect" ] ~docv:"HOST:PORT"
-        ~doc:
-          "Reach the daemon over its TCP listener (started with \
-           $(b,arde serve --tcp)) instead of the Unix socket.  The host \
-           part is optional and defaults to localhost.  Frames and \
-           responses are identical on both transports.")
-
-let endpoint_of ~cmd socket connect =
-  match (socket, connect) with
-  | Some path, None -> Arde_server.Client.Unix_socket path
-  | None, Some hp -> (
-      match Arde_server.Client.parse_tcp_endpoint hp with
-      | Ok e -> e
-      | Error e ->
-          prerr_endline (cmd ^ ": " ^ e);
-          exit 1)
-  | Some _, Some _ ->
-      prerr_endline (cmd ^ ": --socket and --connect are mutually exclusive");
-      exit 1
-  | None, None ->
-      prerr_endline (cmd ^ ": one of --socket or --connect is required");
-      exit 1
-
 let deadline_arg =
   Arg.(
     value
@@ -1304,37 +1284,7 @@ let submit_cmd =
         if attempts > 0 then
           Printf.eprintf "submit: retried %d time%s\n%!" attempts
             (if attempts = 1 then "" else "s");
-        (match reply with
-        | Error e ->
-            prerr_endline ("submit: " ^ e);
-            exit 4
-        | Ok resp when not (Arde_server.Protocol.response_ok resp) -> (
-            match Arde_server.Protocol.response_error resp with
-            | Some (code, msg) ->
-                Printf.eprintf "submit: server error (%s): %s\n" code msg;
-                exit 4
-            | None ->
-                prerr_endline "submit: malformed server response";
-                exit 4)
-        | Ok resp -> (
-            match Arde.Json.member "result" resp with
-            | None ->
-                prerr_endline "submit: response carries no result";
-                exit 4
-            | Some result_json -> (
-                match
-                  Arde_server.Protocol.run_output ~workload:name
-                    ?expectation:
-                      (Option.map (fun c -> c.W.Racey.expectation) case)
-                    ?analysis_cache:(Arde.Json.member "analysis_cache" resp)
-                    result_json
-                with
-                | Ok (obj, code) ->
-                    print_json obj;
-                    exit code
-                | Error e ->
-                    prerr_endline ("submit: malformed result json: " ^ e);
-                    exit 4)))
+        print_served ~cmd:"submit" ~workload:name ?case reply
   in
   Cmd.v
     (Cmd.info "submit"
@@ -1400,8 +1350,7 @@ let postmortem_cmd =
     match S.load bundle with
     | Error e -> fail e
     | Ok meta -> (
-        let warn e = prerr_endline ("postmortem: " ^ e) in
-        match W.replay ?jobs ~warn meta with
+        match W.replay ?jobs meta with
         | Error e -> fail e
         | Ok { W.source; response } ->
             let meta_field name =

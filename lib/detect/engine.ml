@@ -164,21 +164,18 @@ let suppressed_uncached t base =
   | None -> false
 
 let suppressed t ~base_id ~base =
-  if base_id < 0 then suppressed_uncached t base
-  else begin
-    if base_id >= Array.length t.sup_cache then begin
-      let c = Array.make (max (2 * Array.length t.sup_cache) (base_id + 1)) (-1) in
-      Array.blit t.sup_cache 0 c 0 (Array.length t.sup_cache);
-      t.sup_cache <- c
-    end;
-    match t.sup_cache.(base_id) with
-    | -1 ->
-        let s = suppressed_uncached t base in
-        t.sup_cache.(base_id) <- (if s then 1 else 0);
-        s
-    | 0 -> false
-    | _ -> true
-  end
+  if base_id >= Array.length t.sup_cache then begin
+    let c = Array.make (max (2 * Array.length t.sup_cache) (base_id + 1)) (-1) in
+    Array.blit t.sup_cache 0 c 0 (Array.length t.sup_cache);
+    t.sup_cache <- c
+  end;
+  match t.sup_cache.(base_id) with
+  | -1 ->
+      let s = suppressed_uncached t base in
+      t.sup_cache.(base_id) <- (if s then 1 else 0);
+      s
+  | 0 -> false
+  | _ -> true
 
 let spin_active t = t.f_spin
 let atomics_sync t = t.f_spin
@@ -273,13 +270,13 @@ let check_access t ~tid ~base ~idx ~loc ~write (cell : Sh.cell) =
               cell.rd_list
   end
 
-let spin_record t ~tid ~base_id ~base ~idx spin =
+let spin_record t ~tid ~base_id ~idx spin =
   List.iter
     (fun (_loop, ctx) ->
       match Hashtbl.find_opt t.spin_acc ctx with
       | None -> () (* context of another thread or already closed *)
       | Some acc ->
-          let cell = Sh.cell t.shadow ~base_id ~base ~idx in
+          let cell = Sh.cell t.shadow ~base_id ~idx in
           if
             cell.w_tid >= 0 && cell.w_tid <> tid
             && not
@@ -296,8 +293,8 @@ let spin_record t ~tid ~base_id ~base ~idx spin =
 
 let on_read t ~tid ~base ~base_id ~idx ~loc ~kind ~spin =
   if spin <> [] && spin_active t then
-    spin_record t ~tid ~base_id ~base ~idx spin;
-  let cell = Sh.cell t.shadow ~base_id ~base ~idx in
+    spin_record t ~tid ~base_id ~idx spin;
+  let cell = Sh.cell t.shadow ~base_id ~idx in
   match kind with
   | Event.Atomic ->
       if atomics_sync t then acquire_clock t tid cell.atomic_vc
@@ -307,7 +304,7 @@ let on_read t ~tid ~base ~base_id ~idx ~loc ~kind ~spin =
       Sh.record_read cell ~tid ~clk:(Vc.mget t.vcs.(tid) tid) ~loc
 
 let on_write t ~tid ~base ~base_id ~idx ~loc ~kind ~value =
-  let cell = Sh.cell t.shadow ~base_id ~base ~idx in
+  let cell = Sh.cell t.shadow ~base_id ~idx in
   let sup = suppressed t ~base_id ~base in
   (match kind with
   | Event.Atomic ->

@@ -39,6 +39,9 @@ val create :
     (the machine itself never exceeds the cap). *)
 
 val observer : t -> Arde_runtime.Event.t -> unit
+(** Feed one event.  Reads and writes must meet the access contract of
+    {!Arde_runtime.Event}; one that breaks it raises [Invalid_argument]. *)
+
 val report : t -> Report.t
 val memory_words : t -> int
 (** Approximate detector heap footprint (shadow cells + clock tables). *)

@@ -34,14 +34,13 @@ let promoted = -2
 
 type t = {
   mutable rows : cell option array array; (* outer index: interned base id *)
-  spill : (string * int, cell) Hashtbl.t; (* events without a base id *)
   mutable n_cells : int;
 }
 
 let no_loc = { lfunc = ""; lblk = ""; lidx = 0 }
 let no_row : cell option array = [||]
 
-let create () = { rows = Array.make 16 no_row; spill = Hashtbl.create 16; n_cells = 0 }
+let create () = { rows = Array.make 16 no_row; n_cells = 0 }
 
 let fresh () =
   {
@@ -60,41 +59,32 @@ let fresh () =
     primed = false;
   }
 
-let spill_cell t key =
-  match Hashtbl.find_opt t.spill key with
+(* Rows grow on demand; the lookups stay bounds-checked, so an event
+   breaking the access contract (a negative id or index) raises
+   [Invalid_argument] instead of reading outside a row. *)
+let cell t ~base_id ~idx =
+  if base_id >= Array.length t.rows then begin
+    let rows = Array.make (max (2 * Array.length t.rows) (base_id + 1)) no_row in
+    Array.blit t.rows 0 rows 0 (Array.length t.rows);
+    t.rows <- rows
+  end;
+  let row = t.rows.(base_id) in
+  let row =
+    if idx < Array.length row then row
+    else begin
+      let row' = Array.make (max (2 * Array.length row) (idx + 1)) None in
+      Array.blit row 0 row' 0 (Array.length row);
+      t.rows.(base_id) <- row';
+      row'
+    end
+  in
+  match row.(idx) with
   | Some c -> c
   | None ->
       let c = fresh () in
-      Hashtbl.replace t.spill key c;
+      row.(idx) <- Some c;
       t.n_cells <- t.n_cells + 1;
       c
-
-let cell t ~base_id ~base ~idx =
-  if base_id < 0 then spill_cell t (base, idx)
-  else begin
-    if base_id >= Array.length t.rows then begin
-      let rows = Array.make (max (2 * Array.length t.rows) (base_id + 1)) no_row in
-      Array.blit t.rows 0 rows 0 (Array.length t.rows);
-      t.rows <- rows
-    end;
-    let row = t.rows.(base_id) in
-    let row =
-      if idx < Array.length row then row
-      else begin
-        let row' = Array.make (max (2 * Array.length row) (idx + 1)) None in
-        Array.blit row 0 row' 0 (Array.length row);
-        t.rows.(base_id) <- row';
-        row'
-      end
-    in
-    match Array.unsafe_get row idx with
-    | Some c -> c
-    | None ->
-        let c = fresh () in
-        row.(idx) <- Some c;
-        t.n_cells <- t.n_cells + 1;
-        c
-  end
 
 let rec mem_tid tid = function
   | [] -> false
@@ -158,5 +148,4 @@ let size_words t =
         (function Some c -> acc := !acc + cell_words c | None -> ())
         row)
     t.rows;
-  Hashtbl.iter (fun _ c -> acc := !acc + 4 + cell_words c) t.spill;
   !acc

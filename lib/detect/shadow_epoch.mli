@@ -2,10 +2,11 @@
 
     Three changes relative to the reference {!Shadow}:
 
-    - cells live in flat rows indexed by the interned base id events carry
-      ({!Arde_runtime.Event}), so the per-access lookup is two array
-      indexings instead of hashing a [(string, int)] tuple (events without
-      an id — hand-built streams — fall back to a spill table);
+    - cells live in flat rows indexed by the interned base id and the
+      index events carry, so the per-access lookup is two array indexings
+      instead of hashing a [(string, int)] tuple.  This relies on the
+      access contract of {!Arde_runtime.Event}: one id per base, both
+      id and index non-negative;
     - the last write is an inlined epoch ([w_tid], [w_clk], location)
       rather than an [access option], so recording a write allocates
       nothing;
@@ -49,8 +50,9 @@ type t
 
 val create : unit -> t
 
-val cell : t -> base_id:int -> base:string -> idx:int -> cell
-(** Find or allocate.  [base] is only consulted when [base_id < 0]. *)
+val cell : t -> base_id:int -> idx:int -> cell
+(** Find or allocate.
+    @raise Invalid_argument when [base_id] or [idx] is negative. *)
 
 val record_read : cell -> tid:int -> clk:int -> loc:loc -> unit
 val clear_reads : cell -> unit

@@ -46,7 +46,6 @@ type 'a cell = { base : string; mutable last_write : int; data : 'a }
 type 'a indexer = {
   fresh : string -> 'a;
   mutable rows : 'a cell option array array;  (* by interned base id *)
-  spill : (string * int, 'a cell) Hashtbl.t;  (* events without a base id *)
   mutable n : int;
   (* per event, grown by doubling; only the first [n] slots are live *)
   mutable tid : int array;
@@ -77,7 +76,6 @@ let indexer_sized ~capacity fresh =
   {
     fresh;
     rows = Array.make 16 no_row;
-    spill = Hashtbl.create 16;
     n = 0;
     tid = Array.make capacity 0;
     tpos = Array.make capacity 0;
@@ -102,41 +100,33 @@ let length ix = ix.n
 let fresh_cell ix base =
   { base; last_write = -1; data = ix.fresh base }
 
-let spill_cell ix base idx =
-  match Hashtbl.find_opt ix.spill (base, idx) with
+(* Rows grow on demand; the lookups stay bounds-checked, so an event
+   breaking the access contract (a negative id or index) raises
+   [Invalid_argument] instead of reading outside a row. *)
+let cell ix ~base_id ~base ~idx =
+  if base_id >= Array.length ix.rows then begin
+    let rows =
+      Array.make (max (2 * Array.length ix.rows) (base_id + 1)) no_row
+    in
+    Array.blit ix.rows 0 rows 0 (Array.length ix.rows);
+    ix.rows <- rows
+  end;
+  let row = ix.rows.(base_id) in
+  let row =
+    if idx < Array.length row then row
+    else begin
+      let row' = Array.make (max (2 * Array.length row) (idx + 1)) None in
+      Array.blit row 0 row' 0 (Array.length row);
+      ix.rows.(base_id) <- row';
+      row'
+    end
+  in
+  match row.(idx) with
   | Some c -> c
   | None ->
       let c = fresh_cell ix base in
-      Hashtbl.replace ix.spill (base, idx) c;
+      row.(idx) <- Some c;
       c
-
-let cell ix ~base_id ~base ~idx =
-  if base_id < 0 || idx < 0 then spill_cell ix base idx
-  else begin
-    if base_id >= Array.length ix.rows then begin
-      let rows =
-        Array.make (max (2 * Array.length ix.rows) (base_id + 1)) no_row
-      in
-      Array.blit ix.rows 0 rows 0 (Array.length ix.rows);
-      ix.rows <- rows
-    end;
-    let row = ix.rows.(base_id) in
-    let row =
-      if idx < Array.length row then row
-      else begin
-        let row' = Array.make (max (2 * Array.length row) (idx + 1)) None in
-        Array.blit row 0 row' 0 (Array.length row);
-        ix.rows.(base_id) <- row';
-        row'
-      end
-    in
-    match Array.unsafe_get row idx with
-    | Some c -> c
-    | None ->
-        let c = fresh_cell ix base in
-        row.(idx) <- Some c;
-        c
-  end
 
 let grow ix =
   let cap = 2 * Array.length ix.tid in

@@ -27,8 +27,8 @@
       witness would acquire a held lock).
 
     The indexer keeps one dense cell table, keyed by the event's
-    interned [base_id] and [idx] (a hash table only for hand-built
-    events without a base id), and lets its user hang per-cell state
+    interned [base_id] and [idx] (the access contract of
+    {!Arde_runtime.Event}), and lets its user hang per-cell state
     on each cell: the predictor's weak happens-before scan shares the
     table, so an access costs one lookup for both passes.
 
@@ -49,9 +49,8 @@ type 'a cell = private {
       (** the latest write (any kind) indexed so far, or [-1] *)
   data : 'a;  (** the user's per-cell state *)
 }
-(** One memory cell.  Cells are keyed by [base_id] alone when it is
-    non-negative, so a stream must give one base one id (the machine
-    and the codec do). *)
+(** One memory cell, keyed by [base_id] and [idx]: [base] is the one
+    base the stream gives that id. *)
 
 type 'a indexer
 (** Indexes one seed's events as they arrive. *)
@@ -64,7 +63,8 @@ val length : 'a indexer -> int
 (** Events indexed so far: the trace position the next one gets. *)
 
 val cell : 'a indexer -> base_id:int -> base:string -> idx:int -> 'a cell
-(** The access's cell, created on first sight. *)
+(** The access's cell, created on first sight.
+    @raise Invalid_argument when [base_id] or [idx] is negative. *)
 
 val read : 'a indexer -> tid:int -> 'a cell -> unit
 (** Index a read of [cell] (looked up with {!cell}): its observed writer
@@ -75,7 +75,8 @@ val write : 'a indexer -> tid:int -> 'a cell -> unit
 
 val push : 'a indexer -> Arde_runtime.Event.t -> unit
 (** Index any event, looking accesses' cells up itself.  Thread ids
-    outside [0, max_threads) index as thread 0. *)
+    outside [0, max_threads) index as thread 0.
+    @raise Invalid_argument on an access breaking the access contract. *)
 
 val finish : 'a indexer -> t
 (** The index of everything pushed.  The indexer must not be used

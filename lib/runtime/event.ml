@@ -59,6 +59,8 @@ type t =
   | Spin_enter of { tid : int; loop_id : int; ctx : int }
   | Spin_exit of { tid : int; loop_id : int; ctx : int }
 
+let max_base_id = 1 lsl 20
+
 let tid_of = function
   | Read { tid; _ }
   | Write { tid; _ }

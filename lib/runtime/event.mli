@@ -7,7 +7,25 @@
 
     Events are plain data; detectors must not assume anything about timing
     beyond stream order, which is the machine's global interleaving
-    order. *)
+    order.
+
+    {2 The access contract}
+
+    Every [Read] and [Write] of one stream satisfies:
+    - [0 <= base_id < ]{!max_base_id};
+    - [base_id] and [base] correspond one to one: an id always comes
+      with the same base, and a base always with the same id;
+    - [idx >= 0].
+
+    {!Machine} and {!Machine_ref} meet it by construction: ids come from
+    the program's intern table ({!Arde_tir.Intern}) and an index is
+    bounds-checked before its access is emitted.
+    {!Trace_codec.decode_events}, the one door through which events
+    come from outside, refuses a read or write that breaks it.
+    Consumers key flat per-cell state by [base_id] and [idx] with
+    checked array accesses, so a hand-built stream that breaks the
+    contract raises [Invalid_argument] (a crashed seed under the
+    driver's sandbox) rather than reading out of bounds. *)
 
 open Arde_tir.Types
 
@@ -19,9 +37,9 @@ type t =
       base : string;
       base_id : int;
           (* dense interned id of [base] ({!Arde_tir.Intern}), assigned at
-             machine compile time; [-1] when the producer has no intern
-             table (hand-built events).  Detectors may key flat shadow
-             state by it instead of hashing [(base, idx)]. *)
+             machine compile time (see the access contract above).
+             Detectors key flat shadow state by it instead of hashing
+             [(base, idx)]. *)
       idx : int;
       value : int;
       loc : loc;
@@ -75,6 +93,9 @@ type t =
   | Thread_exit of { tid : int }
   | Spin_enter of { tid : int; loop_id : int; ctx : int }
   | Spin_exit of { tid : int; loop_id : int; ctx : int }
+
+val max_base_id : int
+(** [2{^20}]: base ids are below it (the access contract). *)
 
 val tid_of : t -> int
 val pp : Format.formatter -> t -> unit

@@ -78,9 +78,9 @@ type sink = {
   strs : (string, int) Hashtbl.t;
   cache_str : string array;
   cache_id : int array;
-  mutable bdef : string option array;
-      (* read/write bases keyed by the machine's dense base id: [Some b]
-         once id [i] has been defined in this section as string [b] *)
+  mutable bdef : Bytes.t;
+      (* read/write bases keyed by the machine's dense base id: ['\001']
+         once id [i] has been defined in this section *)
   mutable n_events : int;
 }
 
@@ -96,7 +96,7 @@ let sink ?(capacity = 8192) () =
     strs = Hashtbl.create 64;
     cache_str = Array.make cache_slots empty_slot;
     cache_id = Array.make cache_slots (-1);
-    bdef = Array.make 64 None;
+    bdef = Bytes.make 64 '\000';
     n_events = 0;
   }
 
@@ -105,8 +105,8 @@ let str_slot str =
   if n = 0 then 0
   else
     n
-    lxor (Char.code (String.unsafe_get str 0) lsl 3)
-    lxor (Char.code (String.unsafe_get str (n - 1)) lsl 9)
+    lxor (Char.code str.[0] lsl 3)
+    lxor (Char.code str.[n - 1] lsl 9)
     land (cache_slots - 1)
 
 let ensure s n =
@@ -173,8 +173,8 @@ let put_strref_slow s str slot =
 
 let put_strref s str =
   let slot = str_slot str in
-  let c = Array.unsafe_get s.cache_str slot in
-  let id = Array.unsafe_get s.cache_id slot in
+  let c = s.cache_str.(slot) in
+  let id = s.cache_id.(slot) in
   if id >= 0 && (c == str || String.equal c str) then put_varint s (id + 1)
   else put_strref_slow s str slot
 
@@ -185,47 +185,36 @@ let put_loc s (l : loc) =
   put_strref s l.lblk;
   put_signed s l.lidx
 
-(* Read/write bases ride the machine's dense base-id vocabulary: the
-   common case is one varint [id+1], with the string defined inline at
-   the id's first occurrence in the section.  [0] is the escape for
-   producers without an intern table (hand-built events, [base_id < 0])
-   — or whose id→string mapping is not functional, which the machine
-   never produces but hostile or hand-built streams may: the string and
-   the id are then spelled out, so decoding is exact either way. *)
-let max_base_id = 1 lsl 20
-
-let put_base_escape s base base_id =
-  put_varint s 0;
-  put_strref s base;
-  put_signed s base_id
-
+(* Read/write bases ride the machine's dense base-id vocabulary: one
+   varint [id+1], with the string defined inline at the id's first
+   occurrence in the section.  The access contract ({!Event}) makes the
+   id stand for its base, so a defined id is written without looking at
+   the string. *)
 let put_baseref s base base_id =
-  if base_id < 0 || base_id >= max_base_id then put_base_escape s base base_id
-  else begin
-    if base_id >= Array.length s.bdef then begin
-      let cap = ref (2 * Array.length s.bdef) in
-      while base_id >= !cap do
-        cap := !cap * 2
-      done;
-      let a = Array.make !cap None in
-      Array.blit s.bdef 0 a 0 (Array.length s.bdef);
-      s.bdef <- a
-    end;
-    match Array.unsafe_get s.bdef base_id with
-    | Some b when b == base || String.equal b base ->
-        put_varint s (base_id + 1)
-    | Some _ -> put_base_escape s base base_id
-    | None ->
-        s.bdef.(base_id) <- Some base;
-        put_varint s (base_id + 1);
-        put_lpstr s base
+  if not (0 <= base_id && base_id < Event.max_base_id) then
+    invalid_arg
+      (Printf.sprintf "Trace_codec: base %S has id %d, outside [0, 2^20)" base
+         base_id);
+  if base_id >= Bytes.length s.bdef then begin
+    let cap = ref (2 * Bytes.length s.bdef) in
+    while base_id >= !cap do
+      cap := !cap * 2
+    done;
+    let a = Bytes.make !cap '\000' in
+    Bytes.blit s.bdef 0 a 0 (Bytes.length s.bdef);
+    s.bdef <- a
+  end;
+  put_varint s (base_id + 1);
+  if Bytes.get s.bdef base_id = '\000' then begin
+    Bytes.set s.bdef base_id '\001';
+    put_lpstr s base
   end
 
 (* ------------------------------------------------------------------ *)
 (* The read/write fast path.  Reads and writes are nearly the whole
    stream, so their arms pay for one capacity check up front and then
-   write every field unchecked.  A slow-path detour (string definition,
-   base escape) does its own checked writes and restores the slack
+   write every field unchecked.  A slow-path detour (a string or base
+   definition) does its own checked writes and restores the slack
    before returning, so the invariant holds across the whole arm. *)
 
 let fast_slack = 96
@@ -250,8 +239,8 @@ let uput_signed s n = uput_varint s (zigzag n)
 
 let fput_strref s str =
   let slot = str_slot str in
-  let c = Array.unsafe_get s.cache_str slot in
-  let id = Array.unsafe_get s.cache_id slot in
+  let c = s.cache_str.(slot) in
+  let id = s.cache_id.(slot) in
   if id >= 0 && (c == str || String.equal c str) then uput_varint s (id + 1)
   else begin
     put_strref_slow s str slot;
@@ -261,11 +250,8 @@ let fput_strref s str =
 let fput_baseref s base base_id =
   if
     base_id >= 0
-    && base_id < Array.length s.bdef
-    &&
-    match Array.unsafe_get s.bdef base_id with
-    | Some b -> b == base || String.equal b base
-    | None -> false
+    && base_id < Bytes.length s.bdef
+    && Bytes.get s.bdef base_id <> '\000'
   then uput_varint s (base_id + 1)
   else begin
     put_baseref s base base_id;
@@ -542,6 +528,7 @@ type reader = {
   mutable rbases : string option array;
       (* read/write base strings keyed by dense base id, mirroring the
          sink's first-occurrence definitions *)
+  rbase_ids : (string, unit) Hashtbl.t;  (* the bases defined so far *)
 }
 
 let reader data =
@@ -552,6 +539,7 @@ let reader data =
     rstrs = Array.make 64 "";
     rn_strs = 0;
     rbases = Array.make 64 None;
+    rbase_ids = Hashtbl.create 16;
   }
 
 let truncated what = raise (Err (Truncated what))
@@ -609,35 +597,38 @@ let get_loc r what =
   let lidx = get_signed r what in
   { lfunc; lblk; lidx }
 
-(* Mirrors [put_baseref]: [k = 0] escapes to an explicit string and id;
-   [k > 0] is base id [k-1], with the string defined inline the first
-   time this reader meets the id. *)
+(* Mirrors [put_baseref]: [k > 0] is base id [k-1], with the string
+   defined inline the first time this reader meets the id.  Anything the
+   access contract forbids (an id out of range, a base defined under a
+   second id) is corrupt. *)
 let get_baseref r what =
-  let k = get_len r what in
-  if k = 0 then begin
-    let base = get_strref r what in
-    let base_id = get_signed r what in
-    (base, base_id)
-  end
-  else begin
-    let id = k - 1 in
-    if id >= max_base_id then raise (Err (Limit (what ^ " base id")));
-    if id >= Array.length r.rbases then begin
-      let cap = ref (2 * Array.length r.rbases) in
-      while id >= !cap do
-        cap := !cap * 2
-      done;
-      let a = Array.make !cap None in
-      Array.blit r.rbases 0 a 0 (Array.length r.rbases);
-      r.rbases <- a
-    end;
-    match r.rbases.(id) with
-    | Some b -> (b, id)
-    | None ->
-        let b = get_lpstr r what in
-        r.rbases.(id) <- Some b;
-        (b, id)
-  end
+  let id = get_len r what - 1 in
+  if not (0 <= id && id < Event.max_base_id) then
+    corrupt r (Printf.sprintf "base id %d outside [0, 2^20) in %s" id what);
+  if id >= Array.length r.rbases then begin
+    let cap = ref (2 * Array.length r.rbases) in
+    while id >= !cap do
+      cap := !cap * 2
+    done;
+    let a = Array.make !cap None in
+    Array.blit r.rbases 0 a 0 (Array.length r.rbases);
+    r.rbases <- a
+  end;
+  match r.rbases.(id) with
+  | Some b -> (b, id)
+  | None ->
+      let b = get_lpstr r what in
+      if Hashtbl.mem r.rbase_ids b then
+        corrupt r (Printf.sprintf "base %S defined under a second id in %s" b what);
+      Hashtbl.add r.rbase_ids b ();
+      r.rbases.(id) <- Some b;
+      (b, id)
+
+(* A read or write's index: the access contract wants it non-negative. *)
+let get_idx r what =
+  let idx = get_signed r what in
+  if idx < 0 then corrupt r (Printf.sprintf "negative index %d in %s" idx what);
+  idx
 
 let get_raw_loc r what =
   let lfunc = get_lpstr r what in
@@ -667,7 +658,7 @@ let decode_one r : Event.t =
       let what = "read event" in
       let tid = get_signed r what in
       let base, base_id = get_baseref r what in
-      let idx = get_signed r what in
+      let idx = get_idx r what in
       let value = get_signed r what in
       let loc = get_loc r what in
       let spin =
@@ -691,7 +682,7 @@ let decode_one r : Event.t =
       let what = "write event" in
       let tid = get_signed r what in
       let base, base_id = get_baseref r what in
-      let idx = get_signed r what in
+      let idx = get_idx r what in
       let value = get_signed r what in
       let loc = get_loc r what in
       Event.Write

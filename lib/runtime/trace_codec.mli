@@ -36,12 +36,13 @@
       [varint 0] followed by the length-prefixed definition the first
       time, [varint k] for table entry [k-1] afterwards.
     - {b Read/write bases} ride the machine's dense base-id vocabulary:
-      the common form is [varint (base_id+1)], with the base string
-      defined inline (length-prefixed) at the id's first occurrence.
-      [varint 0] escapes to an explicit string reference plus signed id,
-      for producers without an intern table ([base_id < 0]) or whose
-      id→string mapping is not functional — so decoding is exact for
-      hand-built streams too.
+      [varint (base_id+1)], with the base string defined inline
+      (length-prefixed) at the id's first occurrence.  Streams meet the
+      access contract of {!Event} (ids in [\[0, 2^20)], one id per base,
+      indices non-negative), so there is no escape for anything else:
+      the encoder raises [Invalid_argument] on an id out of range and
+      {!decode_events} refuses a read or write that breaks the contract
+      as [Corrupt].
 
     Source locations are not interned as records: a loc is two string
     references plus a signed index.  That choice is what keeps the
@@ -175,8 +176,11 @@ val read_sections : string -> (header * section list, error) result
 val decode_events : section -> (Event.t -> unit) -> (unit, error) result
 (** Stream the section's events in recorded order.  The callback must
     not raise (a replay engine never does); structural errors stop the
-    stream and are returned. *)
+    stream and are returned, and so does a read or write that breaks
+    the access contract of {!Event} ([Corrupt]): every event handed to
+    the callback meets it. *)
 
 val encode_events : Event.t list -> string * int
 (** [events → (bytes, hash)] through a fresh sink — the codec-test and
-    bench path; recording proper uses {!sink_observer}. *)
+    bench path; recording proper uses {!sink_observer}.
+    @raise Invalid_argument on a base id outside [\[0, 2^20)]. *)

@@ -115,10 +115,9 @@ let connect ?(max_frame = P.default_max_frame) ~endpoint () =
           cl_open = true;
         })
 
-let run t ?id ?deadline_ms ?retry ?record ~program ~mode ~options () =
+let run t ?id ?deadline_ms ?retry ~program ~mode ~options () =
   request t
-    (P.run_request_json ?id ?deadline_ms ?retry ?record ~program ~mode
-       ~options ())
+    (P.run_request_json ?id ?deadline_ms ?retry ~program ~mode ~options ())
 
 let replay t ?id ?deadline_ms ?retry ~trace () =
   request t (P.replay_request_json ?id ?deadline_ms ?retry ~trace ())
@@ -210,11 +209,10 @@ let with_retry ~endpoint ~max_frame ~policy build =
   in
   go 0
 
-let submit_with_retry ~endpoint ~policy ?max_frame ?id ?deadline_ms ?record
+let submit_with_retry ~endpoint ~policy ?max_frame ?id ?deadline_ms
     ~program ~mode ~options () =
   with_retry ~endpoint ~max_frame ~policy (fun ~retry ->
-      P.run_request_json ?id ?deadline_ms ~retry ?record ~program ~mode
-        ~options ())
+      P.run_request_json ?id ?deadline_ms ~retry ~program ~mode ~options ())
 
 let submit_trace_with_retry ~endpoint ~policy ?max_frame ?id ?deadline_ms
     ~trace () =

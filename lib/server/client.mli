@@ -45,7 +45,6 @@ val run :
   ?id:Arde.Json.t ->
   ?deadline_ms:int ->
   ?retry:int ->
-  ?record:bool ->
   program:string ->
   mode:Arde.Config.mode ->
   options:Arde.Options.t ->
@@ -54,8 +53,7 @@ val run :
 (** Submit a detection run; returns the whole response object (check
     {!Protocol.response_ok} / {!Protocol.response_error}, extract
     ["result"] and ["analysis_cache"] on success).  [retry] marks a
-    resend (see {!Protocol.run_request_json}); [record] asks for the
-    binary trace back in the response's ["trace"] field (base64). *)
+    resend (see {!Protocol.run_request_json}). *)
 
 val replay :
   t ->
@@ -113,7 +111,6 @@ val submit_with_retry :
   ?max_frame:int ->
   ?id:Arde.Json.t ->
   ?deadline_ms:int ->
-  ?record:bool ->
   program:string ->
   mode:Arde.Config.mode ->
   options:Arde.Options.t ->

@@ -87,15 +87,14 @@ let retryable_code = function
 (* ------------------------------------------------------------------ *)
 (* Requests                                                           *)
 
-(* What a run request asks the worker to do: execute a program (and
-   possibly record it), or replay a recorded trace.  The trace travels
+(* What a run request asks the worker to do: execute a program, or
+   replay a recorded trace.  The trace travels
    base64-inside-JSON on the wire but is raw binary here — protocol
    parsing is the only place that knows about the encoding. *)
 type program_request = {
   rp_program : string;
   rp_mode : Arde.Config.mode;
   rp_options : Arde.Options.t;
-  rp_record : bool;
 }
 
 type run_payload = Rq_program of program_request | Rq_trace of string
@@ -121,15 +120,13 @@ let run_json ?(id = J.Null) ?deadline_ms ?retry payload_fields =
     | None | Some 0 -> []
     | Some n -> [ ("retry", J.Int n) ])
 
-let run_request_json ?id ?deadline_ms ?retry ?(record = false) ~program
-    ~mode ~options () =
+let run_request_json ?id ?deadline_ms ?retry ~program ~mode ~options () =
   run_json ?id ?deadline_ms ?retry
-    ([
-       ("program", J.String program);
-       ("mode", J.String (Arde.Config.mode_id mode));
-       ("options", Arde.Options.to_json options);
-     ]
-    @ if record then [ ("record", J.Bool true) ] else [])
+    [
+      ("program", J.String program);
+      ("mode", J.String (Arde.Config.mode_id mode));
+      ("options", Arde.Options.to_json options);
+    ]
 
 let replay_request_json ?id ?deadline_ms ?retry ~trace () =
   run_json ?id ?deadline_ms ?retry
@@ -163,6 +160,16 @@ let parse_request payload =
       | Some "stats" -> Ok (Stats id)
       | Some "run" ->
           let ( let* ) = Result.bind in
+          let* () =
+            (* The server does not record: refuse rather than answer
+               without the trace the client asked for. *)
+            if J.member "record" j = None then Ok ()
+            else
+              Error
+                (id, Bad_request,
+                 "field \"record\" is not supported: record with `arde \
+                  record` and submit the trace")
+          in
           let* rq_payload =
             match (J.member "trace" j, J.member "program" j) with
             | Some _, Some _ ->
@@ -194,11 +201,7 @@ let parse_request payload =
                         (fun e -> (id, Bad_request, "options: " ^ e))
                         (Arde.Options.of_json o)
                 in
-                let rp_record =
-                  Option.value ~default:false
-                    (Option.bind (J.member "record" j) J.to_bool)
-                in
-                Ok (Rq_program { rp_program; rp_mode; rp_options; rp_record })
+                Ok (Rq_program { rp_program; rp_mode; rp_options })
           in
           let* rq_deadline_ms =
             match J.member "deadline_ms" j with
@@ -263,14 +266,15 @@ let encode_response ~wire:Json resp = J.to_string resp
 
 (* Workers speak the same frame codec over a socketpair held by the
    supervisor.  Request and response bodies cross this hop as {e raw
-   bytes}, never re-parsed or re-serialized: a [job] header frame is
+   bytes}, never re-serialized: a [job] header frame is
    followed by one frame holding the client's request verbatim (so the
    worker's spool journal records exactly what arrived on the public
    socket), and a [done] header frame — carrying the outcome code the
    supervisor needs for its counters — is followed by one frame holding
    the response bytes the supervisor forwards untouched.  Run requests
-   are several hundred kilobytes of program text; parsing them once per
-   process instead of once per hop is most of the serving hot path. *)
+   are several hundred kilobytes of program text, so nothing on the hop
+   re-serializes them; the supervisor and the worker each parse them
+   once (DESIGN.md §6c). *)
 
 let hello_frame ~worker ~pid =
   J.Obj

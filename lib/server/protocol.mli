@@ -77,8 +77,7 @@ val retryable_code : string -> bool
 
 (** What a run request asks a worker to do.  [Rq_program] is the live
     path: canonical TIR text ([Pretty.program_to_string]) plus mode and
-    knobs, with [rp_record] asking the worker to record the event stream
-    and return the binary trace alongside the result.  [Rq_trace] is the
+    knobs.  [Rq_trace] is the
     replay-farm path: a complete {!Arde.Trace_codec} trace (raw bytes
     here; base64 on the wire), replayed through a fresh engine without
     re-executing the machine — mode and options come from the trace
@@ -87,7 +86,6 @@ type program_request = {
   rp_program : string;
   rp_mode : Arde.Config.mode;
   rp_options : Arde.Options.t;
-  rp_record : bool;
 }
 
 type run_payload = Rq_program of program_request | Rq_trace of string
@@ -113,17 +111,13 @@ val run_request_json :
   ?id:Arde.Json.t ->
   ?deadline_ms:int ->
   ?retry:int ->
-  ?record:bool ->
   program:string ->
   mode:Arde.Config.mode ->
   options:Arde.Options.t ->
   unit ->
   Arde.Json.t
 (** [retry] (when [> 0]) marks the request as the [n]-th resend of an
-    earlier attempt, feeding the server's [retries] counter.  [record]
-    (default [false]) asks the worker to also record the run: the
-    response then carries a base64 ["trace"] field holding the binary
-    trace that reproduces the result. *)
+    earlier attempt, feeding the server's [retries] counter. *)
 
 val replay_request_json :
   ?id:Arde.Json.t ->
@@ -146,7 +140,9 @@ val parse_request :
     could be recovered ([Null] otherwise), so the server can still
     correlate the error response.  Invalid JSON (or JSON beyond the
     parser's limits) is [Bad_frame]; everything else wrong is
-    [Bad_request]. *)
+    [Bad_request], including a run request carrying a ["record"] field
+    (the server does not record: [arde record] does, and the trace is
+    submitted as a replay request). *)
 
 (** {1 Responses} *)
 
@@ -180,9 +176,10 @@ val encode_response : wire:wire -> Arde.Json.t -> string
     bytes to the spool, which is what makes crash bundles replayable
     with the production request parser), and a [done] header frame is
     followed by one frame of response bytes the supervisor forwards
-    untouched.  Run requests are hundreds of kilobytes of program text;
-    each parse or serialize pass over them costs milliseconds, so the
-    hop adds none of its own. *)
+    untouched.  The hop re-serializes nothing, but it does not spare a
+    parse: the supervisor parses every client frame once, to route it
+    and answer what needs no worker, and the worker parses the forwarded
+    request again (DESIGN.md §6c). *)
 
 val hello_frame : worker:int -> pid:int -> Arde.Json.t
 (** Sent once by a worker when it is ready to execute (domain pool

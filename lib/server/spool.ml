@@ -32,9 +32,6 @@ let root t = t.root
 let journal_path t ~worker =
   Filename.concat t.root (Printf.sprintf "worker-%d.journal.json" worker)
 
-let trace_path t ~worker =
-  Filename.concat t.root (Printf.sprintf "worker-%d.journal.trace" worker)
-
 let schema = "arde-crash-bundle/1"
 
 (* The journal is written on EVERY run request, so its write must not
@@ -55,12 +52,8 @@ let journal t ~worker ~pid ~digest ~request =
   Util.write_file_atomic (journal_path t ~worker)
     (J.to_string header ^ "\n" ^ request)
 
-let journal_trace t ~worker ~trace =
-  Util.write_file_atomic (trace_path t ~worker) trace
-
 let clear t ~worker =
-  (try Sys.remove (journal_path t ~worker) with Sys_error _ -> ());
-  try Sys.remove (trace_path t ~worker) with Sys_error _ -> ()
+  try Sys.remove (journal_path t ~worker) with Sys_error _ -> ()
 
 let read_journal t ~worker =
   match Util.read_file (journal_path t ~worker) with
@@ -86,20 +79,8 @@ let seal t ~worker ~reason =
   | Some entry ->
       t.seq <- t.seq + 1;
       let sealed_at = Unix.gettimeofday () in
-      (* A record-mode request that died during detection left its trace
-         beside the journal; fold it in so the postmortem can replay the
-         detection instead of re-executing the machine. *)
-      let trace_field =
-        match Util.read_file (trace_path t ~worker) with
-        | Ok trace -> [ ("trace", J.String (Arde.Base64.encode trace)) ]
-        | Error _ -> []
-      in
       let tail =
-        trace_field
-        @ [
-            ("crash_reason", J.String reason);
-            ("sealed_at", J.Float sealed_at);
-          ]
+        [ ("crash_reason", J.String reason); ("sealed_at", J.Float sealed_at) ]
       in
       let bundle =
         match entry with

@@ -6,9 +6,9 @@
     (journaling is on the per-request hot path, so the request is never
     re-serialized) — and removes the journal after responding.  When the supervisor reaps a
     crashed or watchdog-killed worker it {!seal}s the surviving journal
-    into [SPOOL/bundles/crash-*.json]: a durable, self-contained record
-    of exactly what the worker was executing, replayable offline with
-    [arde postmortem].
+    into [SPOOL/bundles/crash-*.json]: a durable record of exactly what
+    the worker was executing — the journaled request and its metadata,
+    nothing else — which [arde postmortem] re-executes offline.
 
     Journal writes are best-effort by design (crash-only thinking: the
     request must be served even when the disk is full); a failed write
@@ -34,16 +34,8 @@ val journal :
     the client's raw run-request bytes, written verbatim, so a replay
     re-parses exactly what arrived with the production parser. *)
 
-val journal_trace : t -> worker:int -> trace:string -> (unit, string) result
-(** Record the binary trace of the request the worker is executing,
-    alongside its journal.  Written by the worker between the cheap
-    recording pass and the expensive detection pass of a record-mode
-    request: if the worker dies during detection (a watchdog kill, a
-    crash), {!seal} folds the trace into the bundle and [arde
-    postmortem] replays detection from it instead of re-executing. *)
-
 val clear : t -> worker:int -> unit
-(** Remove the worker's journal and trace (request completed normally). *)
+(** Remove the worker's journal (request completed normally). *)
 
 val seal : t -> worker:int -> reason:string -> (string option, string) result
 (** Turn the worker's in-flight journal, if any, into a durable crash

@@ -93,13 +93,7 @@ let create_pool jobs =
 
 (* What a request executes against: the worker loop's long-lived pool
    and program table, or the fresh ones of a crash-bundle replay. *)
-type env = {
-  pool : Arde.Domain_pool.pool;
-  programs : programs;
-  keep_trace : string -> unit;
-      (* Handed a record-mode request's trace between its recording and
-         detection passes. *)
-}
+type env = { pool : Arde.Domain_pool.pool; programs : programs }
 
 type state = {
   args : args;
@@ -115,25 +109,16 @@ let lookup_program programs ~digest text =
   match Arde.Fifo_table.find_opt programs digest with
   | Some p -> Ok p
   | None -> (
-      match Arde.Parse.program text with
-      | Error e -> Error ("program: " ^ Arde.Parse.error_to_string e)
-      | Ok p -> (
-          match Arde.Validate.validate p with
-          | Error es ->
-              Error
-                ("program: "
-                ^ String.concat "; "
-                    (List.map Arde.Validate.error_to_string es))
-          | Ok valid ->
-              Arde.Fifo_table.add programs digest valid;
-              Ok valid))
+      match Arde.Validate.of_text text with
+      | Error e -> Error ("program: " ^ e)
+      | Ok valid ->
+          Arde.Fifo_table.add programs digest valid;
+          Ok valid)
 
 (* The one request executor: the frame loop runs every request through
    it and {!replay} runs crash bundles through it, so a postmortem
-   reproduces the worker's response exactly.  [sealed_trace] is the
-   recording a record-mode request left in the spool before its worker
-   died; it stands in for the recording pass. *)
-let execute ?sealed_trace env ~digest (req : P.run_request) =
+   reproduces the worker's response exactly. *)
+let execute env ~digest (req : P.run_request) =
   let id = req.P.rq_id in
   let before = Arde.Analysis_cache.stats () in
   let started = Unix.gettimeofday () in
@@ -143,80 +128,41 @@ let execute ?sealed_trace env ~digest (req : P.run_request) =
     | Some ms ->
         fun () -> (Unix.gettimeofday () -. started) *. 1000. > float_of_int ms
   in
-  let respond result extra =
-    let after = Arde.Analysis_cache.stats () in
-    let delta = Arde.Analysis_cache.stats_delta ~before ~after in
-    P.ok_response ~id
-      ([
-         ("result", Arde.Driver.result_to_json result);
-         ("analysis_cache", Arde.Analysis_cache.stats_to_json delta);
-       ]
-      @ extra)
-  in
-  let internal e = P.error_response ~id P.Internal (Printexc.to_string e) in
-  let detect_trace ~ctx ~on_error ?(extra = []) trace =
-    match Arde.Recorded.of_string trace with
-    | Error msg -> on_error msg
-    | Ok recorded -> (
-        match Arde.detect ~ctx (Arde.Input.Recorded_trace recorded) with
-        | result -> respond result extra
-        | exception e -> internal e)
+  let detect ~ctx ?mode input =
+    match Arde.detect ~ctx ?mode input with
+    | result ->
+        let after = Arde.Analysis_cache.stats () in
+        let delta = Arde.Analysis_cache.stats_delta ~before ~after in
+        P.ok_response ~id
+          [
+            ("result", Arde.Driver.result_to_json result);
+            ("analysis_cache", Arde.Analysis_cache.stats_to_json delta);
+          ]
+    | exception e -> P.error_response ~id P.Internal (Printexc.to_string e)
   in
   match req.P.rq_payload with
-  | P.Rq_trace trace ->
+  | P.Rq_trace trace -> (
       (* The replay-farm path: detection without the machine.  The
          program comes out of the trace itself; [digest] (from the trace
          header, via the supervisor) still keys the analysis cache, so
          repeated replays of the same program skip the static phase. *)
-      detect_trace
-        ~ctx:
-          (Arde.Driver.ctx ~pool:env.pool ~should_stop ~program_digest:digest
-             ())
-        ~on_error:(fun msg ->
-          P.error_response ~id P.Bad_request ("trace: " ^ msg))
-        trace
-  | P.Rq_program { rp_program; rp_mode; rp_options; rp_record } -> (
+      match Arde.Recorded.of_string trace with
+      | Error msg -> P.error_response ~id P.Bad_request ("trace: " ^ msg)
+      | Ok recorded ->
+          detect
+            ~ctx:
+              (Arde.Driver.ctx ~pool:env.pool ~should_stop
+                 ~program_digest:digest ())
+            (Arde.Input.Recorded_trace recorded))
+  | P.Rq_program { rp_program; rp_mode; rp_options } -> (
       match lookup_program env.programs ~digest rp_program with
       | Error msg -> P.error_response ~id P.Bad_request msg
-      | Ok program -> (
-          let ctx =
-            Arde.Driver.ctx ~options:rp_options ~pool:env.pool ~should_stop
-              ~program_digest:digest ()
-          in
-          if not rp_record then
-            match Arde.detect ~ctx ~mode:rp_mode (Arde.Input.Valid program) with
-            | result -> respond result []
-            | exception e -> internal e
-          else
-            (* Record-mode: the record/replay split live.  The cheap
-               recording pass runs first and the trace lands in the
-               spool before the expensive detection pass — so a worker
-               killed mid-detection seals a bundle whose trace replays
-               the detection deterministically.  The response's result
-               comes from replaying that very trace, which the identity
-               oracle guarantees equals the live run's. *)
-            let recording =
-              match sealed_trace with
-              | Some trace -> Ok trace
-              | None -> (
-                  match
-                    Arde.record ~ctx ~mode:rp_mode ~source:"serve"
-                      (Arde.Input.Valid program)
-                  with
-                  | Ok { Arde.Driver.rec_trace; _ } ->
-                      env.keep_trace rec_trace;
-                      Ok rec_trace
-                  | Error msg -> Error (P.error_response ~id P.Internal msg)
-                  | exception e -> Error (internal e))
-            in
-            match recording with
-            | Error response -> response
-            | Ok trace ->
-                detect_trace ~ctx
-                  ~on_error:(fun msg ->
-                    P.error_response ~id P.Internal ("recorded trace: " ^ msg))
-                  ~extra:[ ("trace", J.String (Arde.Base64.encode trace)) ]
-                  trace))
+      | Ok program ->
+          detect
+            ~ctx:
+              (Arde.Driver.ctx ~options:rp_options ~pool:env.pool ~should_stop
+                 ~program_digest:digest ())
+            ~mode:rp_mode (Arde.Input.Valid program))
 
 (* ------------------------------------------------------------------ *)
 (* The frame loop.  The supervisor hands us its socketpair end as our
@@ -263,8 +209,9 @@ let send_done_json ?faults ~job ~spool_error resp =
     (J.to_string resp)
 
 (* [raw] is the client's request exactly as it crossed the public
-   socket: parsed once here (the supervisor never parses bodies), and
-   journaled byte-for-byte. *)
+   socket, journaled byte-for-byte.  The supervisor has already parsed
+   it once, to route it and to answer what needs no worker (DESIGN.md
+   §6c); the worker parses it again here. *)
 let handle_job st ~job ~digest raw =
   let module CS = Arde.Chaos.Serve in
   match P.parse_request raw with
@@ -320,21 +267,11 @@ let main args =
         prerr_endline ("arde-serve worker: " ^ e);
         exit 66
   in
-  let keep_trace trace =
-    (* Best-effort, like the request journal. *)
-    match Spool.journal_trace spool ~worker:args.a_index ~trace with
-    | Ok () | Error _ -> ()
-  in
   let st =
     {
       args;
       spool;
-      env =
-        {
-          pool = create_pool args.a_jobs;
-          programs = programs ();
-          keep_trace;
-        };
+      env = { pool = create_pool args.a_jobs; programs = programs () };
       count = 0;
     }
   in
@@ -381,7 +318,7 @@ let main args =
 
 type replay = { source : string; response : J.t }
 
-let replay ?(jobs = 0) ?(warn = ignore) bundle =
+let replay ?(jobs = 0) bundle =
   let parsed =
     match J.member "request" bundle with
     | None -> Error "bundle carries no request"
@@ -404,32 +341,16 @@ let replay ?(jobs = 0) ?(warn = ignore) bundle =
         | Some d -> d
         | None -> Digest.to_hex (Digest.string text)
       in
-      let sealed_trace =
-        match Option.bind (J.member "trace" bundle) J.to_str with
-        | None -> None
-        | Some b64 -> (
-            match Arde.Base64.decode b64 with
-            | Ok trace -> Some trace
-            | Error e ->
-                warn ("bundle trace: " ^ e ^ " (ignoring it)");
-                None)
-      in
       let source =
-        match (sealed_trace, req.P.rq_payload) with
-        | Some _, P.Rq_program { rp_record = true; _ } -> "sealed-trace"
-        | _, P.Rq_trace _ -> "request-trace"
-        | _, P.Rq_program _ -> "program"
+        match req.P.rq_payload with
+        | P.Rq_trace _ -> "request-trace"
+        | P.Rq_program _ -> "program"
       in
-      if sealed_trace <> None && source <> "sealed-trace" then
-        warn
-          "bundle trace: the journaled request is not record-mode (ignoring \
-           it)";
       let pool = create_pool jobs in
-      let env = { pool; programs = programs (); keep_trace = ignore } in
       let response =
         Fun.protect
           ~finally:(fun () -> Arde.Domain_pool.shutdown pool)
-          (fun () -> execute ?sealed_trace env ~digest req)
+          (fun () -> execute { pool; programs = programs () } ~digest req)
       in
       { source; response })
     parsed

@@ -64,24 +64,19 @@ val worker_args :
 
 type replay = {
   source : string;
-      (** What the detection re-ran from: ["sealed-trace"] (the trace a
-          record-mode request left before dying), ["request-trace"] (a
-          replay request's own trace) or ["program"]. *)
+      (** What the detection re-ran from: ["request-trace"] (a replay
+          request's own trace) or ["program"]. *)
   response : Arde.Json.t;
       (** The response the crashed worker would have produced. *)
 }
 
-val replay :
-  ?jobs:int -> ?warn:(string -> unit) -> Arde.Json.t -> (replay, string) result
+val replay : ?jobs:int -> Arde.Json.t -> (replay, string) result
 (** Replay a {!Spool.load}ed crash bundle: parse its journaled request
     with [Protocol.parse_request] and run it through the worker's own
     request executor, on a fresh pool of [jobs] domains (default [0]:
-    one per core) and with the digest the worker was handed.  A sealed trace
-    stands in for a record-mode request's recording pass, so the
-    detection the worker died in is replayed without re-executing the
-    machine; a trace that does not decode, or that sits beside a
-    request that is not record-mode, is reported to [warn] and ignored.
-    [Error] when the bundle has no request, or its request does not
-    parse or is not a run request; a request the worker would have
-    refused (a program that does not parse, say) replays to that error
-    response. *)
+    one per core) and with the digest the worker was handed.  [Error]
+    when the bundle has no request, or its request does not parse or is
+    not a run request: a journaled request that carries ["record"]
+    (served record mode, since removed) is refused as [bad_request].  A
+    request the worker would have refused (a program that does not
+    parse, say) replays to that error response. *)

@@ -195,13 +195,17 @@ let validate prog =
 
 let check prog = Result.map ignore (validate prog)
 
+let errors_to_string es = String.concat "; " (List.map error_to_string es)
+
 let validate_exn prog =
   match validate prog with
   | Ok v -> v
-  | Error es ->
-      invalid_arg
-        ("Tir.Validate: "
-        ^ String.concat "; " (List.map error_to_string es))
+  | Error es -> invalid_arg ("Tir.Validate: " ^ errors_to_string es)
+
+let of_text text =
+  match Parse.program text with
+  | Error e -> Error (Parse.error_to_string e)
+  | Ok p -> Result.map_error errors_to_string (validate p)
 
 let check_exn prog = ignore (validate_exn prog)
 

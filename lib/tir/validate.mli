@@ -21,6 +21,11 @@ val validate_exn : Types.program -> valid
 (** @raise Invalid_argument ["Tir.Validate: "] followed by the rendered
     errors, joined by ["; "]. *)
 
+val of_text : string -> (valid, string) result
+(** Parse ({!Parse.program}) and {!validate} a program text.  [Error] is
+    the parse error, or every validation error, rendered and joined by
+    ["; "]. *)
+
 val check : Types.program -> (unit, error list) result
 (** {!validate}, keeping only the verdict. *)
 

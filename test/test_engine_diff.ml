@@ -133,7 +133,7 @@ let loc_at i =
 
 let test_epoch_same_thread_reread () =
   let sh = Sh.create () in
-  let c = Sh.cell sh ~base_id:0 ~base:"x" ~idx:0 in
+  let c = Sh.cell sh ~base_id:0 ~idx:0 in
   Sh.record_read c ~tid:1 ~clk:3 ~loc:(loc_at 0);
   Sh.record_read c ~tid:1 ~clk:5 ~loc:(loc_at 1);
   Alcotest.(check int) "same-thread re-read stays a single epoch" 1 c.Sh.rd_tid;
@@ -143,7 +143,7 @@ let test_epoch_same_thread_reread () =
 
 let test_epoch_promote_order () =
   let sh = Sh.create () in
-  let c = Sh.cell sh ~base_id:0 ~base:"x" ~idx:0 in
+  let c = Sh.cell sh ~base_id:0 ~idx:0 in
   Sh.record_read c ~tid:1 ~clk:3 ~loc:(loc_at 0);
   Sh.record_read c ~tid:2 ~clk:4 ~loc:(loc_at 1);
   Alcotest.(check int) "promoted" Sh.promoted c.Sh.rd_tid;
@@ -184,12 +184,16 @@ let reports_equal_on name cfg events =
   engines_agree name e r events;
   (e, r)
 
+(* The one base of these streams, under the id an intern table gives
+   the first name it sees. *)
+let g_id = 0
+
 let rd ?(kind = Ev.Plain) ?(spin = []) tid i =
-  Ev.Read { tid; base = "g"; base_id = -1; idx = 0; value = 0;
+  Ev.Read { tid; base = "g"; base_id = g_id; idx = 0; value = 0;
             loc = loc_at i; kind; spin }
 
 let wr ?(kind = Ev.Plain) tid i =
-  Ev.Write { tid; base = "g"; base_id = -1; idx = 0; value = 1;
+  Ev.Write { tid; base = "g"; base_id = g_id; idx = 0; value = 1;
              loc = loc_at i; kind }
 
 let start tid = Ev.Thread_start { tid }
@@ -300,6 +304,33 @@ let test_memory_words_spin_acc () =
     "reference: open spin accumulator adds words" true
     (ref_open > ref_closed)
 
+(* A read or write that breaks the access contract of [Event] (a
+   negative id or index) raises [Invalid_argument] in the engine's and
+   the predictor index's cell lookup, which the driver's sandbox turns
+   into a crashed seed, instead of indexing outside a row. *)
+let test_contract_breach_raises () =
+  let breaches =
+    [
+      Ev.Write { tid = 1; base = "g"; base_id = -1; idx = 0; value = 1;
+                 loc = loc_at 1; kind = Ev.Plain };
+      Ev.Write { tid = 1; base = "g"; base_id = g_id; idx = -1; value = 1;
+                 loc = loc_at 1; kind = Ev.Plain };
+      Ev.Read { tid = 1; base = "g"; base_id = g_id; idx = -1; value = 0;
+                loc = loc_at 1; kind = Ev.Plain; spin = [] };
+    ]
+  in
+  List.iter
+    (fun ev ->
+      let e = E.create (C.make C.Helgrind_lib) ~instrument:None in
+      List.iter (E.observer e) [ start 0; start 1; wr 0 0 ];
+      (match E.observer e ev with
+      | () -> Alcotest.failf "engine accepted %s" (Format.asprintf "%a" Ev.pp ev)
+      | exception Invalid_argument _ -> ());
+      match Arde.Sp_trace.push (Arde.Sp_trace.indexer ignore) ev with
+      | () -> Alcotest.failf "index accepted %s" (Format.asprintf "%a" Ev.pp ev)
+      | exception Invalid_argument _ -> ())
+    breaches
+
 let suite =
   [
     Alcotest.test_case "catalog x 16 seeds x modes differential" `Slow
@@ -320,6 +351,8 @@ let suite =
       test_long_running_priming;
     Alcotest.test_case "spin record across demotion" `Quick
       test_spin_epoch_demotion;
+    Alcotest.test_case "access-contract breaches raise" `Quick
+      test_contract_breach_raises;
     Alcotest.test_case "memory_words counts spin accumulators" `Quick
       test_memory_words_spin_acc;
     Alcotest.test_case "synthetic 128/512-thread streams" `Slow

@@ -480,6 +480,78 @@ let test_spin_cache_definition () =
               info.Arde_workloads.Parsec.nolib_style))
            (Arde_workloads.Parsec.all ())))
 
+(* The first read or write of [evs] that breaks the access contract of
+   [Event]: an id outside [0, 2^20), an id or base seen before with
+   another partner, or a negative index. *)
+let contract_breach evs =
+  let base_of = Hashtbl.create 16 and id_of = Hashtbl.create 16 in
+  let partner tbl k v =
+    match Hashtbl.find_opt tbl k with
+    | Some v' -> v' = v
+    | None ->
+        Hashtbl.add tbl k v;
+        true
+  in
+  Array.find_opt
+    (function
+      | Arde.Event.Read { base; base_id; idx; _ }
+      | Arde.Event.Write { base; base_id; idx; _ } ->
+          not
+            (0 <= base_id
+            && base_id < Arde.Event.max_base_id
+            && partner base_of base_id base
+            && partner id_of base base_id
+            && idx >= 0)
+      | _ -> false)
+    evs
+
+(* Both machines meet the contract on every catalog program (unit-suite
+   cases and PARSEC) in the program form of every Table-1 mode. *)
+let test_access_contract () =
+  let opts = Arde.Options.default in
+  let programs =
+    List.map
+      (fun (c : Arde_workloads.Racey.case) ->
+        (c.Arde_workloads.Racey.name, c.Arde_workloads.Racey.program))
+      (Arde_workloads.Racey.all ())
+    @ List.map
+        (fun ((info : Arde_workloads.Parsec.info), p) ->
+          (info.Arde_workloads.Parsec.pname, p))
+        (Arde_workloads.Parsec.all ())
+  in
+  List.iter
+    (fun (name, program) ->
+      List.iter
+        (fun mode ->
+          let p =
+            Arde.Analysis_cache.prepare ~style:opts.Arde.Options.lower_style
+              ~count_callees:opts.Arde.Options.count_callee_blocks mode program
+          in
+          let cfg observer =
+            {
+              M.policy = opts.Arde.Options.policy;
+              seed = 1;
+              fuel = 20_000;
+              instrument = p.Arde.Analysis_cache.p_instrument;
+              spurious_wakeups = false;
+              observer;
+            }
+          in
+          let check machine run =
+            let t = Arde.Trace.create () in
+            ignore (run (cfg (Arde.Trace.push t)));
+            match contract_breach (Arde.Trace.events t) with
+            | None -> ()
+            | Some ev ->
+                Alcotest.failf "%s under %s (%s): %a" name
+                  (Arde.Config.mode_name mode) machine Arde.Event.pp ev
+          in
+          check "Machine" (fun c -> M.run c p.Arde.Analysis_cache.p_compiled);
+          check "Machine_ref" (fun c ->
+              MR.run_program c p.Arde.Analysis_cache.p_program))
+        Arde.Config.all_table1_modes)
+    programs
+
 let suite =
   [
     Alcotest.test_case "golden fixtures reproduced bit-for-bit" `Slow
@@ -496,6 +568,8 @@ let suite =
       test_barrier_64;
     Alcotest.test_case "spin cache matches its definition" `Quick
       test_spin_cache_definition;
+    Alcotest.test_case "every machine stream meets the access contract"
+      `Quick test_access_contract;
     prop_sched_determinism;
     Alcotest.test_case "straight-line loop allocates nothing per step" `Quick
       test_straightline_zero_alloc;

@@ -76,13 +76,22 @@ let gen_loc rng =
     lidx = Prng.int rng 40 - 8;
   }
 
-let gen_base rng = pick rng [ "x"; "flag"; "m"; "queue"; "" ]
+let bases = [ "x"; "flag"; "m"; "queue"; "" ]
+let gen_base rng = pick rng bases
+
+(* A read or write base with its id: one id per base, as the access
+   contract of [Event] asks. *)
+let gen_access_base rng =
+  let i = Prng.int rng (List.length bases) in
+  (List.nth bases i, 3 * i)
 
 let gen_event rng : Arde.Event.t =
   let tid = Prng.int rng 5 in
   let base = gen_base rng in
   let idx = Prng.int rng 16 - 4 in
   let loc = gen_loc rng in
+  let access_base, base_id = gen_access_base rng in
+  let access_idx = Prng.int rng 16 in
   match Prng.int rng 19 with
   | 0 | 1 ->
       let spin =
@@ -92,9 +101,9 @@ let gen_event rng : Arde.Event.t =
       Arde.Event.Read
         {
           tid;
-          base;
-          base_id = Prng.int rng 20 - 1;
-          idx;
+          base = access_base;
+          base_id;
+          idx = access_idx;
           value = Prng.int rng 10_000 - 5_000;
           loc;
           kind = (if Prng.bool rng then Arde.Event.Plain else Arde.Event.Atomic);
@@ -104,9 +113,9 @@ let gen_event rng : Arde.Event.t =
       Arde.Event.Write
         {
           tid;
-          base;
-          base_id = Prng.int rng 20 - 1;
-          idx;
+          base = access_base;
+          base_id;
+          idx = access_idx;
           value = Prng.int rng 10_000 - 5_000;
           loc;
           kind = (if Prng.bool rng then Arde.Event.Plain else Arde.Event.Atomic);
@@ -342,6 +351,65 @@ let test_reject_oversized_declaration () =
   | Error (C.Limit _) -> ()
   | Error e -> Alcotest.failf "wanted Limit, got %s" (C.error_to_string e)
   | Ok _ -> Alcotest.fail "accepted an oversized declared length"
+
+(* -- the access contract at the decoder ------------------------------ *)
+
+let section_of_bytes ~n s_events =
+  {
+    C.s_seed = 1;
+    s_n_events = n;
+    s_events;
+    s_hash = 0;
+    s_trailer = { C.t_outcome = C.Finished; t_steps = 0; t_check_failures = [] };
+  }
+
+let write ?(base = "x") ?(base_id = 0) ?(idx = 0) () =
+  Arde.Event.Write
+    {
+      tid = 0;
+      base;
+      base_id;
+      idx;
+      value = 1;
+      loc = { Arde.Types.lfunc = "f"; lblk = "b"; lidx = 0 };
+      kind = Arde.Event.Plain;
+    }
+
+let expect_corrupt what ~n events =
+  match C.decode_events (section_of_bytes ~n events) ignore with
+  | Error (C.Corrupt _) -> ()
+  | Error e -> Alcotest.failf "%s: wanted Corrupt, got %s" what (C.error_to_string e)
+  | Ok () -> Alcotest.failf "%s: decoded" what
+
+(* Reads and writes that break the access contract of [Event] are
+   refused as corrupt: the base escape older encoders wrote for
+   hand-built events (varint 0, then the base as an interned string and
+   its signed id), an id at or past 2^20, a base defined under a second
+   id, and a negative index. *)
+let test_decoder_refuses_contract_breaches () =
+  let ok_bytes = fst (C.encode_events [ write () ]) in
+  (* tag, tid, then [varint 1] (id 0) and the inline definition of "x" *)
+  checks "the id's definition follows the tag and tid" "\x03\x00\x01\x01x"
+    (String.sub ok_bytes 0 5);
+  let rest = String.sub ok_bytes 5 (String.length ok_bytes - 5) in
+  expect_corrupt "base escape" ~n:1 ("\x03\x00" ^ "\x00\x00\x01x\x01" ^ rest);
+  (* [varint (2^20 + 1)]: id 2^20 *)
+  expect_corrupt "id 2^20" ~n:1 ("\x03\x00\x81\x80\x40\x01x" ^ rest);
+  expect_corrupt "one base, two ids" ~n:2
+    (fst (C.encode_events [ write (); write ~base_id:1 () ]));
+  expect_corrupt "negative index" ~n:1 (fst (C.encode_events [ write ~idx:(-1) () ]));
+  match C.decode_events (section_of_bytes ~n:1 ok_bytes) ignore with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "a contract-abiding write: %s" (C.error_to_string e)
+
+(* The encoder has no escape either: an id outside [0, 2^20) raises. *)
+let test_encoder_refuses_id_range () =
+  List.iter
+    (fun base_id ->
+      match C.encode_events [ write ~base_id () ] with
+      | _ -> Alcotest.failf "encoded base id %d" base_id
+      | exception Invalid_argument _ -> ())
+    [ Arde.Event.max_base_id; -1 ]
 
 (* -- the replay-identity oracle ------------------------------------ *)
 
@@ -615,6 +683,67 @@ let test_cli_trace () =
       checkb "trace info prints the header" true
         (Astring.String.is_infix ~affix:"mode:    lib+spin:7" out))
 
+(* A recorded racy_counter/2 trace whose first write is rewritten to
+   index -1: hash-valid, but its stream breaks the access contract. *)
+let negative_index_trace () =
+  let program =
+    match W.Catalog.find "racy_counter/2" with
+    | Some (W.Catalog.Case c) -> c.W.Racey.program
+    | _ -> Alcotest.fail "racy_counter/2 is not a catalog case"
+  in
+  let trace =
+    match
+      Arde.record
+        ~ctx:(D.ctx ~options:(Arde.Options.make ~seeds:[ 1; 2 ] ()) ())
+        ~mode:Arde.Config.Helgrind_lib ~source:"racy_counter/2"
+        (Arde.Input.Program program)
+    with
+    | Ok { D.rec_trace; _ } -> rec_trace
+    | Error e -> Alcotest.failf "record: %s" e
+  in
+  let header, sections =
+    match C.read_sections trace with
+    | Ok hs -> hs
+    | Error e -> Alcotest.failf "read_sections: %s" (C.error_to_string e)
+  in
+  let poisoned = ref false in
+  let poison = function
+    | Arde.Event.Write w when not !poisoned ->
+        poisoned := true;
+        Arde.Event.Write { w with idx = -1 }
+    | ev -> ev
+  in
+  let rewrite (sec : C.section) =
+    let buf = Arde.Trace.create () in
+    (match C.decode_events sec (Arde.Trace.push buf) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "decode: %s" (C.error_to_string e));
+    let events = Array.to_list (Array.map poison (Arde.Trace.events buf)) in
+    let s_events, s_hash = C.encode_events events in
+    { sec with C.s_events; s_hash }
+  in
+  let crafted = C.assemble header (List.map rewrite sections) in
+  checkb "a write was rewritten" true !poisoned;
+  crafted
+
+(* That trace replays and predicts to a structured result: the decoder
+   refuses the write, its seed is reported crashed, and no signal ends
+   either command. *)
+let test_cli_negative_index () =
+  let file = Filename.temp_file "arde-negative-index" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc ->
+          Out_channel.output_string oc (negative_index_trace ()));
+      List.iter
+        (fun cmd ->
+          let code, out = arde [ cmd; "--format"; "json"; file ] in
+          checkb (cmd ^ " exits 0-4") true (code >= 0 && code <= 4);
+          checkb (cmd ^ " names the refused index") true
+            (Astring.String.is_infix ~affix:"negative index -1" out))
+        [ "replay"; "predict" ])
+
 let suite =
   [
     prop_base64_roundtrip;
@@ -633,6 +762,10 @@ let suite =
       test_reject_corrupt_body;
     Alcotest.test_case "reject oversized declaration" `Quick
       test_reject_oversized_declaration;
+    Alcotest.test_case "decoder refuses access-contract breaches" `Quick
+      test_decoder_refuses_contract_breaches;
+    Alcotest.test_case "encoder refuses base ids out of range" `Quick
+      test_encoder_refuses_id_range;
     Alcotest.test_case "replay identity: cases x modes x 16 seeds" `Slow
       test_identity_matrix;
     Alcotest.test_case "replay identity under fuel starvation" `Quick
@@ -652,4 +785,6 @@ let suite =
     Alcotest.test_case "trace info" `Quick test_trace_info;
     Alcotest.test_case "arde trace: named dump and trace info" `Quick
       test_cli_trace;
+    Alcotest.test_case "a negative index replays to a structured result"
+      `Quick test_cli_negative_index;
   ]

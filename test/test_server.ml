@@ -84,7 +84,6 @@ let test_request_roundtrip () =
       | P.Rq_program p ->
           checks "program" "entry = m\n" p.P.rp_program;
           checks "mode" "nolib+spin:5" (Arde.Config.mode_id p.P.rp_mode);
-          checkb "record defaults to off" false p.P.rp_record;
           checks "options survive the wire"
             (J.to_string (Arde.Options.to_json options))
             (J.to_string (Arde.Options.to_json p.P.rp_options))
@@ -107,6 +106,20 @@ let test_request_errors () =
     {|{"type":"run","program":"x","mode":"lib","deadline_ms":-5}|};
   expect_code "bad_request"
     {|{"type":"run","program":"x","mode":"lib","options":{"seeds":"nope"}}|};
+  (* Served record mode is gone: a request asking for it is refused,
+     naming the field, whatever its value. *)
+  List.iter
+    (fun record ->
+      match
+        P.parse_request
+          (Printf.sprintf {|{"type":"run","program":"x","mode":"lib","record":%s}|}
+             record)
+      with
+      | Error (_, P.Bad_request, msg) ->
+          checkb ("the refusal names \"record\": " ^ msg) true
+            (Astring.String.is_infix ~affix:"\"record\"" msg)
+      | _ -> Alcotest.failf "a request with \"record\":%s was not refused" record)
+    [ "true"; "false" ];
   (* The id is recovered even from a bad request, for correlation. *)
   match P.parse_request {|{"type":"frobnicate","id":7}|} with
   | Error (id, _, _) -> checks "echoed id" "7" (J.to_string id)
@@ -353,53 +366,54 @@ let test_byte_identity () =
                 Arde.Config.all_table1_modes)
             cases))
 
-(* The replay farm: a record-mode run returns the binary trace in its
-   response, and submitting that trace back — with no program, mode or
-   options of its own — reproduces the result byte-for-byte, as does a
-   local replay of the very same bytes. *)
+(* The replay farm: a trace recorded locally and submitted to the
+   daemon — with no program, mode or options of its own — reproduces
+   the live run's result byte-for-byte, as does a local replay of the
+   very same bytes.  A run request still asking the daemon to record is
+   a structured refusal naming the field, not a response without its
+   trace. *)
 let test_record_then_server_replay () =
   let case = List.hd (identity_cases ()) in
   let mode = Arde.Config.Helgrind_spin 7 in
+  let trace =
+    match
+      Arde.record
+        ~ctx:(Arde.Driver.ctx ~options:identity_options ())
+        ~mode ~source:"test"
+        (Arde.Input.Program case.W.Racey.program)
+    with
+    | Ok r -> r.Arde.Driver.rec_trace
+    | Error e -> Alcotest.fail e
+  in
+  let live = local_result_string case mode in
+  let recorded = ok_exn "local load" (Arde.Recorded.of_string trace) in
+  checks "local replay reproduces the live result" live
+    (J.to_string
+       (Arde.Driver.result_to_json
+          (Arde.detect (Arde.Input.Recorded_trace recorded))));
   with_server ~jobs:1 (fun srv ->
       with_client srv (fun cl ->
-          let resp =
-            ok_exn "record run"
-              (C.run cl ~record:true
-                 ~program:(Arde.Pretty.program_to_string case.W.Racey.program)
-                 ~mode ~options:identity_options ())
-          in
-          if not (P.response_ok resp) then
-            Alcotest.failf "record run refused: %s" (error_code resp);
-          let recorded_result =
-            match J.member "result" resp with
-            | Some r -> J.to_string r
-            | None -> Alcotest.fail "record response without result"
-          in
-          checks "record-mode result matches the local driver"
-            (local_result_string case mode)
-            recorded_result;
-          let trace =
-            match Option.bind (J.member "trace" resp) J.to_str with
-            | None -> Alcotest.fail "record response without trace"
-            | Some b64 -> ok_exn "trace base64" (Arde.Base64.decode b64)
-          in
           let replay_resp = ok_exn "replay" (C.replay cl ~trace ()) in
           if not (P.response_ok replay_resp) then
             Alcotest.failf "replay refused: %s" (error_code replay_resp);
           (match J.member "result" replay_resp with
           | None -> Alcotest.fail "replay response without result"
           | Some r ->
-              checks "served replay reproduces the recorded result"
-                recorded_result (J.to_string r));
-          (* the same bytes replayed in-process agree too *)
-          let recorded =
-            ok_exn "local load" (Arde.Recorded.of_string trace)
+              checks "served replay reproduces the live result" live
+                (J.to_string r));
+          let record_req =
+            match
+              P.run_request_json
+                ~program:(Arde.Pretty.program_to_string case.W.Racey.program)
+                ~mode ~options:identity_options ()
+            with
+            | J.Obj fields -> J.Obj (fields @ [ ("record", J.Bool true) ])
+            | j -> j
           in
-          let local_replay =
-            Arde.detect (Arde.Input.Recorded_trace recorded)
-          in
-          checks "local replay reproduces the recorded result" recorded_result
-            (J.to_string (Arde.Driver.result_to_json local_replay));
+          let refused = ok_exn "record run" (C.request cl record_req) in
+          checks "a record-mode request is bad_request" "bad_request"
+            (error_code refused);
+          checkb "and carries no trace" true (J.member "trace" refused = None);
           (* hostile trace bytes are a structured refusal, not a crash *)
           let bad = ok_exn "bad replay" (C.replay cl ~trace:"garbage" ()) in
           checkb "garbage trace refused" true (not (P.response_ok bad));
@@ -949,16 +963,41 @@ let replace_member key v = function
 let arde_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/arde_cli.exe"
 
+(* One [arde] invocation: its exit code, stdout and stderr. *)
+let arde args =
+  let ((out, inp, err) as p) =
+    Unix.open_process_args_full arde_exe
+      (Array.of_list (arde_exe :: args))
+      (Unix.environment ())
+  in
+  close_out inp;
+  let o = In_channel.input_all out in
+  let e = In_channel.input_all err in
+  match Unix.close_process_full p with
+  | Unix.WEXITED n -> (n, o, e)
+  | _ -> Alcotest.failf "arde %s died on a signal" (String.concat " " args)
+
 (* [arde postmortem BUNDLE]: its exit code and stdout. *)
 let postmortem path =
-  let ic =
-    Unix.open_process_args_in arde_exe
-      [| arde_exe; "postmortem"; "--jobs"; "1"; path |]
-  in
-  let out = In_channel.input_all ic in
-  match Unix.close_process_in ic with
-  | Unix.WEXITED n -> (n, out)
-  | _ -> Alcotest.fail "postmortem died on a signal"
+  let code, out, _ = arde [ "postmortem"; "--jobs"; "1"; path ] in
+  (code, out)
+
+(* [replay] and [submit] pick their daemon endpoint the same way: both
+   [--socket] and [--connect] is a usage error, exit 1, before anything
+   is read or sent. *)
+let test_endpoint_conflict () =
+  List.iter
+    (fun (cmd, target) ->
+      let code, _, err =
+        arde
+          [ cmd; target; "--socket"; "/nonexistent.sock"; "--connect";
+            "127.0.0.1:1" ]
+      in
+      check Alcotest.int (cmd ^ " exits 1") 1 code;
+      checks (cmd ^ " says why")
+        (cmd ^ ": --socket and --connect are mutually exclusive\n")
+        err)
+    [ ("replay", "missing.trace"); ("submit", "racy_counter/2") ]
 
 (* A worker SIGKILLed mid-request yields a structured [worker_crashed]
    response on the same connection — never a dropped connection — plus
@@ -1024,78 +1063,25 @@ let test_worker_crash_structured () =
       ok_exn "write bundle"
         (Arde_server.Util.write_file_atomic bad (J.to_string refused));
       check Alcotest.int "an error response exits 3" 3 (fst (postmortem bad));
+      (* A bundle journaled from a record-mode request (the daemon once
+         recorded) no longer parses: a structured refusal, exit 1. *)
+      let recording =
+        match request with
+        | J.Obj fields ->
+            replace_member "request"
+              (J.Obj (fields @ [ ("record", J.Bool true) ]))
+              bundle
+        | _ -> Alcotest.fail "journaled request is not an object"
+      in
+      let old = Filename.concat srv.spool "record-mode.json" in
+      ok_exn "write bundle"
+        (Arde_server.Util.write_file_atomic old (J.to_string recording));
+      let code, _, err = arde [ "postmortem"; "--jobs"; "1"; old ] in
+      check Alcotest.int "a record-mode bundle exits 1" 1 code;
+      checkb ("it is refused as bad_request: " ^ err) true
+        (Astring.String.is_infix ~affix:"bad_request" err);
       check Alcotest.int "an unreadable bundle exits 1" 1
         (fst (postmortem (Filename.concat srv.spool "missing.json"))))
-
-(* A record-mode request whose worker died during detection leaves its
-   recording sealed in the bundle: the replay detects from that trace
-   through the worker's own executor, without re-executing the machine.
-   The sealed trace here is recorded with fewer seeds than the request
-   asks for, so only a replay that really reads it gets its result.  A
-   sealed trace that does not decode is reported and the request
-   re-executed instead. *)
-let test_sealed_trace_replay () =
-  let case = List.hd (identity_cases ()) in
-  let mode = Arde.Config.Helgrind_spin 7 in
-  let program = Arde.Pretty.program_to_string case.W.Racey.program in
-  let root =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "arde-sealed-%d.spool" (Unix.getpid ()))
-  in
-  Fun.protect
-    ~finally:(fun () -> rm_rf root)
-    (fun () ->
-      let spool = ok_exn "spool" (Spool.create ~root) in
-      let request =
-        P.run_request_json ~record:true ~program ~mode
-          ~options:identity_options ()
-      in
-      let trace =
-        match
-          Arde.record
-            ~ctx:(Arde.Driver.ctx ~options:quick_options ())
-            ~mode ~source:"test"
-            (Arde.Input.Program case.W.Racey.program)
-        with
-        | Ok r -> r.Arde.Driver.rec_trace
-        | Error e -> Alcotest.fail e
-      in
-      ok_exn "journal"
-        (Spool.journal spool ~worker:0 ~pid:0
-           ~digest:(Digest.to_hex (Digest.string program))
-           ~request:(J.to_string request));
-      ok_exn "journal trace" (Spool.journal_trace spool ~worker:0 ~trace);
-      let bundle =
-        match ok_exn "seal" (Spool.seal spool ~worker:0 ~reason:"test") with
-        | Some path -> ok_exn "load bundle" (Spool.load path)
-        | None -> Alcotest.fail "nothing sealed"
-      in
-      let replay ?warn bundle =
-        let r = ok_exn "replay" (Worker.replay ?warn ~jobs:1 bundle) in
-        match J.member "result" r.Worker.response with
-        | Some result -> (r, J.to_string result)
-        | None ->
-            Alcotest.failf "replay failed: %s" (error_code r.Worker.response)
-      in
-      let r, result = replay bundle in
-      checks "replayed from the sealed trace" "sealed-trace" r.Worker.source;
-      let traced = quick_result ~mode case in
-      checkb "the trace's seeds give a different result" true
-        (traced <> local_result_string case mode);
-      checks "sealed-trace replay is the trace's detection" traced result;
-      check (Alcotest.option Alcotest.string) "response carries the trace"
-        (Some (Arde.Base64.encode trace))
-        (Option.bind (J.member "trace" r.Worker.response) J.to_str);
-      let warnings = ref [] in
-      let r, result =
-        replay
-          ~warn:(fun w -> warnings := w :: !warnings)
-          (replace_member "trace" (J.String "not base64!") bundle)
-      in
-      checkb "an undecodable trace is reported" true (!warnings <> []);
-      checks "and the program re-executed" "program" r.Worker.source;
-      checks "to the same result" (local_result_string case mode) result)
 
 (* 200 requests against a fleet whose workers are killed every 8th
    execution, at per-worker pool widths 1 and 4: with retries enabled
@@ -1531,7 +1517,7 @@ let suite =
       `Quick test_restart_identity;
     Alcotest.test_case "client disconnect mid-response is survivable" `Quick
       test_client_disconnect_mid_response;
-    Alcotest.test_case "record-mode run replays identically on the farm"
+    Alcotest.test_case "farm replay of a local recording is byte-identical"
       `Quick test_record_then_server_replay;
     Alcotest.test_case "8 concurrent clients, mixed valid and invalid"
       `Quick test_concurrent_clients;
@@ -1570,6 +1556,6 @@ let suite =
       test_deadline_expires_in_queue;
     Alcotest.test_case "drain races a cold-cache fill" `Quick
       test_drain_races_cold_fill;
-    Alcotest.test_case "sealed traces replay the detection" `Quick
-      test_sealed_trace_replay;
+    Alcotest.test_case "replay and submit refuse two endpoints" `Quick
+      test_endpoint_conflict;
   ]
