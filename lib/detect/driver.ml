@@ -482,7 +482,10 @@ let replay_section (options : Options.t) mode ~engine_factory p
       seed_record ~seed:sec.Codec.s_seed engine cv_checker outcome ~steps
         ~check_failures
     in
-    match Codec.decode_events sec (fun ev -> Observer.emit observer ev) with
+    match
+      Codec.decode_events ~extent:(Machine.extent p.Analysis_cache.p_compiled)
+        sec (fun ev -> Observer.emit observer ev)
+    with
     | Ok () ->
         finish
           (seed_outcome_of_codec trailer.Codec.t_outcome)
@@ -567,11 +570,12 @@ let predict_seed seed sp =
    recording degrades coverage, never correctness. *)
 let predict_sections p sections =
   let config = predict_config p in
+  let extent = Machine.extent p.Analysis_cache.p_compiled in
   List.map
     (fun (sec : Codec.section) ->
       let seed = sec.Codec.s_seed in
       let sp = Sp.create ~config () in
-      match Codec.decode_events sec (Sp.observe sp) with
+      match Codec.decode_events ~extent sec (Sp.observe sp) with
       | Ok () -> predict_seed seed sp
       | Error e -> (seed, Error (Codec.error_to_string e))
       | exception e -> (seed, Error (snd (describe_exn e))))

@@ -76,7 +76,17 @@ type stats = {
 
 type t
 (** One seed's predictor: the scan's clocks and candidates plus the
-    closure index, grown event by event. *)
+    closure index, grown event by event.
+
+    What a predictor grows with its stream — the index's per-event and
+    per-thread arrays, the cell table, the per-thread clocks, the
+    closure workspace — lives in a workspace kept per domain.  {!create}
+    takes the domain's workspace (or builds one if the domain has none
+    to spare, say while another predictor holds it) and a successful
+    {!finish} resets it in place and hands it back, so a domain's
+    predicted seeds after the first allocate next to nothing.  A
+    predictor that is poisoned, or dropped unfinished, keeps its
+    workspace. *)
 
 val create : ?config:config -> unit -> t
 
@@ -90,8 +100,20 @@ val finish : t -> race list * stats
 (** Run the closures and report.  Races come in deterministic order:
     contexts in first-candidate (trace) order, one representative pair
     each.  Re-raises the exception that poisoned the predictor, if
-    any. *)
+    any.  A finished predictor ignores further events, and finishing it
+    again raises [Invalid_argument]. *)
 
 val predict :
   ?config:config -> Arde_runtime.Event.t array -> race list * stats
 (** [finish] over a fresh predictor fed the whole array. *)
+
+(** {1 Retention} *)
+
+val retention_cap : int
+(** [2{^20}] slots: a workspace whose {!Sp_trace.footprint} grew past
+    it is dropped at {!finish} instead of kept, so a long-lived process
+    retains at most this much per domain. *)
+
+val retained : unit -> int
+(** The footprint of the workspace the calling domain keeps for its
+    next predictor; [0] when it keeps none. *)

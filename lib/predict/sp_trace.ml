@@ -17,88 +17,163 @@ module Vec = struct
     v.n <- v.n + 1
 end
 
+(* A sync object's identity — (kind, base, idx) plus the generation for
+   barriers — as a mutable record, so a lookup fills one probe in place
+   instead of allocating a tuple key per event.  Only the probe is ever
+   mutated; the table holds copies. *)
+module Sync_key = struct
+  type t = {
+    mutable kind : int;
+    mutable base : string;
+    mutable idx : int;
+    mutable gen : int;
+  }
+
+  let equal a b =
+    a.kind = b.kind && a.idx = b.idx && a.gen = b.gen
+    && String.equal a.base b.base
+
+  let hash (k : t) = Hashtbl.hash k
+end
+
+module Sync_tbl = Hashtbl.Make (Sync_key)
+
+let kind_lock = 0
+let kind_cv = 1
+let kind_sem = 2
+let kind_barrier = 3
+
 type t = {
-  tid : int array;  (* per event: thread *)
-  tpos : int array;  (* per event: position within its thread *)
-  threads : int array array;  (* per thread: event indices in order *)
-  nthreads : int;
-  req : int array;
+  (* per event, grown by doubling; only the first [n] slots are live *)
+  mutable n : int;
+  mutable tid : int array;  (* per event: thread *)
+  mutable tpos : int array;  (* per event: position within its thread *)
+  mutable req : int array;
       (* single required predecessor: the observed writer for reads,
          the target's exit for joins; -1 when none *)
-  multi : int list array;
+  mutable multi : int list array;
       (* conservative sync requirements with several predecessors
          (signals before a wait return, arrivals of a barrier
          generation, posts before a semaphore acquire); [] mostly.
          Lists are shared suffix-free: consumers store the producer
          table's current head, so total extra memory is one pointer
          per consumer. *)
+  mutable lock_key : int array;  (* per event: lock id for acquires, -1 *)
+  mutable lock_rel : int array;
+      (* per acquire: matching release event, -1 if never released;
+         meaningless at other events *)
+  threads : int array array;  (* per thread: event indices in order *)
+  mutable nthreads : int;
   spawn_of : int array;  (* per thread: its Spawn_ev index, or -1 *)
-  lock_key : int array;  (* per event: interned lock id for acquires, -1 *)
-  lock_rel : int array;
-      (* per acquire: matching release event, -1 if never released *)
+  mutable closure_ws : ideal option;  (* created on first use *)
+}
+
+(* The closure's reusable workspace *)
+and ideal = {
+  tr : t;
+  frontier : int array;  (* per thread: events of its prefix in the set *)
+  touched : Vec.t;  (* threads whose frontier moved, for cheap reset *)
+  work : Vec.t;  (* worklist of (thread, upto) pairs, interleaved *)
+  lock_max : (int, int) Hashtbl.t;
+      (* per lock: the latest in-set acquire.  Invariant: every other
+         in-set acquire of the lock already has its release required. *)
 }
 
 (* ------------------------------------------------------------------ *)
 (* The streaming indexer                                              *)
 
-type 'a cell = { base : string; mutable last_write : int; data : 'a }
+type 'a cell = {
+  mutable base : string;
+  mutable last_write : int;
+  mutable stamp : int;
+  data : 'a;
+}
 
 type 'a indexer = {
   fresh : string -> 'a;
+  renew : string -> 'a -> unit;
+  mutable stamp : int;  (* cells stamped otherwise are from an earlier seed *)
   mutable rows : 'a cell option array array;  (* by interned base id *)
-  mutable n : int;
-  (* per event, grown by doubling; only the first [n] slots are live *)
-  mutable tid : int array;
-  mutable tpos : int array;
-  mutable req : int array;
-  mutable lock_key : int array;
-  (* sparse until [finish]: few events carry these *)
-  mutable multi : (int * int list) list;
-  mutable lock_rel : (int * int) list;
+  mutable row_slots : int;  (* total length of [rows]' rows *)
+  tr : t;
   thr : Vec.t array;  (* per thread: its event indices *)
-  mutable nthreads : int;
-  spawn_of : int array;
   exits : int array;
-  (* accumulated producer lists *)
-  cv_signals : (string * int, int list) Hashtbl.t;
-  barrier_arrives : (string * int * int, int list) Hashtbl.t;
-  sem_posts : (string * int, int list) Hashtbl.t;
-  (* native locks: interned (base, idx) keys and per-(tid, lock)
-     pending acquire *)
-  lock_ids : (string * int, int) Hashtbl.t;
-  pending_acq : (int * int, int) Hashtbl.t;
+  multi_at : Vec.t;  (* events whose [multi] is set, for reset *)
+  (* sync objects: interned ids, per-kind counters *)
+  syncs : int Sync_tbl.t;
+  probe : Sync_key.t;
+  mutable n_locks : int;  (* lock ids are below it *)
+  mutable n_objects : int;  (* ids of CV, semaphore and barrier keys *)
+  mutable producers : int list array;
+      (* per object id: its signals, posts or arrivals, latest first *)
+  mutable pending_acq : int array;
+      (* per (lock id, thread): the acquire awaiting its release, or -1 *)
 }
 
 let no_row = [||]
 
-let indexer_sized ~capacity fresh =
+let indexer_sized ?(renew = fun _ _ -> ()) ~capacity fresh =
   let capacity = max 16 capacity in
   {
     fresh;
+    renew;
+    stamp = 0;
     rows = Array.make 16 no_row;
-    n = 0;
-    tid = Array.make capacity 0;
-    tpos = Array.make capacity 0;
-    req = Array.make capacity 0;
-    lock_key = Array.make capacity 0;
-    multi = [];
-    lock_rel = [];
+    row_slots = 0;
+    tr =
+      {
+        n = 0;
+        tid = Array.make capacity 0;
+        tpos = Array.make capacity 0;
+        req = Array.make capacity 0;
+        multi = Array.make capacity [];
+        lock_key = Array.make capacity 0;
+        lock_rel = Array.make capacity 0;
+        threads = Array.make max_threads [||];
+        nthreads = 0;
+        spawn_of = Array.make max_threads (-1);
+        closure_ws = None;
+      };
     thr = Array.init max_threads (fun _ -> Vec.create ());
-    nthreads = 0;
-    spawn_of = Array.make max_threads (-1);
     exits = Array.make max_threads (-1);
-    cv_signals = Hashtbl.create 8;
-    barrier_arrives = Hashtbl.create 8;
-    sem_posts = Hashtbl.create 8;
-    lock_ids = Hashtbl.create 8;
-    pending_acq = Hashtbl.create 8;
+    multi_at = Vec.create ();
+    syncs = Sync_tbl.create 16;
+    probe = { Sync_key.kind = 0; base = ""; idx = 0; gen = 0 };
+    n_locks = 0;
+    n_objects = 0;
+    producers = Array.make 16 [];
+    pending_acq = Array.make (16 * max_threads) (-1);
   }
 
-let indexer fresh = indexer_sized ~capacity:256 fresh
-let length ix = ix.n
+let indexer ?renew fresh = indexer_sized ?renew ~capacity:256 fresh
+let length ix = ix.tr.n
+let footprint ix =
+  Array.length ix.tr.tid + ix.row_slots + Array.length ix.pending_acq
+  + Array.length ix.producers
 
-let fresh_cell ix base =
-  { base; last_write = -1; data = ix.fresh base }
+(* Forget the last seed in place: every array keeps its capacity.
+   Cells are renewed lazily, on their first lookup under the new stamp;
+   of the per-event arrays only [multi] needs clearing, since [slot]
+   writes the others' entries before anyone reads them. *)
+let reset ix =
+  let tr = ix.tr in
+  ix.stamp <- ix.stamp + 1;
+  for i = 0 to ix.multi_at.Vec.n - 1 do
+    tr.multi.(ix.multi_at.Vec.a.(i)) <- []
+  done;
+  ix.multi_at.Vec.n <- 0;
+  for t = 0 to tr.nthreads - 1 do
+    ix.thr.(t).Vec.n <- 0
+  done;
+  tr.n <- 0;
+  tr.nthreads <- 0;
+  Array.fill tr.spawn_of 0 max_threads (-1);
+  Array.fill ix.exits 0 max_threads (-1);
+  Array.fill ix.producers 0 ix.n_objects [];
+  Array.fill ix.pending_acq 0 (ix.n_locks * max_threads) (-1);
+  Sync_tbl.clear ix.syncs;
+  ix.n_objects <- 0;
+  ix.n_locks <- 0
 
 (* Rows grow on demand; the lookups stay bounds-checked, so an event
    breaking the access contract (a negative id or index) raises
@@ -118,57 +193,120 @@ let cell ix ~base_id ~base ~idx =
       let row' = Array.make (max (2 * Array.length row) (idx + 1)) None in
       Array.blit row 0 row' 0 (Array.length row);
       ix.rows.(base_id) <- row';
+      ix.row_slots <- ix.row_slots + Array.length row' - Array.length row;
       row'
     end
   in
   match row.(idx) with
-  | Some c -> c
+  | Some c ->
+      if c.stamp <> ix.stamp then begin
+        c.base <- base;
+        c.last_write <- -1;
+        c.stamp <- ix.stamp;
+        ix.renew base c.data
+      end;
+      c
   | None ->
-      let c = fresh_cell ix base in
+      let c = { base; last_write = -1; stamp = ix.stamp; data = ix.fresh base } in
       row.(idx) <- Some c;
       c
 
-let grow ix =
-  let cap = 2 * Array.length ix.tid in
-  let g a =
-    let b = Array.make cap 0 in
-    Array.blit a 0 b 0 ix.n;
+let grow tr =
+  let cap = 2 * Array.length tr.tid in
+  let g a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 tr.n;
     b
   in
-  ix.tid <- g ix.tid;
-  ix.tpos <- g ix.tpos;
-  ix.req <- g ix.req;
-  ix.lock_key <- g ix.lock_key
+  tr.tid <- g tr.tid 0;
+  tr.tpos <- g tr.tpos 0;
+  tr.req <- g tr.req 0;
+  tr.multi <- g tr.multi [];
+  tr.lock_key <- g tr.lock_key 0;
+  tr.lock_rel <- g tr.lock_rel 0
 
 (* Give the next event its trace and thread positions; returns its
    index. *)
 let slot ix t =
+  let tr = ix.tr in
   let t = if t < 0 || t >= max_threads then 0 else t in
-  let i = ix.n in
-  if i = Array.length ix.tid then grow ix;
+  let i = tr.n in
+  if i = Array.length tr.tid then grow tr;
   let v = ix.thr.(t) in
-  ix.tid.(i) <- t;
-  ix.tpos.(i) <- v.Vec.n;
+  tr.tid.(i) <- t;
+  tr.tpos.(i) <- v.Vec.n;
   Vec.push v i;
-  ix.req.(i) <- -1;
-  ix.lock_key.(i) <- -1;
-  if t >= ix.nthreads then ix.nthreads <- t + 1;
-  ix.n <- i + 1;
+  tr.req.(i) <- -1;
+  tr.lock_key.(i) <- -1;
+  if t >= tr.nthreads then tr.nthreads <- t + 1;
+  tr.n <- i + 1;
   i
 
-let read ix ~tid c = ix.req.(slot ix tid) <- c.last_write
+let read ix ~tid c = ix.tr.req.(slot ix tid) <- c.last_write
 let write ix ~tid c = c.last_write <- slot ix tid
 
-let lock_id ix key =
-  match Hashtbl.find_opt ix.lock_ids key with
-  | Some id -> id
-  | None ->
-      let id = Hashtbl.length ix.lock_ids in
-      Hashtbl.replace ix.lock_ids key id;
+let grow_to a n fill =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* The interned id of a sync event's object: locks count in one id
+   space, CV, semaphore and barrier-generation keys in another. *)
+let intern ix ~kind ~base ~idx ~gen =
+  let k = ix.probe in
+  k.Sync_key.kind <- kind;
+  k.base <- base;
+  k.idx <- idx;
+  k.gen <- gen;
+  match Sync_tbl.find ix.syncs k with
+  | id -> id
+  | exception Not_found ->
+      let id =
+        if kind = kind_lock then begin
+          let id = ix.n_locks in
+          ix.n_locks <- id + 1;
+          ix.pending_acq <-
+            grow_to ix.pending_acq ((id + 1) * max_threads) (-1);
+          id
+        end
+        else begin
+          let id = ix.n_objects in
+          ix.n_objects <- id + 1;
+          ix.producers <- grow_to ix.producers (id + 1) [];
+          id
+        end
+      in
+      Sync_tbl.add ix.syncs { k with Sync_key.kind } id;
       id
 
-let prior tbl key = Option.value ~default:[] (Hashtbl.find_opt tbl key)
-let need_all ix i l = if l <> [] then ix.multi <- (i, l) :: ix.multi
+let sync_id ix ev =
+  match ev with
+  | Event.Lock_acq { base; idx; _ } | Event.Lock_rel { base; idx; _ } ->
+      intern ix ~kind:kind_lock ~base ~idx ~gen:0
+  | Event.Cv_signal { base; idx; _ }
+  | Event.Cv_wait_begin { base; idx; _ }
+  | Event.Cv_wait_return { base; idx; _ } ->
+      intern ix ~kind:kind_cv ~base ~idx ~gen:0
+  | Event.Sem_post_ev { base; idx; _ } | Event.Sem_acquire { base; idx; _ } ->
+      intern ix ~kind:kind_sem ~base ~idx ~gen:0
+  | Event.Barrier_arrive { base; idx; generation; _ }
+  | Event.Barrier_pass { base; idx; generation; _ } ->
+      intern ix ~kind:kind_barrier ~base ~idx ~gen:generation
+  | Event.Read _ | Event.Write _ | Event.Spawn_ev _ | Event.Join_return _
+  | Event.Thread_start _ | Event.Thread_exit _ | Event.Spin_enter _
+  | Event.Spin_exit _ ->
+      -1
+
+let need_all ix i l =
+  if l <> [] then begin
+    ix.tr.multi.(i) <- l;
+    Vec.push ix.multi_at i
+  end
+
+let pending_at id t = (id * max_threads) + if t < 0 || t >= max_threads then 0 else t
 
 let push ix ev =
   match ev with
@@ -178,39 +316,30 @@ let push ix ev =
       write ix ~tid (cell ix ~base_id ~base ~idx)
   | _ -> (
       let i = slot ix (Event.tid_of ev) in
+      let tr = ix.tr in
       match ev with
-      | Event.Lock_acq { tid = lt; base; idx; _ } ->
-          let id = lock_id ix (base, idx) in
-          ix.lock_key.(i) <- id;
-          Hashtbl.replace ix.pending_acq (lt, id) i
-      | Event.Lock_rel { tid = lt; base; idx; _ } -> (
-          let id = lock_id ix (base, idx) in
-          match Hashtbl.find_opt ix.pending_acq (lt, id) with
-          | Some a ->
-              ix.lock_rel <- (a, i) :: ix.lock_rel;
-              Hashtbl.remove ix.pending_acq (lt, id)
-          | None -> ())
-      | Event.Cv_signal { base; idx; _ } ->
-          Hashtbl.replace ix.cv_signals (base, idx)
-            (i :: prior ix.cv_signals (base, idx))
-      | Event.Cv_wait_return { base; idx; _ } ->
-          need_all ix i (prior ix.cv_signals (base, idx))
-      | Event.Barrier_arrive { base; idx; generation; _ } ->
-          Hashtbl.replace ix.barrier_arrives
-            (base, idx, generation)
-            (i :: prior ix.barrier_arrives (base, idx, generation))
-      | Event.Barrier_pass { base; idx; generation; _ } ->
-          need_all ix i (prior ix.barrier_arrives (base, idx, generation))
-      | Event.Sem_post_ev { base; idx; _ } ->
-          Hashtbl.replace ix.sem_posts (base, idx)
-            (i :: prior ix.sem_posts (base, idx))
-      | Event.Sem_acquire { base; idx; _ } ->
-          need_all ix i (prior ix.sem_posts (base, idx))
+      | Event.Lock_acq { tid = lt; _ } ->
+          let id = sync_id ix ev in
+          tr.lock_key.(i) <- id;
+          tr.lock_rel.(i) <- -1;
+          ix.pending_acq.(pending_at id lt) <- i
+      | Event.Lock_rel { tid = lt; _ } ->
+          let k = pending_at (sync_id ix ev) lt in
+          let a = ix.pending_acq.(k) in
+          if a >= 0 then begin
+            tr.lock_rel.(a) <- i;
+            ix.pending_acq.(k) <- -1
+          end
+      | Event.Cv_signal _ | Event.Barrier_arrive _ | Event.Sem_post_ev _ ->
+          let id = sync_id ix ev in
+          ix.producers.(id) <- i :: ix.producers.(id)
+      | Event.Cv_wait_return _ | Event.Barrier_pass _ | Event.Sem_acquire _ ->
+          need_all ix i ix.producers.(sync_id ix ev)
       | Event.Spawn_ev { child; _ } ->
-          if child >= 0 && child < max_threads then ix.spawn_of.(child) <- i
+          if child >= 0 && child < max_threads then tr.spawn_of.(child) <- i
       | Event.Join_return { target; _ } ->
           if target >= 0 && target < max_threads && ix.exits.(target) >= 0
-          then ix.req.(i) <- ix.exits.(target)
+          then tr.req.(i) <- ix.exits.(target)
       | Event.Thread_exit { tid = et } ->
           if et >= 0 && et < max_threads then ix.exits.(et) <- i
       | Event.Read _ | Event.Write _ | Event.Cv_wait_begin _
@@ -220,23 +349,12 @@ let push ix ev =
 (* The per-event arrays are handed over as grown, not trimmed: every
    read of them is at an event index below [n]. *)
 let finish ix =
-  let n = ix.n in
-  let multi = Array.make n [] in
-  List.iter (fun (i, l) -> multi.(i) <- l) ix.multi;
-  let lock_rel = Array.make n (-1) in
-  List.iter (fun (a, r) -> lock_rel.(a) <- r) ix.lock_rel;
-  let nthreads = max 1 ix.nthreads in
-  {
-    tid = ix.tid;
-    tpos = ix.tpos;
-    threads = Array.init nthreads (fun t -> ix.thr.(t).Vec.a);
-    nthreads;
-    req = ix.req;
-    multi;
-    spawn_of = Array.sub ix.spawn_of 0 nthreads;
-    lock_key = ix.lock_key;
-    lock_rel;
-  }
+  let tr = ix.tr in
+  tr.nthreads <- max 1 tr.nthreads;
+  for t = 0 to tr.nthreads - 1 do
+    tr.threads.(t) <- ix.thr.(t).Vec.a
+  done;
+  tr
 
 let build events =
   let ix = indexer_sized ~capacity:(Array.length events) (fun _ -> ()) in
@@ -246,24 +364,21 @@ let build events =
 (* ------------------------------------------------------------------ *)
 (* Closure over per-thread ideals                                     *)
 
-type ideal = {
-  tr : t;
-  frontier : int array;  (* per thread: events of its prefix in the set *)
-  touched : Vec.t;  (* threads whose frontier moved, for cheap reset *)
-  work : Vec.t;  (* worklist of (thread, upto) pairs, interleaved *)
-  lock_max : (int, int) Hashtbl.t;
-      (* per lock: the latest in-set acquire.  Invariant: every other
-         in-set acquire of the lock already has its release required. *)
-}
-
 let ideal tr =
-  {
-    tr;
-    frontier = Array.make tr.nthreads 0;
-    touched = Vec.create ();
-    work = Vec.create ();
-    lock_max = Hashtbl.create 8;
-  }
+  match tr.closure_ws with
+  | Some w -> w
+  | None ->
+      let w =
+        {
+          tr;
+          frontier = Array.make max_threads 0;
+          touched = Vec.create ();
+          work = Vec.create ();
+          lock_max = Hashtbl.create 8;
+        }
+      in
+      tr.closure_ws <- Some w;
+      w
 
 type verdict = Concurrent | Ordered | Budget_exceeded
 
@@ -275,7 +390,7 @@ exception Out_of_budget
    the worst case).  Each worklist entry raises one thread's frontier;
    every event is processed exactly once because the frontier is bumped
    before its window is walked. *)
-let closure w ~e1 ~e2 ~budget =
+let closure (w : ideal) ~e1 ~e2 ~budget =
   let tr = w.tr in
   (* reset the workspace *)
   for i = 0 to w.touched.Vec.n - 1 do
@@ -312,8 +427,7 @@ let closure w ~e1 ~e2 ~budget =
       if (t = t1 && p > p1) || (t = t2 && p > p2) then raise_notrace Infeasible;
       if cur = 0 then begin
         Vec.push w.touched t;
-        if t < Array.length tr.spawn_of && tr.spawn_of.(t) >= 0 then
-          need tr.spawn_of.(t)
+        if tr.spawn_of.(t) >= 0 then need tr.spawn_of.(t)
       end;
       w.frontier.(t) <- p;
       let evs = tr.threads.(t) in
@@ -330,10 +444,8 @@ let closure w ~e1 ~e2 ~budget =
   let run () =
     (* the candidate events' own threads must have been spawned for the
        pair to be co-enabled, even when their prefixes are empty *)
-    if t1 < Array.length tr.spawn_of && tr.spawn_of.(t1) >= 0 then
-      need tr.spawn_of.(t1);
-    if t2 < Array.length tr.spawn_of && tr.spawn_of.(t2) >= 0 then
-      need tr.spawn_of.(t2);
+    if tr.spawn_of.(t1) >= 0 then need tr.spawn_of.(t1);
+    if tr.spawn_of.(t2) >= 0 then need tr.spawn_of.(t2);
     want t1 p1;
     want t2 p2;
     while w.work.Vec.n > 0 do

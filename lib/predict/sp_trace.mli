@@ -44,20 +44,33 @@ type t
 (** {1 Streaming} *)
 
 type 'a cell = private {
-  base : string;
+  mutable base : string;
   mutable last_write : int;
       (** the latest write (any kind) indexed so far, or [-1] *)
+  mutable stamp : int;  (** the seed the cell was last renewed for *)
   data : 'a;  (** the user's per-cell state *)
 }
 (** One memory cell, keyed by [base_id] and [idx]: [base] is the one
     base the stream gives that id. *)
 
 type 'a indexer
-(** Indexes one seed's events as they arrive. *)
+(** Indexes one seed's events as they arrive.  It can be {!reset} and
+    used for the next seed: every table keeps its capacity, and a cell
+    from an earlier seed is renewed on its first lookup. *)
 
-val indexer : (string -> 'a) -> 'a indexer
-(** [indexer fresh] calls [fresh base] once per new cell for its
-    [data]. *)
+val indexer : ?renew:(string -> 'a -> unit) -> (string -> 'a) -> 'a indexer
+(** [indexer ~renew fresh] calls [fresh base] once per new cell for its
+    [data], and [renew base data] when a cell kept from before the last
+    {!reset} is first looked up again (default: nothing). *)
+
+val reset : 'a indexer -> unit
+(** Forget every event, keeping the allocated tables.  The {!t} the
+    last {!finish} returned, and its {!ideal}, become the next seed's. *)
+
+val footprint : 'a indexer -> int
+(** Slots the indexer holds: its per-event capacity plus the length of
+    every cell row and of the per-lock and per-object tables.  A caller
+    keeping indexers for reuse bounds this. *)
 
 val length : 'a indexer -> int
 (** Events indexed so far: the trace position the next one gets. *)
@@ -73,14 +86,21 @@ val read : 'a indexer -> tid:int -> 'a cell -> unit
 val write : 'a indexer -> tid:int -> 'a cell -> unit
 (** Index a write of [cell]; it becomes the cell's [last_write]. *)
 
+val sync_id : 'a indexer -> Arde_runtime.Event.t -> int
+(** A CV, semaphore or barrier event's object as a dense id, interned on
+    first sight without allocating a key: [(base, idx)] per kind, plus
+    the generation for barriers.  Native locks count in a separate id
+    space.  [-1] for accesses, spawns, joins and thread and spin
+    markers. *)
+
 val push : 'a indexer -> Arde_runtime.Event.t -> unit
 (** Index any event, looking accesses' cells up itself.  Thread ids
     outside [0, max_threads) index as thread 0.
     @raise Invalid_argument on an access breaking the access contract. *)
 
 val finish : 'a indexer -> t
-(** The index of everything pushed.  The indexer must not be used
-    afterwards: [t] shares its arrays. *)
+(** The index of everything pushed.  The indexer must not be pushed to
+    afterwards, until {!reset}: [t] shares its arrays. *)
 
 val build : Arde_runtime.Event.t array -> t
 (** Push a whole event array (in trace order) through a fresh indexer
@@ -89,10 +109,12 @@ val build : Arde_runtime.Event.t array -> t
 (** {1 Closure} *)
 
 type ideal
-(** Reusable closure workspace (frontiers, per-lock state).  One per
-    predictor; {!closure} resets it. *)
+(** Reusable closure workspace (frontiers, per-lock state).  {!closure}
+    resets it. *)
 
 val ideal : t -> ideal
+(** The index's own workspace, created on the first call: every call on
+    one index returns the same one. *)
 
 type verdict =
   | Concurrent  (** the pair survives closure: a predicted race *)

@@ -345,6 +345,11 @@ let compile_valid (valid : Arde_tir.Validate.valid) =
 
 let compile prog = compile_valid (Arde_tir.Validate.validate_exn prog)
 
+let extent (cpl : compiled) base_id =
+  if base_id >= 0 && base_id < Arde_tir.Intern.n_bases cpl.cintern then
+    Arde_tir.Intern.size cpl.cintern base_id
+  else 0
+
 (* ------------------------------------------------------------------ *)
 (* Machine state                                                      *)
 

@@ -91,6 +91,11 @@ val compile_valid : Arde_tir.Validate.valid -> compiled
 (** Compile a program that already passed validation, without checking
     it again. *)
 
+val extent : compiled -> int -> int
+(** [extent c base_id]: the cells of the base the program interned as
+    [base_id] — every index an access to it may use is below this; [0]
+    for an id the program does not have. *)
+
 type spin_cache = {
   sc_header : int array array; (* fid -> blk -> loop id, or -1 *)
   sc_inloop : int array array array; (* fid -> blk -> containing loop ids *)

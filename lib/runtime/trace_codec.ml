@@ -529,9 +529,10 @@ type reader = {
       (* read/write base strings keyed by dense base id, mirroring the
          sink's first-occurrence definitions *)
   rbase_ids : (string, unit) Hashtbl.t;  (* the bases defined so far *)
+  extent : int -> int;  (* per base id: the indices an access may use *)
 }
 
-let reader data =
+let reader ?(extent = fun _ -> max_int) data =
   {
     data;
     pos = 0;
@@ -540,6 +541,7 @@ let reader data =
     rn_strs = 0;
     rbases = Array.make 64 None;
     rbase_ids = Hashtbl.create 16;
+    extent;
   }
 
 let truncated what = raise (Err (Truncated what))
@@ -624,10 +626,17 @@ let get_baseref r what =
       r.rbases.(id) <- Some b;
       (b, id)
 
-(* A read or write's index: the access contract wants it non-negative. *)
-let get_idx r what =
+(* A read or write's index: the access contract wants it non-negative,
+   and the reader's program, when it has one, below the base's
+   extent. *)
+let get_idx r what base base_id =
   let idx = get_signed r what in
   if idx < 0 then corrupt r (Printf.sprintf "negative index %d in %s" idx what);
+  let n = r.extent base_id in
+  if idx >= n then
+    corrupt r
+      (Printf.sprintf "index %d beyond the extent %d of %s in %s" idx n base
+         what);
   idx
 
 let get_raw_loc r what =
@@ -658,7 +667,7 @@ let decode_one r : Event.t =
       let what = "read event" in
       let tid = get_signed r what in
       let base, base_id = get_baseref r what in
-      let idx = get_idx r what in
+      let idx = get_idx r what base base_id in
       let value = get_signed r what in
       let loc = get_loc r what in
       let spin =
@@ -682,7 +691,7 @@ let decode_one r : Event.t =
       let what = "write event" in
       let tid = get_signed r what in
       let base, base_id = get_baseref r what in
-      let idx = get_idx r what in
+      let idx = get_idx r what base base_id in
       let value = get_signed r what in
       let loc = get_loc r what in
       Event.Write
@@ -760,8 +769,8 @@ let decode_one r : Event.t =
       Event.Spin_exit { tid; loop_id; ctx }
   | t -> corrupt r (Printf.sprintf "unknown event tag %d" t)
 
-let decode_events sec f =
-  let r = reader sec.s_events in
+let decode_events ?extent sec f =
+  let r = reader ?extent sec.s_events in
   match
     let n = ref 0 in
     while r.pos < r.limit do

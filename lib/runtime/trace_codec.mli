@@ -173,12 +173,16 @@ val read_sections : string -> (header * section list, error) result
 (** Full structural validation including the per-section event hash;
     event bodies stay encoded (decode per section as needed). *)
 
-val decode_events : section -> (Event.t -> unit) -> (unit, error) result
+val decode_events :
+  ?extent:(int -> int) -> section -> (Event.t -> unit) -> (unit, error) result
 (** Stream the section's events in recorded order.  The callback must
     not raise (a replay engine never does); structural errors stop the
     stream and are returned, and so does a read or write that breaks
     the access contract of {!Event} ([Corrupt]): every event handed to
-    the callback meets it. *)
+    the callback meets it.  [extent base_id], when given, bounds the
+    indices of a base id's accesses: an index at or beyond it is
+    [Corrupt] too, so a recording replayed against its program cannot
+    make a consumer size a row far past the program's memory. *)
 
 val encode_events : Event.t list -> string * int
 (** [events → (bytes, hash)] through a fresh sink — the codec-test and

@@ -149,6 +149,24 @@ let mjoin_changed (m : m) (c : t) =
 
 let mjoin (m : m) (c : t) = ignore (mjoin_changed m c)
 
+(* [c] joined with the epoch [k@u]: a writer's clock kept as its
+   thread's last snapshot plus its own component at the write. *)
+let mjoin_raise_changed (m : m) (c : t) u k =
+  let changed = mjoin_changed m c in
+  if u < Array.length m.a && k > m.a.(u) then begin
+    m.a.(u) <- k;
+    if u >= m.n then m.n <- u + 1;
+    m.ver <- m.ver + 1;
+    true
+  end
+  else changed
+
+let mclear (m : m) =
+  Array.fill m.a 0 m.n 0;
+  Array.fill m.seen 0 (Array.length m.seen) (-1);
+  m.n <- 0;
+  m.ver <- 0
+
 let mjoin_m (dst : m) (src : m) =
   let k = min src.n (Array.length dst.a) in
   let changed = ref false in

@@ -71,10 +71,22 @@ val mjoin_changed : m -> t -> bool
 (** Like {!mjoin}, reporting whether any component actually grew — a
     no-op join leaves cached snapshots of the clock valid. *)
 
+val mjoin_raise_changed : m -> t -> int -> int -> bool
+(** [mjoin_raise_changed m c u k] joins [c] and the epoch [k@u]
+    (component [u] at least [k]) into [m], reporting whether any
+    component grew, without building the joined clock.  A thread's
+    clock between two joins is its last snapshot with only its own
+    component moved on, so a writer's clock is such a pair. *)
+
 val mjoin_m : m -> m -> unit
 (** [mjoin_m dst src]: join [src] into [dst], both mutable. *)
 
 val m_is_bottom : m -> bool
+
+val mclear : m -> unit
+(** Back to all-zero, as {!make_mut} left it, keeping the owner and the
+    allocation.  Snapshots taken before must not be joined into it
+    again: their epochs would claim versions the cleared clock reuses. *)
 
 val snapshot : m -> t
 (** Immutable trimmed copy; the only way mutable state may be stored. *)

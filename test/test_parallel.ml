@@ -496,6 +496,56 @@ let test_pool_run_records_no_clamp () =
       Alcotest.(check (list string)) "resident pool: no clamp note" []
         (jobs_notes (D.ctx ~options ~pool ())))
 
+(* Prediction on pool workers reuses each domain's predictor workspace
+   from seed to seed and run to run.  dedup and x264 under the two spin
+   modes, [Predict] and [Both], one after another: at [jobs = 4] on
+   spawned domains and on one resident pool of four workers (whose
+   domains carry their workspaces across every run, program and mode),
+   the results must be the bytes [jobs = 1] gives. *)
+let test_predict_jobs_determinism () =
+  let cases =
+    List.map
+      (fun name ->
+        match Arde_workloads.Parsec.find name with
+        | Some (info, program) -> (name, info, program)
+        | None -> Alcotest.failf "no PARSEC program %s" name)
+      [ "dedup"; "x264" ]
+  in
+  let pool = Arde.Domain_pool.create ~jobs:4 in
+  Fun.protect
+    ~finally:(fun () -> Arde.Domain_pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun (name, (info : Arde_workloads.Parsec.info), program) ->
+          List.iter
+            (fun analysis ->
+              List.iter
+                (fun mode ->
+                  let options =
+                    O.make ~sensitivity:Arde.Msm.Long_running
+                      ~lower_style:info.Arde_workloads.Parsec.nolib_style
+                      ~fuel:4_000_000 ~seeds:[ 1; 2; 3; 4 ] ()
+                    |> O.with_analysis analysis
+                  in
+                  let run ?pool jobs =
+                    result_bytes
+                      (Arde.detect
+                         ~ctx:(D.ctx ~options:(O.with_jobs jobs options) ?pool ())
+                         ~mode (Arde.Input.Program program))
+                  in
+                  let label what =
+                    Printf.sprintf "%s under %s, %s: jobs=1 = %s" name
+                      (Arde.Config.mode_name mode) (O.analysis_name analysis)
+                      what
+                  in
+                  let seq = run 1 in
+                  Alcotest.(check string) (label "jobs=4") seq (run 4);
+                  Alcotest.(check string) (label "a resident pool of 4") seq
+                    (run ~pool 4))
+                [ Arde.Config.Helgrind_spin 7; Arde.Config.Nolib_spin 7 ])
+            [ O.Predict; O.Both ])
+        cases)
+
 (* ------------------------------------------------------------------ *)
 (* The domain pool itself                                              *)
 
@@ -556,4 +606,6 @@ let suite =
       test_domain_pool_map;
     Alcotest.test_case "domain pool re-raises" `Quick
       test_domain_pool_exception;
+    Alcotest.test_case "Predict and Both: jobs=1 = jobs=4 on dedup and x264"
+      `Quick test_predict_jobs_determinism;
   ]

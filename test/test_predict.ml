@@ -676,6 +676,154 @@ let test_cancelled_predicted_seed_not_replaced () =
           case.W.Racey.program))
     (result_bytes live)
 
+(* -- the per-domain workspace ---------------------------------------- *)
+
+(* The events and predictor config of seeds 1 and 2 of a PARSEC program
+   under lib+spin(7), with the benchmark's knobs: collected by the
+   injector hook, as [test_streaming_equals_array] does. *)
+let parsec_streams name =
+  let info, program =
+    match W.Parsec.find name with
+    | Some v -> v
+    | None -> Alcotest.failf "no PARSEC program %s" name
+  in
+  let mode = Arde.Config.Helgrind_spin 7 in
+  let options =
+    Arde.Options.make ~sensitivity:Arde.Msm.Long_running
+      ~lower_style:info.W.Parsec.nolib_style ~fuel:4_000_000 ~seeds:[ 1; 2 ]
+      ~jobs:1 ()
+  in
+  let collected = Hashtbl.create 2 in
+  let inject ~seed =
+    let buf = Arde.Trace.create () in
+    Hashtbl.replace collected seed buf;
+    Arde.Trace.push buf
+  in
+  ignore
+    (Arde.detect
+       ~ctx:(D.ctx ~options:(Arde.Options.with_inject (Some inject) options) ())
+       ~mode (Arde.Input.Program program));
+  let p =
+    Arde.Analysis_cache.prepare ~style:options.Arde.Options.lower_style
+      ~count_callees:options.Arde.Options.count_callee_blocks mode program
+  in
+  let suppress =
+    match p.Arde.Analysis_cache.p_instrument with
+    | Some inst -> Arde.Instrument.is_sync_base inst
+    | None -> fun _ -> false
+  in
+  List.map
+    (fun seed ->
+      ( Printf.sprintf "%s seed %d" name seed,
+        { Sp.default_config with Sp.suppress },
+        Arde.Trace.events (Hashtbl.find collected seed) ))
+    [ 1; 2 ]
+
+(* A warm predictor allocates next to nothing: after one pass over the
+   streams has grown the domain's workspace to the largest of them,
+   predicting each again takes no word straight in the major heap and
+   at most 4 words per event in all.  [Gc.counters] is exact only when
+   no minor collection falls inside the measurement, so the minor heap
+   is made larger than the whole budget for the duration. *)
+let test_allocation_budget () =
+  let streams = parsec_streams "dedup" @ parsec_streams "x264" in
+  let predict_all () =
+    List.map (fun (_, config, evs) -> Sp.predict ~config evs) streams
+  in
+  let warm = predict_all () in
+  let control = Gc.get () in
+  Gc.set { control with Gc.minor_heap_size = 1 lsl 20 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set control)
+    (fun () ->
+      let words = ref 0. and events = ref 0 in
+      List.iter2
+        (fun (label, config, evs) expected ->
+          Gc.minor ();
+          let minor0, promoted0, major0 = Gc.counters () in
+          let result = Sp.predict ~config evs in
+          let minor1, promoted1, major1 = Gc.counters () in
+          let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+          checkb (label ^ ": same result as the first pass") true
+            (result = expected);
+          Alcotest.(check (float 0.)) (label ^ ": direct major words") 0. direct;
+          words := !words +. (minor1 -. minor0) +. direct;
+          events := !events + Array.length evs)
+        streams warm;
+      let per_event = !words /. float_of_int !events in
+      checkb
+        (Printf.sprintf "at most 4 words per event (%.2f over %d events)"
+           per_event !events)
+        true (per_event <= 4.))
+
+(* What a domain predicted before cannot leak into what it predicts
+   next.  On a domain of its own, one seed's predictor is poisoned
+   mid-stream and another's dropped unfinished (each keeps the workspace
+   it took), then two seeds of different programs run in turn, the
+   second on the workspace the first handed back: both must equal a
+   prediction on a domain that never predicted before — as from a
+   fresh process. *)
+let test_workspace_reuse () =
+  let _, config_a, a = List.hd (parsec_streams "dedup") in
+  let _, config_b, b = List.hd (parsec_streams "x264") in
+  let fresh config evs = Domain.join (Domain.spawn (fun () -> Sp.predict ~config evs)) in
+  let want_a = fresh config_a a and want_b = fresh config_b b in
+  let half evs = Array.sub evs 0 (Array.length evs / 2) in
+  let bad =
+    E.Join_return { tid = 0; target = Arde.Types.max_threads; loc = loc "m" 1 }
+  in
+  let got_a, got_b =
+    Domain.join
+      (Domain.spawn (fun () ->
+           ignore (Sp.predict ~config:config_b b);
+           let poisoned = Sp.create ~config:config_a () in
+           Array.iter (Sp.observe poisoned) (half a);
+           Sp.observe poisoned bad;
+           Array.iter (Sp.observe poisoned) a;
+           (match Sp.finish poisoned with
+           | _ -> Alcotest.fail "the poisoned predictor finished"
+           | exception Invalid_argument _ -> ());
+           let dropped = Sp.create ~config:config_b () in
+           Array.iter (Sp.observe dropped) (half b);
+           let got_a = Sp.predict ~config:config_a a in
+           let got_b = Sp.predict ~config:config_b b in
+           (got_a, got_b)))
+  in
+  checkb "dedup after a poisoned and a dropped predictor" true (got_a = want_a);
+  checkb "x264 on the workspace dedup handed back" true (got_b = want_b);
+  checkb "x264 predicted something to compare" true
+    ((snd want_b).Sp.s_candidates > 0)
+
+(* A workspace a seed grew past [Sp.retention_cap] slots is dropped
+   when the seed finishes, not kept for the next one: one write at
+   index [retention_cap] gives its base a row that long.  A seed of
+   ordinary size is kept again afterwards, and predicts as on a fresh
+   domain. *)
+let test_bounded_retention () =
+  let write_at idx =
+    E.Write
+      { tid = 1; base = "x"; base_id = 0; idx; value = 1; loc = loc "w" 1;
+        kind = E.Plain }
+  in
+  let small = [ wr 0 "x" 0 1 0; E.Thread_start { tid = 1 }; wr 1 "x" 0 2 1 ] in
+  let want = predict small in
+  let retained, after_big, again, result =
+    Domain.join
+      (Domain.spawn (fun () ->
+           ignore (predict small);
+           let retained = Sp.retained () in
+           ignore (predict [ E.Thread_start { tid = 1 }; write_at Sp.retention_cap ]);
+           let after_big = Sp.retained () in
+           let result = predict small in
+           (retained, after_big, Sp.retained (), result)))
+  in
+  checkb "an ordinary seed's workspace is kept" true
+    (retained > 0 && retained <= Sp.retention_cap);
+  checki "an oversized workspace is dropped" 0 after_big;
+  checkb "the next seed's workspace is kept again" true
+    (again > 0 && again <= Sp.retention_cap);
+  checkb "and predicts as on a fresh domain" true (result = want)
+
 (* -- the wire form -------------------------------------------------- *)
 
 let fixture_race predicted =
@@ -809,4 +957,10 @@ let suite =
       test_options_json_roundtrip;
     Alcotest.test_case "result json: prediction object and tags" `Quick
       test_result_json_shape;
+    Alcotest.test_case "a warm predictor stays within its allocation budget"
+      `Quick test_allocation_budget;
+    Alcotest.test_case "a reused workspace predicts as a fresh one" `Quick
+      test_workspace_reuse;
+    Alcotest.test_case "an oversized workspace is not retained" `Quick
+      test_bounded_retention;
   ]

@@ -684,8 +684,10 @@ let test_cli_trace () =
         (Astring.String.is_infix ~affix:"mode:    lib+spin:7" out))
 
 (* A recorded racy_counter/2 trace whose first write is rewritten to
-   index -1: hash-valid, but its stream breaks the access contract. *)
-let negative_index_trace () =
+   index [idx]: hash-valid, and its stream breaks the access contract
+   (a negative index) or the program's memory (an index past the
+   base's extent). *)
+let rewritten_index_trace idx =
   let program =
     match W.Catalog.find "racy_counter/2" with
     | Some (W.Catalog.Case c) -> c.W.Racey.program
@@ -710,7 +712,7 @@ let negative_index_trace () =
   let poison = function
     | Arde.Event.Write w when not !poisoned ->
         poisoned := true;
-        Arde.Event.Write { w with idx = -1 }
+        Arde.Event.Write { w with idx }
     | ev -> ev
   in
   let rewrite (sec : C.section) =
@@ -735,7 +737,7 @@ let test_cli_negative_index () =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       Out_channel.with_open_bin file (fun oc ->
-          Out_channel.output_string oc (negative_index_trace ()));
+          Out_channel.output_string oc (rewritten_index_trace (-1)));
       List.iter
         (fun cmd ->
           let code, out = arde [ cmd; "--format"; "json"; file ] in
@@ -743,6 +745,60 @@ let test_cli_negative_index () =
           checkb (cmd ^ " names the refused index") true
             (Astring.String.is_infix ~affix:"negative index -1" out))
         [ "replay"; "predict" ])
+
+(* An index far past its base's extent ([racy_counter/2]'s counter has
+   one cell) is refused as the section decodes, against the program the
+   trace embeds: replay reports that seed crashed instead of sizing a
+   shadow row to the index, and prediction skips it the same way.  A
+   row sized to [2^22] would allocate 2^22 words straight in the major
+   heap, so the replay's direct major allocation stays far below it. *)
+let test_out_of_extent_index () =
+  let idx = 1 lsl 22 in
+  let trace = rewritten_index_trace idx in
+  let recorded =
+    match Arde.Recorded.of_string trace with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "crafted trace failed to load: %s" e
+  in
+  let replay analysis =
+    Arde.detect
+      ~ctx:
+        (D.ctx
+           ~options:(Arde.Options.with_analysis analysis Arde.Options.default)
+           ())
+      (Arde.Input.Recorded_trace recorded)
+  in
+  let refusal = Printf.sprintf "index %d beyond the extent 1" idx in
+  let mentions affix s = Astring.String.is_infix ~affix s in
+  let _, promoted0, major0 = Gc.counters () in
+  let swept = replay Arde.Options.Sweep in
+  let _, promoted1, major1 = Gc.counters () in
+  checki "one seed crashed" 1 swept.D.health.D.h_crashed;
+  checkb "the crash names the refused index" true
+    (List.exists
+       (fun (r : D.seed_run) ->
+         match r.D.sr_outcome with
+         | D.Crashed (_, msg) -> mentions refusal msg
+         | _ -> false)
+       swept.D.runs);
+  checkb
+    (Printf.sprintf "no row sized to the index (%.0f direct major words)"
+       (major1 -. major0 -. (promoted1 -. promoted0)))
+    true
+    (major1 -. major0 -. (promoted1 -. promoted0) < float_of_int (idx / 4));
+  (match (replay Arde.Options.Predict).D.prediction with
+  | None -> Alcotest.fail "no prediction"
+  | Some p ->
+      checkb "prediction skips the seed, naming the index" true
+        (List.exists (mentions refusal) p.D.pr_notes));
+  let file = Filename.temp_file "arde-out-of-extent" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc trace);
+      let code, out = arde [ "replay"; "--format"; "json"; file ] in
+      checki "arde replay exits 2 (degraded)" 2 code;
+      checkb "arde replay names the refused index" true (mentions refusal out))
 
 let suite =
   [
@@ -787,4 +843,6 @@ let suite =
       test_cli_trace;
     Alcotest.test_case "a negative index replays to a structured result"
       `Quick test_cli_negative_index;
+    Alcotest.test_case "an index past its base's extent is refused on replay"
+      `Quick test_out_of_extent_index;
   ]

@@ -118,6 +118,25 @@ let props =
         let s = Vc.snapshot m in
         let plain = Vc.of_list (List.init 12 (Vc.mget m)) in
         Vc.equal s plain && Vc.leq s plain && Vc.leq plain s);
+    law "mjoin_raise_changed joins the clock and the epoch"
+      QCheck2.Gen.(pair (pair gen_vc gen_vc) (pair (int_bound 11) (int_bound 30)))
+      (fun ((a, b), (u, k)) ->
+        let m = Vc.make_mut 12 in
+        Vc.mjoin m a;
+        let before = Vc.snapshot m in
+        let changed = Vc.mjoin_raise_changed m b u k in
+        let after = Vc.snapshot m in
+        changed = not (Vc.equal before after)
+        && Vc.equal after (Vc.join (Vc.join a b) (Vc.set Vc.bottom u k)));
+    law "mclear restores a fresh clock" (QCheck2.Gen.pair gen_vc gen_vc)
+      (fun (a, b) ->
+        let m = Vc.make_mut ~owner:0 12 in
+        Vc.mjoin m a;
+        Vc.mtick m 0;
+        Vc.mclear m;
+        let fresh = Vc.m_is_bottom m in
+        Vc.mjoin m b;
+        fresh && Vc.equal (Vc.snapshot m) b);
   ]
 
 let suite =
