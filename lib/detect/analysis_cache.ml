@@ -49,6 +49,10 @@ let inst_tbl :
 let prep_tbl : (string * string * Arde_tir.Lower.style * bool, prepared) Fifo.t =
   Fifo.create max_prepared
 
+(* Program texts already digested, so a warm text run hashes its bytes
+   once and compares them instead of running MD5 over them again. *)
+let text_tbl : (string, string) Fifo.t = Fifo.create max_prepared
+
 let lower_hits = ref 0
 let lower_misses = ref 0
 let inst_hits = ref 0
@@ -59,6 +63,14 @@ let prep_misses = ref 0
 let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+
+let text_digest text =
+  match locked (fun () -> Fifo.find_opt text_tbl text) with
+  | Some d -> d
+  | None ->
+      let d = Digest.string text in
+      locked (fun () -> Fifo.add text_tbl text d);
+      d
 
 let digest_of_program prog =
   Digest.string (Arde_tir.Pretty.program_to_string prog)
@@ -218,4 +230,5 @@ let clear () =
   locked (fun () ->
       Fifo.clear lower_tbl;
       Fifo.clear inst_tbl;
-      Fifo.clear prep_tbl)
+      Fifo.clear prep_tbl;
+      Fifo.clear text_tbl)

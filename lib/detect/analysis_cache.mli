@@ -94,6 +94,11 @@ val find_prepared :
     a miss counts nothing, since the caller's {!prepare} that follows
     counts it.  Always [None] while the cache is disabled. *)
 
+val text_digest : string -> string
+(** [Digest.string text], computed once per text: the last
+    [max_prepared] texts digested are kept, found again by hashing and
+    comparing their bytes, and emptied by {!clear}. *)
+
 val digest_of_program : Arde_tir.Types.program -> string
 (** Digest of the program's canonical pretty-printed form.  Equal to
     [Digest.string] of that text, so it agrees with a text digest of

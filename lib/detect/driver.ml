@@ -19,6 +19,7 @@ type engine = {
   e_report : unit -> Report.t;
   e_spin_edges : unit -> int;
   e_memory_words : unit -> int;
+  e_finish : unit -> unit;  (* after the reads above *)
 }
 
 type engine_factory =
@@ -36,6 +37,7 @@ let opt_engine : engine_factory =
     e_report = (fun () -> Engine.report e);
     e_spin_edges = (fun () -> Engine.n_spin_edges e);
     e_memory_words = (fun () -> Engine.memory_words e);
+    e_finish = (fun () -> Engine.finish e);
   }
 
 let ref_engine : engine_factory =
@@ -46,6 +48,7 @@ let ref_engine : engine_factory =
     e_report = (fun () -> Engine_ref.report e);
     e_spin_edges = (fun () -> Engine_ref.n_spin_edges e);
     e_memory_words = (fun () -> Engine_ref.memory_words e);
+    e_finish = ignore;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -230,10 +233,13 @@ let seed_detector (options : Options.t) mode ~engine_factory
 
 (* A seed's record from what its engine and checker hold.  Every read is
    guarded: after a crash, the warnings found on the trace prefix are
-   still valid observations and are salvaged. *)
+   still valid observations and are salvaged.  A finished seed's engine
+   then hands its workspace back to the domain; a crashed one's may be
+   mid-event, so it is dropped with the engine. *)
 let seed_record ~seed engine cv_checker outcome ~steps ~check_failures =
   let rep = try Some (engine.e_report ()) with _ -> None in
-  ( {
+  let record =
+    {
       sr_seed = seed;
       sr_outcome = outcome;
       sr_steps = steps;
@@ -243,8 +249,12 @@ let seed_record ~seed engine cv_checker outcome ~steps ~check_failures =
       sr_memory_words = (try engine.e_memory_words () with _ -> 0);
       sr_check_failures = check_failures;
       sr_cv_diagnostics = (try Cv_checker.finalize cv_checker with _ -> []);
-    },
-    rep )
+    }
+  in
+  (match outcome with
+  | Crashed _ -> ()
+  | Completed _ | Cancelled -> ( try engine.e_finish () with _ -> ()));
+  (record, rep)
 
 (* The pure per-seed stage.  Runs one seed inside a sandbox and returns
    the seed's record together with its private report — no shared state
@@ -746,7 +756,7 @@ let run ?(ctx = default_ctx) ?mode input =
       let digest =
         match ctx.c_program_digest with
         | Some d -> d
-        | None -> Digest.string text
+        | None -> Analysis_cache.text_digest text
       in
       let options = ctx.c_options in
       match
@@ -1116,7 +1126,9 @@ let compare_on_trace ?(options = Options.default) ~k program modes =
       in
       ignore (Machine.run mcfg compiled);
       List.iter2
-        (fun (_, into) e -> Report.merge_into into (Engine.report e))
+        (fun (_, into) e ->
+          Report.merge_into into (Engine.report e);
+          Engine.finish e)
         merged engines)
     options.Options.seeds;
   merged

@@ -47,6 +47,9 @@ type engine = {
   e_report : unit -> Report.t;
   e_spin_edges : unit -> int;
   e_memory_words : unit -> int;
+  e_finish : unit -> unit;
+      (** called once a seed that did not crash has been read, so the
+          detector can hand its workspace on *)
 }
 
 type engine_factory =

@@ -33,3 +33,31 @@ module Held : sig
   val current : h -> int -> t
   (** The held set of a thread as a lockset. *)
 end
+
+(** The same sets over dense lock ids ({!Arde_runtime.Sync_ids}), for
+    the optimized engine: membership is an [int] compare, and narrowing
+    a candidate set the thread still holds returns it as it is instead
+    of building a new set.  A lockset value is immutable once built; the
+    held sets are the only mutable part. *)
+module Dense : sig
+  type t
+
+  val top : t
+  val is_empty : t -> bool
+  (** [top] is not empty. *)
+
+  val inter : t -> t -> t
+  (** [inter s h] is [s] itself when [h] holds every lock of [s]. *)
+
+  type held
+  (** Per-thread held sets, each with its lockset cached until it
+      changes. *)
+
+  val held : int -> held
+  (** Empty sets for [threads] threads. *)
+
+  val clear : held -> unit
+  val acquire : held -> int -> int -> unit
+  val release : held -> int -> int -> unit
+  val current : held -> int -> t
+end

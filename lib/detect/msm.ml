@@ -23,3 +23,17 @@ let parse_sensitivity = function
   | s ->
       Error
         (Printf.sprintf "unknown sensitivity %S (short-running, long-running)" s)
+
+let virgin = -1
+let shared_read = -2
+let shared_modified = -3
+
+let transition_code s ~tid ~write ~ordered =
+  if s = virgin then tid
+  else if s >= 0 then
+    if s = tid then s
+    else if ordered then tid
+    else if write then shared_modified
+    else shared_read
+  else if s = shared_read && not write then shared_read
+  else shared_modified

@@ -20,6 +20,19 @@ val transition : state -> tid:int -> write:bool -> ordered:bool -> state
 (** [ordered] — all prior conflicting accesses happen-before the current
     one; an ordered handover keeps the cell exclusive to the new thread. *)
 
+(** {1 Coded states}
+
+    The same machine over [int]s, for shadow cells that must not
+    allocate on a transition: a thread id [>= 0] is [Exclusive tid],
+    the three constants below the other states. *)
+
+val virgin : int
+val shared_read : int
+val shared_modified : int
+
+val transition_code : int -> tid:int -> write:bool -> ordered:bool -> int
+(** {!transition} on coded states. *)
+
 val sensitivity_name : sensitivity -> string
 
 val parse_sensitivity : string -> (sensitivity, string) result

@@ -12,29 +12,64 @@ type race = {
   r_predicted : bool;
 }
 
-type context = string * loc * loc (* base + ordered loc pair *)
+(* A context — base plus the ordered loc pair — as a mutable record, so
+   asking whether one was seen fills a probe in place instead of
+   building a race and a tuple key.  Only the probe is ever mutated;
+   the table holds copies. *)
+module Ctx = struct
+  type t = { mutable base : string; mutable lo : loc; mutable hi : loc }
+
+  let equal a b =
+    String.equal a.base b.base && compare_loc a.lo b.lo = 0
+    && compare_loc a.hi b.hi = 0
+
+  let hash (k : t) = Hashtbl.hash k
+end
+
+module Ctx_tbl = Hashtbl.Make (Ctx)
 
 type t = {
   cap : int;
-  seen : (context, unit) Hashtbl.t;
+  seen : unit Ctx_tbl.t;
+  probe : Ctx.t;
   mutable rev_races : race list;
   mutable n : int;
   mutable hit_cap : bool;
 }
 
-let create ?(cap = 1000) () =
-  { cap; seen = Hashtbl.create 32; rev_races = []; n = 0; hit_cap = false }
+let no_loc = { lfunc = ""; lblk = ""; lidx = 0 }
 
-let context_of r =
-  let a = r.r_first_loc and b = r.r_second_loc in
-  if compare_loc a b <= 0 then (r.r_base, a, b) else (r.r_base, b, a)
+let create ?(cap = 1000) () =
+  {
+    cap;
+    seen = Ctx_tbl.create 32;
+    probe = { Ctx.base = ""; lo = no_loc; hi = no_loc };
+    rev_races = [];
+    n = 0;
+    hit_cap = false;
+  }
+
+let probe t base a b =
+  let k = t.probe in
+  k.Ctx.base <- base;
+  if compare_loc a b <= 0 then begin
+    k.lo <- a;
+    k.hi <- b
+  end
+  else begin
+    k.lo <- b;
+    k.hi <- a
+  end;
+  k
+
+let seen t ~base a b = Ctx_tbl.mem t.seen (probe t base a b)
 
 let add t r =
-  let ctx = context_of r in
-  if not (Hashtbl.mem t.seen ctx) then begin
+  let k = probe t r.r_base r.r_first_loc r.r_second_loc in
+  if not (Ctx_tbl.mem t.seen k) then begin
     if t.n >= t.cap then t.hit_cap <- true
     else begin
-      Hashtbl.replace t.seen ctx ();
+      Ctx_tbl.replace t.seen { k with Ctx.base = k.Ctx.base } ();
       t.rev_races <- r :: t.rev_races;
       t.n <- t.n + 1
     end

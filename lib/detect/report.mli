@@ -31,6 +31,12 @@ val create : ?cap:int -> unit -> t
     1000). *)
 
 val add : t -> race -> unit
+
+val seen : t -> base:string -> loc -> loc -> bool
+(** Whether a race on [base] between the two locations (in either order)
+    has a representative already, so {!add} would ignore it.  Asks
+    without allocating: a detector checks it before building a race. *)
+
 val races : t -> race list
 (** One representative per distinct context, in first-seen order. *)
 

@@ -1,5 +1,6 @@
 open Arde_tir.Types
 module Event = Arde_runtime.Event
+module Sync_ids = Arde_runtime.Sync_ids
 
 (* Growable int array — thread event lists are built in one pass. *)
 module Vec = struct
@@ -16,32 +17,6 @@ module Vec = struct
     v.a.(v.n) <- x;
     v.n <- v.n + 1
 end
-
-(* A sync object's identity — (kind, base, idx) plus the generation for
-   barriers — as a mutable record, so a lookup fills one probe in place
-   instead of allocating a tuple key per event.  Only the probe is ever
-   mutated; the table holds copies. *)
-module Sync_key = struct
-  type t = {
-    mutable kind : int;
-    mutable base : string;
-    mutable idx : int;
-    mutable gen : int;
-  }
-
-  let equal a b =
-    a.kind = b.kind && a.idx = b.idx && a.gen = b.gen
-    && String.equal a.base b.base
-
-  let hash (k : t) = Hashtbl.hash k
-end
-
-module Sync_tbl = Hashtbl.Make (Sync_key)
-
-let kind_lock = 0
-let kind_cv = 1
-let kind_sem = 2
-let kind_barrier = 3
 
 type t = {
   (* per event, grown by doubling; only the first [n] slots are live *)
@@ -99,11 +74,7 @@ type 'a indexer = {
   thr : Vec.t array;  (* per thread: its event indices *)
   exits : int array;
   multi_at : Vec.t;  (* events whose [multi] is set, for reset *)
-  (* sync objects: interned ids, per-kind counters *)
-  syncs : int Sync_tbl.t;
-  probe : Sync_key.t;
-  mutable n_locks : int;  (* lock ids are below it *)
-  mutable n_objects : int;  (* ids of CV, semaphore and barrier keys *)
+  syncs : Sync_ids.t;  (* sync objects' dense ids *)
   mutable producers : int list array;
       (* per object id: its signals, posts or arrivals, latest first *)
   mutable pending_acq : int array;
@@ -137,10 +108,7 @@ let indexer_sized ?(renew = fun _ _ -> ()) ~capacity fresh =
     thr = Array.init max_threads (fun _ -> Vec.create ());
     exits = Array.make max_threads (-1);
     multi_at = Vec.create ();
-    syncs = Sync_tbl.create 16;
-    probe = { Sync_key.kind = 0; base = ""; idx = 0; gen = 0 };
-    n_locks = 0;
-    n_objects = 0;
+    syncs = Sync_ids.create ();
     producers = Array.make 16 [];
     pending_acq = Array.make (16 * max_threads) (-1);
   }
@@ -169,11 +137,9 @@ let reset ix =
   tr.nthreads <- 0;
   Array.fill tr.spawn_of 0 max_threads (-1);
   Array.fill ix.exits 0 max_threads (-1);
-  Array.fill ix.producers 0 ix.n_objects [];
-  Array.fill ix.pending_acq 0 (ix.n_locks * max_threads) (-1);
-  Sync_tbl.clear ix.syncs;
-  ix.n_objects <- 0;
-  ix.n_locks <- 0
+  Array.fill ix.producers 0 (Sync_ids.n_objects ix.syncs) [];
+  Array.fill ix.pending_acq 0 (Sync_ids.n_locks ix.syncs * max_threads) (-1);
+  Sync_ids.clear ix.syncs
 
 (* Rows grow on demand; the lookups stay bounds-checked, so an event
    breaking the access contract (a negative id or index) raises
@@ -253,52 +219,15 @@ let grow_to a n fill =
     b
   end
 
-(* The interned id of a sync event's object: locks count in one id
-   space, CV, semaphore and barrier-generation keys in another. *)
-let intern ix ~kind ~base ~idx ~gen =
-  let k = ix.probe in
-  k.Sync_key.kind <- kind;
-  k.base <- base;
-  k.idx <- idx;
-  k.gen <- gen;
-  match Sync_tbl.find ix.syncs k with
-  | id -> id
-  | exception Not_found ->
-      let id =
-        if kind = kind_lock then begin
-          let id = ix.n_locks in
-          ix.n_locks <- id + 1;
-          ix.pending_acq <-
-            grow_to ix.pending_acq ((id + 1) * max_threads) (-1);
-          id
-        end
-        else begin
-          let id = ix.n_objects in
-          ix.n_objects <- id + 1;
-          ix.producers <- grow_to ix.producers (id + 1) [];
-          id
-        end
-      in
-      Sync_tbl.add ix.syncs { k with Sync_key.kind } id;
-      id
-
+(* The interned id of a sync event's object, its per-object state
+   grown to cover a new one. *)
 let sync_id ix ev =
-  match ev with
-  | Event.Lock_acq { base; idx; _ } | Event.Lock_rel { base; idx; _ } ->
-      intern ix ~kind:kind_lock ~base ~idx ~gen:0
-  | Event.Cv_signal { base; idx; _ }
-  | Event.Cv_wait_begin { base; idx; _ }
-  | Event.Cv_wait_return { base; idx; _ } ->
-      intern ix ~kind:kind_cv ~base ~idx ~gen:0
-  | Event.Sem_post_ev { base; idx; _ } | Event.Sem_acquire { base; idx; _ } ->
-      intern ix ~kind:kind_sem ~base ~idx ~gen:0
-  | Event.Barrier_arrive { base; idx; generation; _ }
-  | Event.Barrier_pass { base; idx; generation; _ } ->
-      intern ix ~kind:kind_barrier ~base ~idx ~gen:generation
-  | Event.Read _ | Event.Write _ | Event.Spawn_ev _ | Event.Join_return _
-  | Event.Thread_start _ | Event.Thread_exit _ | Event.Spin_enter _
-  | Event.Spin_exit _ ->
-      -1
+  let id = Sync_ids.of_event ix.syncs ev in
+  (match ev with
+  | Event.Lock_acq _ | Event.Lock_rel _ ->
+      ix.pending_acq <- grow_to ix.pending_acq ((id + 1) * max_threads) (-1)
+  | _ -> if id >= 0 then ix.producers <- grow_to ix.producers (id + 1) []);
+  id
 
 let need_all ix i l =
   if l <> [] then begin

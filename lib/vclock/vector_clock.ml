@@ -79,6 +79,9 @@ let pp ppf c =
 let size_words c = 5 + Array.length c.v
 (* record header + three fields + array header + components *)
 
+let size_words_raised c u k =
+  5 + max (Array.length c.v) (if k > 0 then u + 1 else 0)
+
 (* ------------------------------------------------------------------ *)
 (* Mutable clocks: the per-thread hot-path representation.             *)
 

@@ -43,6 +43,11 @@ val pp : Format.formatter -> t -> unit
 val size_words : t -> int
 (** Approximate heap footprint in words, for the memory experiment. *)
 
+val size_words_raised : t -> int -> int -> int
+(** [size_words_raised c u k] is {!size_words} of [c] joined with the
+    epoch [k@u], without building the join (see
+    {!mjoin_raise_changed}). *)
+
 (** {1 Mutable clocks}
 
     The detector's per-event fast path: a fixed-capacity clock mutated in

@@ -26,6 +26,7 @@ let () =
       ("predict", Test_predict.suite);
       ("parallel", Test_parallel.suite);
       ("engine-diff", Test_engine_diff.suite);
+      ("engine-ws", Test_engine_ws.suite);
       ("machine-diff", Test_machine_diff.suite);
       ("harness", Test_harness.suite);
       ("integration", Test_integration.suite);
