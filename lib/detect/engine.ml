@@ -58,18 +58,14 @@ let clocks () =
     used = 0;
   }
 
-let grow_array a n fill =
-  let b = Array.make n fill in
-  Array.blit a 0 b 0 (Array.length a);
-  b
+let grow_to = Sync_ids.grow_to
 
 let ensure cl id =
   if id >= Array.length cl.c then begin
-    let n = max (2 * Array.length cl.c) (id + 1) in
-    cl.c <- grow_array cl.c n Vc.bottom;
-    cl.u <- grow_array cl.u n 0;
-    cl.k <- grow_array cl.k n 0;
-    cl.hdr <- grow_array cl.hdr n 0
+    cl.c <- grow_to cl.c (id + 1) Vc.bottom;
+    cl.u <- grow_to cl.u (id + 1) 0;
+    cl.k <- grow_to cl.k (id + 1) 0;
+    cl.hdr <- grow_to cl.hdr (id + 1) 0
   end;
   if id >= cl.used then cl.used <- id + 1
 
@@ -103,9 +99,8 @@ let clocks_words cl =
 (* Open spin contexts                                                 *)
 
 (* One open context's accumulator: the writer clock last seen at each
-   watched cell, one entry per (base id, index).  Entries are found by a
-   scan while there are few, and through an open-addressing index over
-   the entries past [linear]. *)
+   watched cell, one entry per (base id, index), found by a scan.  The
+   PARSEC catalog's spin contexts watch one cell each. *)
 type slot = {
   mutable ctx : int;
   mutable n : int;
@@ -114,10 +109,7 @@ type slot = {
   mutable wvc : Vc.t array;
   mutable wu : int array;
   mutable wk : int array;
-  mutable index : int array;  (* entry + 1, 0 empty; live while [n > linear] *)
 }
-
-let linear = 8
 
 let new_slot () =
   {
@@ -128,79 +120,39 @@ let new_slot () =
     wvc = Array.make 4 Vc.bottom;
     wu = Array.make 4 0;
     wk = Array.make 4 0;
-    index = [||];
   }
 
 let clear_slot s =
-  if s.n > linear then Array.fill s.index 0 (Array.length s.index) 0;
   Array.fill s.wvc 0 s.n Vc.bottom;
   s.n <- 0
 
-let entry_hash bid idx mask = ((bid * 0x2545F491) lxor (idx * 0x9E3779B1)) land mask
-
-let rec scan_entries s bid idx i =
+let rec find_entry s bid idx i =
   if i >= s.n then -1
   else if s.bids.(i) = bid && s.idxs.(i) = idx then i
-  else scan_entries s bid idx (i + 1)
-
-let rec probe_entries s bid idx mask h =
-  let e = s.index.(h) in
-  if e = 0 then -1
-  else if s.bids.(e - 1) = bid && s.idxs.(e - 1) = idx then e - 1
-  else probe_entries s bid idx mask ((h + 1) land mask)
-
-let find_entry s bid idx =
-  if s.n <= linear then scan_entries s bid idx 0
-  else
-    let mask = Array.length s.index - 1 in
-    probe_entries s bid idx mask (entry_hash bid idx mask)
-
-let rec index_put s i mask h =
-  if s.index.(h) = 0 then s.index.(h) <- i + 1
-  else index_put s i mask ((h + 1) land mask)
-
-let index_entry s i =
-  let mask = Array.length s.index - 1 in
-  index_put s i mask (entry_hash s.bids.(i) s.idxs.(i) mask)
-
-let rec pow2_above n p = if p >= n then p else pow2_above n (2 * p)
+  else find_entry s bid idx (i + 1)
 
 let slot_record s bid idx c u k =
-  let i = find_entry s bid idx in
-  if i >= 0 then begin
-    s.wvc.(i) <- c;
-    s.wu.(i) <- u;
-    s.wk.(i) <- k
-  end
-  else begin
-    let i = s.n in
-    if i = Array.length s.bids then begin
-      let n = 2 * i in
-      s.bids <- grow_array s.bids n 0;
-      s.idxs <- grow_array s.idxs n 0;
-      s.wvc <- grow_array s.wvc n Vc.bottom;
-      s.wu <- grow_array s.wu n 0;
-      s.wk <- grow_array s.wk n 0
-    end;
-    s.bids.(i) <- bid;
-    s.idxs.(i) <- idx;
-    s.wvc.(i) <- c;
-    s.wu.(i) <- u;
-    s.wk.(i) <- k;
-    s.n <- i + 1;
-    if s.n > linear then
-      if 2 * s.n > Array.length s.index then begin
-        s.index <- Array.make (pow2_above (4 * s.n) 32) 0;
-        for j = 0 to s.n - 1 do
-          index_entry s j
-        done
-      end
-      else if s.n = linear + 1 then
-        for j = 0 to s.n - 1 do
-          index_entry s j
-        done
-      else index_entry s i
-  end
+  let i = find_entry s bid idx 0 in
+  let i =
+    if i >= 0 then i
+    else begin
+      let i = s.n in
+      if i = Array.length s.bids then begin
+        s.bids <- grow_to s.bids (i + 1) 0;
+        s.idxs <- grow_to s.idxs (i + 1) 0;
+        s.wvc <- grow_to s.wvc (i + 1) Vc.bottom;
+        s.wu <- grow_to s.wu (i + 1) 0;
+        s.wk <- grow_to s.wk (i + 1) 0
+      end;
+      s.bids.(i) <- bid;
+      s.idxs.(i) <- idx;
+      s.n <- i + 1;
+      i
+    end
+  in
+  s.wvc.(i) <- c;
+  s.wu.(i) <- u;
+  s.wk.(i) <- k
 
 let slot_words s =
   let acc = ref 2 in
@@ -235,7 +187,6 @@ type workspace = {
       (* per base id: -1 unknown, else [sup_flag] and [inferred_flag] *)
   mutable slots : slot array;  (* the first [n_open] are open contexts *)
   mutable n_open : int;
-  spin_hint : int array;  (* per thread: where its last context was found *)
 }
 
 let new_workspace threads =
@@ -254,7 +205,6 @@ let new_workspace threads =
     base_flags = Array.make 16 (-1);
     slots = [||];
     n_open = 0;
-    spin_hint = Array.make threads (-1);
   }
 
 (* Back to the state [new_workspace] gives, keeping every allocation. *)
@@ -273,11 +223,10 @@ let reset ws =
   for p = 0 to ws.n_open - 1 do
     clear_slot ws.slots.(p)
   done;
-  ws.n_open <- 0;
-  Array.fill ws.spin_hint 0 ws.threads (-1)
+  ws.n_open <- 0
 
 let footprint ws =
-  Sh.footprint ws.shadow
+  Sh.footprint ws.shadow + Ls.footprint ws.held + Sync_ids.footprint ws.syncs
   + Array.length ws.mutexes.c + Array.length ws.objects.c
   + Array.length ws.lock_cv + Array.length ws.base_flags
   + Array.fold_left (fun acc s -> acc + Array.length s.bids) 0 ws.slots
@@ -462,10 +411,7 @@ let inferred_flag = 2
 let base_flags t ~base_id ~base =
   let ws = t.ws in
   if base_id >= Array.length ws.base_flags then
-    ws.base_flags <-
-      grow_array ws.base_flags
-        (max (2 * Array.length ws.base_flags) (base_id + 1))
-        (-1);
+    ws.base_flags <- grow_to ws.base_flags (base_id + 1) (-1);
   match ws.base_flags.(base_id) with
   | -1 ->
       let sup =
@@ -484,8 +430,7 @@ let suppressed t ~base_id ~base = base_flags t ~base_id ~base land sup_flag <> 0
 let cv_mutex t id base =
   let ws = t.ws in
   if id >= Array.length ws.lock_cv then
-    ws.lock_cv <-
-      grow_array ws.lock_cv (max (2 * Array.length ws.lock_cv) (id + 1)) (-1);
+    ws.lock_cv <- grow_to ws.lock_cv (id + 1) (-1);
   match ws.lock_cv.(id) with
   | -1 ->
       let f = Hashtbl.mem t.cv_mutexes base in
@@ -591,26 +536,15 @@ let check_access t ~tid ~base ~idx ~loc ~write (cell : Sh.cell) =
   end
 
 (* The open context [ctx], as a position among the open slots, or -1
-   (another thread's context, or one already closed).  A thread's
-   marked loads name its own contexts, so the last one it found is
-   tried first. *)
-let rec scan_open ws ctx p =
+   (another thread's context, or one already closed).  A scan: the
+   PARSEC catalog keeps at most 10 contexts open at once. *)
+let rec find_open ws ctx p =
   if p >= ws.n_open then -1
   else if ws.slots.(p).ctx = ctx then p
-  else scan_open ws ctx (p + 1)
+  else find_open ws ctx (p + 1)
 
-let find_open ws tid ctx =
-  let hinted = tid >= 0 && tid < ws.threads in
-  let h = if hinted then ws.spin_hint.(tid) else -1 in
-  if h >= 0 && h < ws.n_open && ws.slots.(h).ctx = ctx then h
-  else begin
-    let p = scan_open ws ctx 0 in
-    if hinted && p >= 0 then ws.spin_hint.(tid) <- p;
-    p
-  end
-
-let open_context ws tid ctx =
-  let p = find_open ws tid ctx in
+let open_context ws ctx =
+  let p = find_open ws ctx 0 in
   if p >= 0 then clear_slot ws.slots.(p)
   else begin
     if ws.n_open = Array.length ws.slots then begin
@@ -635,7 +569,7 @@ let close_context ws p =
 let rec spin_record t ~tid ~base_id ~idx = function
   | [] -> ()
   | (_loop, ctx) :: rest ->
-      let p = find_open t.ws tid ctx in
+      let p = find_open t.ws ctx 0 in
       if p >= 0 then begin
         let cell = Sh.cell t.ws.shadow ~base_id ~idx in
         if
@@ -757,14 +691,14 @@ let observer t (ev : Event.t) =
           (Sync_ids.find_barrier ws.syncs ~base ~idx
              ~generation:(generation - 2))
       end
-  | Event.Spin_enter { tid; ctx; _ } ->
+  | Event.Spin_enter { ctx; _ } ->
       if spin_active t then begin
         t.lsr_ctx <- -1;
-        open_context ws tid ctx
+        open_context ws ctx
       end
   | Event.Spin_exit { tid; ctx; _ } ->
       t.lsr_ctx <- -1;
-      let p = find_open ws tid ctx in
+      let p = find_open ws ctx 0 in
       if p >= 0 then begin
         let s = ws.slots.(p) in
         for i = 0 to s.n - 1 do

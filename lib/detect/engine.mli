@@ -60,8 +60,9 @@ val finish : t -> unit
     @raise Invalid_argument on a second call. *)
 
 val retention_cap : int
-(** [2{^20}]: the most slots (shadow rows and cells, sync tables, spin
-    accumulators) a domain keeps between seeds. *)
+(** [2{^20}]: the most slots (shadow rows and cells, held locksets,
+    the sync interner and per-object tables, spin accumulators) a
+    domain keeps between seeds. *)
 
 val retained : unit -> int
 (** Slots of the workspace the calling domain keeps, 0 if none. *)

@@ -94,6 +94,8 @@ module Dense = struct
     Array.fill h.snap 0 (Array.length h.snap) empty;
     Array.fill h.ok 0 (Array.length h.ok) true
 
+  let footprint h = Array.fold_left (fun acc a -> acc + Array.length a) 0 h.ids
+
   let acquire h tid id =
     let n = h.n.(tid) in
     if not (mem_upto h.ids.(tid) n id 0) then begin

@@ -57,6 +57,11 @@ module Dense : sig
   (** Empty sets for [threads] threads. *)
 
   val clear : held -> unit
+  (** Empty every set, keeping the arrays. *)
+
+  val footprint : held -> int
+  (** Slots the held sets' arrays hold, which {!clear} keeps. *)
+
   val acquire : held -> int -> int -> unit
   val release : held -> int -> int -> unit
   val current : held -> int -> t

@@ -117,7 +117,7 @@ let indexer ?renew fresh = indexer_sized ?renew ~capacity:256 fresh
 let length ix = ix.tr.n
 let footprint ix =
   Array.length ix.tr.tid + ix.row_slots + Array.length ix.pending_acq
-  + Array.length ix.producers
+  + Array.length ix.producers + Sync_ids.footprint ix.syncs
 
 (* Forget the last seed in place: every array keeps its capacity.
    Cells are renewed lazily, on their first lookup under the new stamp;
@@ -211,22 +211,14 @@ let slot ix t =
 let read ix ~tid c = ix.tr.req.(slot ix tid) <- c.last_write
 let write ix ~tid c = c.last_write <- slot ix tid
 
-let grow_to a n fill =
-  if n <= Array.length a then a
-  else begin
-    let b = Array.make (max n (2 * Array.length a)) fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
 (* The interned id of a sync event's object, its per-object state
    grown to cover a new one. *)
 let sync_id ix ev =
   let id = Sync_ids.of_event ix.syncs ev in
   (match ev with
   | Event.Lock_acq _ | Event.Lock_rel _ ->
-      ix.pending_acq <- grow_to ix.pending_acq ((id + 1) * max_threads) (-1)
-  | _ -> if id >= 0 then ix.producers <- grow_to ix.producers (id + 1) []);
+      ix.pending_acq <- Sync_ids.grow_to ix.pending_acq ((id + 1) * max_threads) (-1)
+  | _ -> if id >= 0 then ix.producers <- Sync_ids.grow_to ix.producers (id + 1) []);
   id
 
 let need_all ix i l =

@@ -69,7 +69,8 @@ val reset : 'a indexer -> unit
 
 val footprint : 'a indexer -> int
 (** Slots the indexer holds: its per-event capacity plus the length of
-    every cell row and of the per-lock and per-object tables.  A caller
+    every cell row, of the per-lock and per-object tables and of the
+    sync interner's bucket array.  A caller
     keeping indexers for reuse bounds this. *)
 
 val length : 'a indexer -> int

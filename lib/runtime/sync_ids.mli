@@ -32,5 +32,13 @@ val find_barrier : t -> base:string -> idx:int -> generation:int -> int
 (** The object id of a barrier generation if it has one, without
     interning it; [-1] otherwise. *)
 
+val footprint : t -> int
+(** The table's bucket count, which {!clear} keeps. *)
+
+val grow_to : 'a array -> int -> 'a -> 'a array
+(** [grow_to a n fill] is [a] if it holds [n] entries, else a copy at
+    least twice as long, its new entries [fill]: per-id state grown to
+    cover a new id. *)
+
 val n_locks : t -> int
 val n_objects : t -> int
