@@ -1,5 +1,7 @@
 open Arde_tir.Types
 module Vc = Arde_vclock.Vector_clock
+module Tc = Arde_vclock.Thread_clocks
+module Kept = Arde_util.Kept
 module Instrument = Arde_cfg.Instrument
 module Event = Arde_runtime.Event
 module Sync_ids = Arde_runtime.Sync_ids
@@ -17,11 +19,12 @@ module Ls = Lockset.Dense
      reset in place between seeds: shadow rows and cells (renewed lazily
      by a stamp), the per-thread clocks, held locksets, per-object
      clocks and open spin contexts;
-   - per-thread clocks are mutable fixed-capacity arrays ([Vc.m]); ticks
-     and joins mutate in place.  A stored release clock is the thread's
-     snapshot as of its last join raised to its own epoch, so a release
-     after a tick (an atomic write, a lock release) stores the same
-     snapshot again instead of taking a new one;
+   - per-thread clocks are mutable fixed-capacity arrays
+     ({!Arde_vclock.Thread_clocks}); ticks and joins mutate in place.  A
+     stored release clock is the thread's snapshot as of its last join
+     raised to its own epoch, so a release after a tick (an atomic
+     write, a lock release) stores the same snapshot again instead of
+     taking a new one;
    - shadow cells live in flat rows indexed by the interned base id events
      carry, with last-write and single-reader state and the memory state
      machine inlined as integers ({!Shadow_epoch});
@@ -58,7 +61,7 @@ let clocks () =
     used = 0;
   }
 
-let grow_to = Sync_ids.grow_to
+let grow_to = Kept.grow_to
 
 let ensure cl id =
   if id >= Array.length cl.c then begin
@@ -112,15 +115,9 @@ type slot = {
 }
 
 let new_slot () =
-  {
-    ctx = 0;
-    n = 0;
-    bids = Array.make 4 0;
-    idxs = Array.make 4 0;
-    wvc = Array.make 4 Vc.bottom;
-    wu = Array.make 4 0;
-    wk = Array.make 4 0;
-  }
+  { ctx = 0; n = 0; bids = [||]; idxs = [||]; wvc = [||]; wu = [||]; wk = [||] }
+
+let no_slot = new_slot () (* fills the unopened entries of [slots] *)
 
 let clear_slot s =
   Array.fill s.wvc 0 s.n Vc.bottom;
@@ -164,19 +161,14 @@ let slot_words s =
 (* ------------------------------------------------------------------ *)
 (* The per-domain workspace                                           *)
 
-(* Everything a seed's detector grows, kept between seeds: one per
-   domain, taken by [create], reset and handed back by [finish].  An
-   engine never finished (a crashed seed) keeps its workspace, which
-   then goes with it. *)
+(* Everything a seed's detector grows, kept between seeds in the
+   domain's {!Kept} slot: taken by [create], reset and handed back by
+   [finish].  An engine never finished (a crashed seed) keeps its
+   workspace, which then goes with it. *)
 type workspace = {
-  threads : int;  (* clock capacity *)
   shadow : Sh.t;
-  vcs : Vc.m array;  (* per-thread clocks, mutated in place *)
-  snaps : Vc.t array;
-      (* per thread: a snapshot of its clock as of its last join — the
-         clock itself but perhaps for the thread's own component... *)
-  snap_ok : bool array;  (* ...valid until a join moves the clock *)
-  exit_vcs : Vc.t array;
+  tc : Tc.t;  (* the per-thread clocks *)
+  vcs : Vc.m array;  (* [tc]'s mutable clocks, for the hot scans *)
   held : Ls.held;
   syncs : Sync_ids.t;
   mutexes : clocks;  (* per lock id *)
@@ -190,13 +182,11 @@ type workspace = {
 }
 
 let new_workspace threads =
+  let tc = Tc.create threads in
   {
-    threads;
     shadow = Sh.create ();
-    vcs = Array.init threads (fun tid -> Vc.make_mut ~owner:tid threads);
-    snaps = Array.make threads Vc.bottom;
-    snap_ok = Array.make threads true; (* bottom snapshots a zero clock *)
-    exit_vcs = Array.make threads Vc.bottom;
+    tc;
+    vcs = Tc.clocks tc;
     held = Ls.held threads;
     syncs = Sync_ids.create ();
     mutexes = clocks ();
@@ -210,10 +200,7 @@ let new_workspace threads =
 (* Back to the state [new_workspace] gives, keeping every allocation. *)
 let reset ws =
   Sh.reset ws.shadow;
-  Array.iter Vc.mclear ws.vcs;
-  Array.fill ws.snaps 0 ws.threads Vc.bottom;
-  Array.fill ws.snap_ok 0 ws.threads true;
-  Array.fill ws.exit_vcs 0 ws.threads Vc.bottom;
+  Tc.clear ws.tc;
   Ls.clear ws.held;
   Sync_ids.clear ws.syncs;
   clear_clocks ws.mutexes;
@@ -231,31 +218,17 @@ let footprint ws =
   + Array.length ws.lock_cv + Array.length ws.base_flags
   + Array.fold_left (fun acc s -> acc + Array.length s.bids) 0 ws.slots
 
-let retention_cap = 1 lsl 20
+let kept = Kept.slot ~footprint ~reset
 
-let spare : workspace option Atomic.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Atomic.make None)
-
-(* Engines past the machine's thread cap get a workspace of their own. *)
+(* Engines past the machine's thread cap get a workspace of their own,
+   and it is never kept. *)
 let take threads =
   if threads > max_threads then new_workspace threads
-  else
-    match Atomic.exchange (Domain.DLS.get spare) None with
-    | Some ws -> ws
-    | None -> new_workspace max_threads
+  else Kept.take kept (fun () -> new_workspace max_threads)
 
-(* A workspace a long seed grew past the cap is dropped, not kept, so a
-   long-lived process holds at most [retention_cap] slots per domain. *)
 let give_back ws =
-  if ws.threads = max_threads && footprint ws <= retention_cap then begin
-    reset ws;
-    Atomic.set (Domain.DLS.get spare) (Some ws)
-  end
-
-let retained () =
-  match Atomic.get (Domain.DLS.get spare) with
-  | Some ws -> footprint ws
-  | None -> 0
+  if Array.length ws.vcs = max_threads then Kept.give_back kept ws
+let retained () = Kept.retained kept
 
 (* ------------------------------------------------------------------ *)
 (* The engine                                                         *)
@@ -353,54 +326,16 @@ let finish t =
 
 let lib_sync t = t.f_lib_sync
 
-(* Clock plumbing.  A thread's clock between two joins is its snapshot
-   as of the last join with only its own component moved on, so a
-   stored release clock is that snapshot plus the thread's epoch: a tick
-   leaves it valid, and only a join that grows the clock (or a spawn
-   joining the parent's) makes the next release take a new one.
-   Re-acquiring an already-seen clock (spin loops hammering the same
-   atomic) grows nothing and keeps it. *)
-let tick t tid = Vc.mtick t.ws.vcs.(tid) tid
-
-let acquire_clock t tid c =
-  if Vc.mjoin_changed t.ws.vcs.(tid) c then t.ws.snap_ok.(tid) <- false
-
-let acquire_raised t tid c u k =
-  if Vc.mjoin_raise_changed t.ws.vcs.(tid) c u k then
-    t.ws.snap_ok.(tid) <- false
-
-let joined t tid =
-  let ws = t.ws in
-  if ws.snap_ok.(tid) then ws.snaps.(tid)
-  else begin
-    let s = Vc.snapshot ws.vcs.(tid) in
-    ws.snaps.(tid) <- s;
-    ws.snap_ok.(tid) <- true;
-    s
-  end
-
 let own t tid = Vc.mget t.ws.vcs.(tid) tid
-
-(* The thread's whole clock as one immutable value, for the tables that
-   join clocks: the last-join snapshot itself when the thread has not
-   ticked since. *)
-let snap t tid =
-  let s = joined t tid in
-  if Vc.get s tid = own t tid then s
-  else begin
-    let s = Vc.snapshot t.ws.vcs.(tid) in
-    t.ws.snaps.(tid) <- s;
-    s
-  end
 
 let acquire_entry t tid cl id =
   if id < cl.used && cl.hdr.(id) > 0 then
-    acquire_raised t tid cl.c.(id) cl.u.(id) cl.k.(id)
+    Tc.acquire_raised t.ws.tc tid cl.c.(id) cl.u.(id) cl.k.(id)
 
 (* [hdr]: 4 words for a [(base, idx)] key's entry, 5 with a generation *)
 let join_entry t tid cl id ~hdr =
   let cur = if id < cl.used then cl.c.(id) else Vc.bottom in
-  set_entry cl id ~hdr (Vc.join cur (snap t tid)) 0 0
+  set_entry cl id ~hdr (Vc.join cur (Tc.snapshot t.ws.tc tid)) 0 0
 
 (* Per-base predicates of the hot path, memoized per interned base id
    so it skips the string set lookups.  Spin-condition variables are
@@ -547,11 +482,9 @@ let open_context ws ctx =
   let p = find_open ws ctx 0 in
   if p >= 0 then clear_slot ws.slots.(p)
   else begin
-    if ws.n_open = Array.length ws.slots then begin
-      let n = max 4 (2 * ws.n_open) in
-      let slots = Array.init n (fun i -> if i < ws.n_open then ws.slots.(i) else new_slot ()) in
-      ws.slots <- slots
-    end;
+    if ws.n_open = Array.length ws.slots then
+      ws.slots <- grow_to ws.slots (ws.n_open + 1) no_slot;
+    if ws.slots.(ws.n_open) == no_slot then ws.slots.(ws.n_open) <- new_slot ();
     ws.slots.(ws.n_open).ctx <- ctx;
     ws.n_open <- ws.n_open + 1
   end
@@ -597,7 +530,7 @@ let on_read t ~tid ~base ~base_id ~idx ~loc ~kind ~spin =
   match kind with
   | Event.Atomic ->
       if atomics_sync t then
-        acquire_raised t tid cell.atomic_vc cell.a_tid cell.a_clk
+        Tc.acquire_raised t.ws.tc tid cell.atomic_vc cell.a_tid cell.a_clk
   | Event.Plain ->
       if not (suppressed t ~base_id ~base) then
         check_access t ~tid ~base ~idx ~loc ~write:false cell;
@@ -615,15 +548,15 @@ let on_write t ~tid ~base ~base_id ~idx ~loc ~kind ~value =
         else Ls.release t.ws.held tid id
       end;
       if atomics_sync t then begin
-        acquire_raised t tid cell.atomic_vc cell.a_tid cell.a_clk;
-        cell.atomic_vc <- joined t tid;
+        Tc.acquire_raised t.ws.tc tid cell.atomic_vc cell.a_tid cell.a_clk;
+        cell.atomic_vc <- Tc.joined t.ws.tc tid;
         cell.a_tid <- tid;
         cell.a_clk <- own t tid
       end
   | Event.Plain ->
       if not sup then check_access t ~tid ~base ~idx ~loc ~write:true cell);
   if keep_wvc t ~sup then begin
-    cell.w_vc <- joined t tid;
+    cell.w_vc <- Tc.joined t.ws.tc tid;
     cell.wv_tid <- tid;
     cell.wv_clk <- own t tid
   end;
@@ -634,7 +567,7 @@ let on_write t ~tid ~base ~base_id ~idx ~loc ~kind ~value =
   Sh.clear_reads cell;
   (* Tick so that the writer's post-write work is not covered by the
      release clock readers may acquire. *)
-  if kind = Event.Atomic || sup then tick t tid
+  if kind = Event.Atomic || sup then Tc.tick t.ws.tc tid
 
 (* Native locks: the lockset, and the lock-order edge where the mode
    draws one (every mutex, or Helgrind+'s CV-associated ones). *)
@@ -647,8 +580,8 @@ let lock_event t ~tid ~base ~idx ~acquire =
     if t.f_lock_hb || (lib_sync t && cv_mutex t id base) then
       if acquire then acquire_entry t tid ws.mutexes id
       else begin
-        set_entry ws.mutexes id ~hdr:4 (joined t tid) tid (own t tid);
-        tick t tid
+        set_entry ws.mutexes id ~hdr:4 (Tc.joined ws.tc tid) tid (own t tid);
+        Tc.tick ws.tc tid
       end
   end
 
@@ -657,15 +590,11 @@ let observer t (ev : Event.t) =
   let ws = t.ws in
   match ev with
   | Event.Thread_start { tid } ->
-      if Vc.m_is_bottom ws.vcs.(tid) then tick t tid
-  | Event.Spawn_ev { parent; child; _ } ->
-      Vc.mjoin_m ws.vcs.(child) ws.vcs.(parent);
-      ws.snap_ok.(child) <- false;
-      tick t child;
-      tick t parent
-  | Event.Thread_exit { tid } -> ws.exit_vcs.(tid) <- snap t tid
+      if Vc.m_is_bottom ws.vcs.(tid) then Tc.tick ws.tc tid
+  | Event.Spawn_ev { parent; child; _ } -> Tc.spawn ws.tc ~parent ~child
+  | Event.Thread_exit { tid } -> Tc.exit ws.tc tid
   | Event.Join_return { tid; target; _ } ->
-      if lib_sync t then acquire_clock t tid ws.exit_vcs.(target)
+      if lib_sync t then Tc.join_exit ws.tc tid ~target
   | Event.Lock_acq { tid; base; idx; _ } ->
       lock_event t ~tid ~base ~idx ~acquire:true
   | Event.Lock_rel { tid; base; idx; _ } ->
@@ -673,7 +602,7 @@ let observer t (ev : Event.t) =
   | Event.Cv_signal { tid; _ } | Event.Sem_post_ev { tid; _ } ->
       if lib_sync t then begin
         join_entry t tid ws.objects (Sync_ids.of_event ws.syncs ev) ~hdr:4;
-        tick t tid
+        Tc.tick ws.tc tid
       end
   | Event.Cv_wait_begin _ -> () (* the CV checker's event, not ours *)
   | Event.Cv_wait_return { tid; _ } | Event.Sem_acquire { tid; _ } ->
@@ -682,7 +611,7 @@ let observer t (ev : Event.t) =
   | Event.Barrier_arrive { tid; _ } ->
       if lib_sync t then begin
         join_entry t tid ws.objects (Sync_ids.of_event ws.syncs ev) ~hdr:5;
-        tick t tid
+        Tc.tick ws.tc tid
       end
   | Event.Barrier_pass { tid; base; idx; generation; _ } ->
       if lib_sync t then begin
@@ -703,7 +632,7 @@ let observer t (ev : Event.t) =
         let s = ws.slots.(p) in
         for i = 0 to s.n - 1 do
           t.spin_edges <- t.spin_edges + 1;
-          acquire_raised t tid s.wvc.(i) s.wu.(i) s.wk.(i)
+          Tc.acquire_raised ws.tc tid s.wvc.(i) s.wu.(i) s.wk.(i)
         done;
         close_context ws p
       end
@@ -721,12 +650,9 @@ let n_shadow_cells t = Sh.n_cells (live t).shadow
    clock set, and the open spin contexts' accumulators. *)
 let memory_words t =
   let ws = live t in
-  let clock_words =
-    Array.fold_left (fun acc m -> acc + Vc.msize_words m) 0 ws.vcs
-  in
   let spin_words = ref 0 in
   for p = 0 to ws.n_open - 1 do
     spin_words := !spin_words + slot_words ws.slots.(p)
   done;
-  clock_words + Sh.size_words ws.shadow + clocks_words ws.mutexes
+  Tc.size_words ws.tc + Sh.size_words ws.shadow + clocks_words ws.mutexes
   + clocks_words ws.objects + !spin_words

@@ -39,10 +39,11 @@ val create :
     (the machine itself never exceeds the cap).
 
     The engine takes its domain's workspace — shadow memory, clocks,
-    locksets, sync tables, spin accumulators — when it is free, and
-    builds one otherwise (a second live engine on the domain, or
-    [threads] above the cap).  {!finish} hands it back for the next
-    engine to reuse.  The report is the engine's own and outlives it. *)
+    locksets, sync tables, spin accumulators — from its
+    {!Arde_util.Kept} slot when it is free, and builds one otherwise (a
+    second live engine on the domain, or [threads] above the cap).
+    {!finish} hands it back for the next engine to reuse.  The report is
+    the engine's own and outlives it. *)
 
 val observer : t -> Arde_runtime.Event.t -> unit
 (** Feed one event.  Reads and writes must meet the access contract of
@@ -51,18 +52,14 @@ val observer : t -> Arde_runtime.Event.t -> unit
 
 val finish : t -> unit
 (** Hand the workspace back to the domain, reset in place, unless it
-    grew past {!retention_cap} slots or was built for more than
-    [max_threads] threads: then it is dropped.  Read {!memory_words}
-    and {!n_shadow_cells} first; the report and {!n_spin_edges} stay
-    readable.  An engine that is never finished (a seed that crashed
-    mid-event) keeps its workspace, and the domain's next engine builds
-    a fresh one.
+    grew past {!Arde_util.Kept.cap} slots (shadow rows and cells, held
+    locksets, the sync interner and per-object tables, spin
+    accumulators) or was built for more than [max_threads] threads:
+    then it is dropped.  Read {!memory_words} and {!n_shadow_cells}
+    first; the report and {!n_spin_edges} stay readable.  An engine
+    that is never finished (a seed that crashed mid-event) keeps its
+    workspace, and the domain's next engine builds a fresh one.
     @raise Invalid_argument on a second call. *)
-
-val retention_cap : int
-(** [2{^20}]: the most slots (shadow rows and cells, held locksets,
-    the sync interner and per-object tables, spin accumulators) a
-    domain keeps between seeds. *)
 
 val retained : unit -> int
 (** Slots of the workspace the calling domain keeps, 0 if none. *)

@@ -1,6 +1,7 @@
 open Arde_tir.Types
 module Vc = Arde_vclock.Vector_clock
 module Ls = Lockset.Dense
+module Kept = Arde_util.Kept
 
 type read = { r_tid : int; r_clk : int; r_loc : loc }
 
@@ -122,20 +123,14 @@ let grown len i = max (2 * len) (i + 1)
 
 let grow_outer t base_id =
   t.n_rows <- grown t.n_rows base_id;
-  let n = Array.length t.rows in
-  if t.n_rows > n then begin
-    let rows = Array.make t.n_rows no_row in
-    Array.blit t.rows 0 rows 0 n;
-    t.rows <- rows;
-    let lens = Array.make t.n_rows 0 in
-    Array.blit t.row_len 0 lens 0 n;
-    t.row_len <- lens
+  if t.n_rows > Array.length t.rows then begin
+    t.rows <- Kept.grow_to t.rows t.n_rows no_row;
+    t.row_len <- Kept.grow_to t.row_len t.n_rows 0
   end
 
 let grow_row t base_id idx =
   let row = t.rows.(base_id) in
-  let row' = Array.make (grown (Array.length row) idx) dummy in
-  Array.blit row 0 row' 0 (Array.length row);
+  let row' = Kept.grow_to row (idx + 1) dummy in
   t.rows.(base_id) <- row';
   t.row_slots <- t.row_slots + Array.length row' - Array.length row;
   row'

@@ -52,7 +52,9 @@ let run_once ~seed program_native program_lowered instrument_for mode () =
         }
       in
       ignore (Machine.run cfg program);
-      Engine.memory_words engine
+      let words = Engine.memory_words engine in
+      Engine.finish engine;
+      words
 
 let measure ?(repeats = 5) (info, program) =
   let lowered =

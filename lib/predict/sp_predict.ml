@@ -1,6 +1,8 @@
 open Arde_tir.Types
 module Event = Arde_runtime.Event
 module Vc = Arde_vclock.Vector_clock
+module Tc = Arde_vclock.Thread_clocks
+module Kept = Arde_util.Kept
 
 type config = {
   suppress : string -> bool;
@@ -111,26 +113,23 @@ let context_key l1 l2 = if compare_loc l1 l2 <= 0 then (l1, l2) else (l2, l1)
 (* ------------------------------------------------------------------ *)
 (* The per-domain workspace                                           *)
 
-(* Everything a predictor grows with its stream, kept between seeds:
-   one per domain, taken by [create], reset and handed back by
-   [finish].  A predictor that is poisoned or dropped unfinished keeps
-   its workspace, which then goes with it, and the next [create] on the
-   domain builds a fresh one. *)
+(* Everything a predictor grows with its stream, kept between seeds in
+   the domain's {!Kept} slot: taken by [create], reset and handed back
+   by [finish].  A predictor that is poisoned or dropped unfinished
+   keeps its workspace, which then goes with it, and the next [create]
+   on the domain builds a fresh one. *)
 type workspace = {
   suppress : (string -> bool) ref;  (* the current config's *)
   ix : scan Sp_trace.indexer;
-  vcs : Vc.m array;
-  snaps : Vc.t array;
-      (* per thread: its clock as of its last join — the current clock
-         but perhaps for its own component *)
-  snap_ok : bool array;  (* [snaps] is valid: no join moved the clock *)
-  exit_vcs : Vc.t array;
+  tc : Tc.t;  (* the per-thread clocks *)
+  vcs : Vc.m array;  (* [tc]'s mutable clocks, for the hot scans *)
   mutable sync_vcs : Vc.t array;  (* per CV, semaphore or barrier-generation id *)
   mutable n_sync_vcs : int;  (* ids below it may be set *)
 }
 
 let new_workspace () =
   let suppress = ref (fun _ -> false) in
+  let tc = Tc.create max_threads in
   let fresh base =
     { sup = !suppress base; w_base = Vc.bottom; w_tid = 0; w_clk = 0;
       pw = no_slot; pr = no_slot }
@@ -141,10 +140,8 @@ let new_workspace () =
       Sp_trace.indexer
         ~renew:(fun base sc -> renew_scan (!suppress base) sc)
         fresh;
-    vcs = Array.init max_threads (fun t -> Vc.make_mut ~owner:t max_threads);
-    snaps = Array.make max_threads Vc.bottom;
-    snap_ok = Array.make max_threads true;
-    exit_vcs = Array.make max_threads Vc.bottom;
+    tc;
+    vcs = Tc.clocks tc;
     sync_vcs = Array.make 8 Vc.bottom;
     n_sync_vcs = 0;
   }
@@ -155,35 +152,12 @@ let new_workspace () =
 let reset ws =
   ws.suppress := (fun _ -> false);
   Sp_trace.reset ws.ix;
-  Array.iter Vc.mclear ws.vcs;
-  Array.fill ws.snaps 0 max_threads Vc.bottom;
-  Array.fill ws.snap_ok 0 max_threads true;
-  Array.fill ws.exit_vcs 0 max_threads Vc.bottom;
+  Tc.clear ws.tc;
   Array.fill ws.sync_vcs 0 ws.n_sync_vcs Vc.bottom;
   ws.n_sync_vcs <- 0
 
-let retention_cap = 1 lsl 20
-
-let spare : workspace option Atomic.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Atomic.make None)
-
-let take () =
-  match Atomic.exchange (Domain.DLS.get spare) None with
-  | Some ws -> ws
-  | None -> new_workspace ()
-
-(* A workspace a long seed grew past the cap is dropped, not kept, so a
-   long-lived process holds at most [retention_cap] slots per domain. *)
-let give_back ws =
-  if Sp_trace.footprint ws.ix <= retention_cap then begin
-    reset ws;
-    Atomic.set (Domain.DLS.get spare) (Some ws)
-  end
-
-let retained () =
-  match Atomic.get (Domain.DLS.get spare) with
-  | Some ws -> Sp_trace.footprint ws.ix
-  | None -> 0
+let kept = Kept.slot ~footprint:(fun ws -> Sp_trace.footprint ws.ix) ~reset
+let retained () = Kept.retained kept
 
 (* ------------------------------------------------------------------ *)
 (* The predictor                                                      *)
@@ -200,7 +174,7 @@ type t = {
 }
 
 let create ?(config = default_config) () =
-  let ws = take () in
+  let ws = Kept.take kept new_workspace in
   ws.suppress := config.suppress;
   {
     config;
@@ -215,28 +189,7 @@ let create ?(config = default_config) () =
 (* ------------------------------------------------------------------ *)
 (* The weak happens-before scan                                       *)
 
-let tick ws t = Vc.mtick ws.vcs.(t) t
-let started ws t = if Vc.mget ws.vcs.(t) t = 0 then tick ws t
-let join ws t c = if Vc.mjoin_changed ws.vcs.(t) c then ws.snap_ok.(t) <- false
-
-let base_snap ws t =
-  if ws.snap_ok.(t) then ws.snaps.(t)
-  else begin
-    let s = Vc.snapshot ws.vcs.(t) in
-    ws.snaps.(t) <- s;
-    ws.snap_ok.(t) <- true;
-    s
-  end
-
-(* [t]'s whole current clock, for the sync tables and exits *)
-let snap ws t =
-  let s = base_snap ws t in
-  if Vc.get s t = Vc.mget ws.vcs.(t) t then s
-  else begin
-    let s = Vc.snapshot ws.vcs.(t) in
-    ws.snaps.(t) <- s;
-    s
-  end
+let started ws t = if Vc.mget ws.vcs.(t) t = 0 then Tc.tick ws.tc t
 
 let sync_vc ws id =
   if id < Array.length ws.sync_vcs then ws.sync_vcs.(id) else Vc.bottom
@@ -244,16 +197,14 @@ let sync_vc ws id =
 let sync_release p ev t =
   let ws = p.ws in
   let id = Sp_trace.sync_id ws.ix ev in
-  if id >= Array.length ws.sync_vcs then begin
-    let a = Array.make (max (id + 1) (2 * Array.length ws.sync_vcs)) Vc.bottom in
-    Array.blit ws.sync_vcs 0 a 0 ws.n_sync_vcs;
-    ws.sync_vcs <- a
-  end;
+  if id >= Array.length ws.sync_vcs then
+    ws.sync_vcs <- Kept.grow_to ws.sync_vcs (id + 1) Vc.bottom;
   if id >= ws.n_sync_vcs then ws.n_sync_vcs <- id + 1;
-  ws.sync_vcs.(id) <- Vc.join ws.sync_vcs.(id) (snap ws t);
-  tick ws t
+  ws.sync_vcs.(id) <- Vc.join ws.sync_vcs.(id) (Tc.snapshot ws.tc t);
+  Tc.tick ws.tc t
 
-let sync_acquire p ev t = join p.ws t (sync_vc p.ws (Sp_trace.sync_id p.ws.ix ev))
+let sync_acquire p ev t =
+  Tc.acquire p.ws.tc t (sync_vc p.ws (Sp_trace.sync_id p.ws.ix ev))
 
 let candidate p ~base ~idx ~e1 ~t1 ~l1 ~w1 ~e2 ~t2 ~l2 ~w2 =
   let cand =
@@ -331,9 +282,8 @@ let step p ev =
       (* observation: the read's thread absorbs its writer's clock —
          the edge inferred ad-hoc sync (spin loops, lowered locks)
          rides on, so it applies to atomics too *)
-      if c.Sp_trace.last_write >= 0
-         && Vc.mjoin_raise_changed ws.vcs.(tid) sc.w_base sc.w_tid sc.w_clk
-      then ws.snap_ok.(tid) <- false;
+      if c.Sp_trace.last_write >= 0 then
+        Tc.acquire_raised ws.tc tid sc.w_base sc.w_tid sc.w_clk;
       Sp_trace.read ws.ix ~tid c
   | Event.Write { tid; base; base_id; idx; loc; kind; _ } ->
       started ws tid;
@@ -346,26 +296,23 @@ let step p ev =
         sc.pw <- update sc.pw tid i loc (Vc.mget ws.vcs.(tid) tid)
       end;
       (* every write is an observation source, whatever its kind *)
-      sc.w_base <- base_snap ws tid;
+      sc.w_base <- Tc.joined ws.tc tid;
       sc.w_tid <- tid;
       sc.w_clk <- Vc.mget ws.vcs.(tid) tid;
-      tick ws tid;
+      Tc.tick ws.tc tid;
       Sp_trace.write ws.ix ~tid c
   | _ -> (
       (match ev with
       | Event.Thread_start { tid } -> started ws tid
       | Event.Spawn_ev { parent; child; _ } ->
           started ws parent;
-          Vc.mjoin_m ws.vcs.(child) ws.vcs.(parent);
-          ws.snap_ok.(child) <- false;
-          tick ws child;
-          tick ws parent
+          Tc.spawn ws.tc ~parent ~child
       | Event.Thread_exit { tid } ->
           started ws tid;
-          ws.exit_vcs.(tid) <- snap ws tid
+          Tc.exit ws.tc tid
       | Event.Join_return { tid; target; _ } ->
           started ws tid;
-          join ws tid ws.exit_vcs.(target)
+          Tc.join_exit ws.tc tid ~target
       | Event.Cv_signal { tid; _ }
       | Event.Barrier_arrive { tid; _ }
       | Event.Sem_post_ev { tid; _ } ->
@@ -451,7 +398,7 @@ let finish p =
       s_dropped_contexts = p.dropped;
     }
   in
-  give_back p.ws;
+  Kept.give_back kept p.ws;
   (races, stats)
 
 let predict ?config events =

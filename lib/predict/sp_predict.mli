@@ -80,13 +80,13 @@ type t
 
     What a predictor grows with its stream — the index's per-event and
     per-thread arrays, the cell table, the per-thread clocks, the
-    closure workspace — lives in a workspace kept per domain.  {!create}
-    takes the domain's workspace (or builds one if the domain has none
-    to spare, say while another predictor holds it) and a successful
-    {!finish} resets it in place and hands it back, so a domain's
-    predicted seeds after the first allocate next to nothing.  A
-    predictor that is poisoned, or dropped unfinished, keeps its
-    workspace. *)
+    closure workspace — lives in a workspace kept in the domain's
+    {!Arde_util.Kept} slot.  {!create} takes the domain's workspace (or
+    builds one if the domain has none to spare, say while another
+    predictor holds it) and a successful {!finish} resets it in place
+    and hands it back, so a domain's predicted seeds after the first
+    allocate next to nothing.  A predictor that is poisoned, or dropped
+    unfinished, keeps its workspace. *)
 
 val create : ?config:config -> unit -> t
 
@@ -107,12 +107,11 @@ val predict :
   ?config:config -> Arde_runtime.Event.t array -> race list * stats
 (** [finish] over a fresh predictor fed the whole array. *)
 
-(** {1 Retention} *)
+(** {1 Retention}
 
-val retention_cap : int
-(** [2{^20}] slots: a workspace whose {!Sp_trace.footprint} grew past
-    it is dropped at {!finish} instead of kept, so a long-lived process
-    retains at most this much per domain. *)
+    A workspace whose {!Sp_trace.footprint} grew past
+    {!Arde_util.Kept.cap} slots is dropped at {!finish} instead of kept,
+    so a long-lived process retains at most that much per domain. *)
 
 val retained : unit -> int
 (** The footprint of the workspace the calling domain keeps for its

@@ -1,6 +1,7 @@
 open Arde_tir.Types
 module Event = Arde_runtime.Event
 module Sync_ids = Arde_runtime.Sync_ids
+module Kept = Arde_util.Kept
 
 (* Growable int array — thread event lists are built in one pass. *)
 module Vec = struct
@@ -9,11 +10,7 @@ module Vec = struct
   let create () = { a = Array.make 8 0; n = 0 }
 
   let push v x =
-    if v.n = Array.length v.a then begin
-      let a = Array.make (2 * v.n) 0 in
-      Array.blit v.a 0 a 0 v.n;
-      v.a <- a
-    end;
+    if v.n = Array.length v.a then v.a <- Kept.grow_to v.a (v.n + 1) 0;
     v.a.(v.n) <- x;
     v.n <- v.n + 1
 end
@@ -145,19 +142,13 @@ let reset ix =
    breaking the access contract (a negative id or index) raises
    [Invalid_argument] instead of reading outside a row. *)
 let cell ix ~base_id ~base ~idx =
-  if base_id >= Array.length ix.rows then begin
-    let rows =
-      Array.make (max (2 * Array.length ix.rows) (base_id + 1)) no_row
-    in
-    Array.blit ix.rows 0 rows 0 (Array.length ix.rows);
-    ix.rows <- rows
-  end;
+  if base_id >= Array.length ix.rows then
+    ix.rows <- Kept.grow_to ix.rows (base_id + 1) no_row;
   let row = ix.rows.(base_id) in
   let row =
     if idx < Array.length row then row
     else begin
-      let row' = Array.make (max (2 * Array.length row) (idx + 1)) None in
-      Array.blit row 0 row' 0 (Array.length row);
+      let row' = Kept.grow_to row (idx + 1) None in
       ix.rows.(base_id) <- row';
       ix.row_slots <- ix.row_slots + Array.length row' - Array.length row;
       row'
@@ -178,18 +169,13 @@ let cell ix ~base_id ~base ~idx =
       c
 
 let grow tr =
-  let cap = 2 * Array.length tr.tid in
-  let g a fill =
-    let b = Array.make cap fill in
-    Array.blit a 0 b 0 tr.n;
-    b
-  in
-  tr.tid <- g tr.tid 0;
-  tr.tpos <- g tr.tpos 0;
-  tr.req <- g tr.req 0;
-  tr.multi <- g tr.multi [];
-  tr.lock_key <- g tr.lock_key 0;
-  tr.lock_rel <- g tr.lock_rel 0
+  let n = tr.n + 1 in
+  tr.tid <- Kept.grow_to tr.tid n 0;
+  tr.tpos <- Kept.grow_to tr.tpos n 0;
+  tr.req <- Kept.grow_to tr.req n 0;
+  tr.multi <- Kept.grow_to tr.multi n [];
+  tr.lock_key <- Kept.grow_to tr.lock_key n 0;
+  tr.lock_rel <- Kept.grow_to tr.lock_rel n 0
 
 (* Give the next event its trace and thread positions; returns its
    index. *)
@@ -217,8 +203,12 @@ let sync_id ix ev =
   let id = Sync_ids.of_event ix.syncs ev in
   (match ev with
   | Event.Lock_acq _ | Event.Lock_rel _ ->
-      ix.pending_acq <- Sync_ids.grow_to ix.pending_acq ((id + 1) * max_threads) (-1)
-  | _ -> if id >= 0 then ix.producers <- Sync_ids.grow_to ix.producers (id + 1) []);
+      let n = (id + 1) * max_threads in
+      if n > Array.length ix.pending_acq then
+        ix.pending_acq <- Kept.grow_to ix.pending_acq n (-1)
+  | _ ->
+      if id >= Array.length ix.producers then
+        ix.producers <- Kept.grow_to ix.producers (id + 1) []);
   id
 
 let need_all ix i l =

@@ -97,13 +97,5 @@ let find_barrier t ~base ~idx ~generation =
 
 let footprint t = (Tbl.stats t.ids).Hashtbl.num_buckets
 
-let grow_to a n fill =
-  if n <= Array.length a then a
-  else begin
-    let b = Array.make (max n (2 * Array.length a)) fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
 let n_locks t = t.n_locks
 let n_objects t = t.n_objects

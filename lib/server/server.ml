@@ -13,24 +13,23 @@ type config = {
   jobs : int;
   default_deadline_ms : int option;
   watchdog_ms : int;
-  watchdog_grace_ms : int;
   restart_backoff_ms : int;
-  restart_backoff_max_ms : int;
   breaker_threshold : int;
   breaker_window_s : float;
   spool_dir : string option;
   chaos_plan : string;
-  worker_exec : string option;
   log : string -> unit;
 }
 
+(* Slack past a request's deadline before the SIGKILL: covers the
+   worker's own cooperative-cancellation latency. *)
+let watchdog_grace_ms = 2_000
+
 let config ?tcp ?(workers = 2) ?(max_pending = 64)
     ?(max_frame = P.default_max_frame) ?(jobs = 0) ?default_deadline_ms
-    ?(watchdog_ms = 120_000) ?(watchdog_grace_ms = 2_000)
-    ?(restart_backoff_ms = 100) ?(restart_backoff_max_ms = 5_000)
+    ?(watchdog_ms = 120_000) ?(restart_backoff_ms = 100)
     ?(breaker_threshold = 5) ?(breaker_window_s = 10.) ?spool_dir
-    ?(chaos_plan = "") ?worker_exec
-    ?(log = ignore) ~socket_path () =
+    ?(chaos_plan = "") ?(log = ignore) ~socket_path () =
   {
     socket_path;
     tcp;
@@ -40,14 +39,11 @@ let config ?tcp ?(workers = 2) ?(max_pending = 64)
     jobs;
     default_deadline_ms;
     watchdog_ms;
-    watchdog_grace_ms;
     restart_backoff_ms;
-    restart_backoff_max_ms;
     breaker_threshold;
     breaker_window_s;
     spool_dir;
     chaos_plan;
-    worker_exec;
     log;
   }
 
@@ -326,7 +322,7 @@ let handle_payload t conn payload =
               j_watch_s =
                 (match deadline with
                 | Some ms ->
-                    float_of_int (ms + t.cfg.watchdog_grace_ms) /. 1000.
+                    float_of_int (ms + watchdog_grace_ms) /. 1000.
                 | None -> float_of_int t.cfg.watchdog_ms /. 1000.);
             }
           in
@@ -809,14 +805,11 @@ let create cfg =
   | listen_fd -> (
       let knobs =
         {
-          Supervisor.k_exec =
-            Option.value cfg.worker_exec ~default:Sys.executable_name;
-          k_spool_root = spool_root;
+          Supervisor.k_spool_root = spool_root;
           k_jobs = cfg.jobs;
           k_max_frame = cfg.max_frame;
           k_chaos_plan = cfg.chaos_plan;
           k_restart_backoff_ms = cfg.restart_backoff_ms;
-          k_restart_backoff_max_ms = cfg.restart_backoff_max_ms;
           k_breaker_threshold = cfg.breaker_threshold;
           k_breaker_window_s = cfg.breaker_window_s;
           k_log = cfg.log;

@@ -44,12 +44,11 @@ type config = {
   default_deadline_ms : int option;
       (** applied to requests that carry no [deadline_ms] of their own *)
   watchdog_ms : int;
-      (** kill bound for requests with no effective deadline *)
-  watchdog_grace_ms : int;
-      (** slack past a request's deadline before the SIGKILL — covers
-          the worker's own cooperative-cancellation latency *)
-  restart_backoff_ms : int;  (** first respawn delay; doubles per crash *)
-  restart_backoff_max_ms : int;
+      (** kill bound for requests with no effective deadline; a request
+          with one is killed 2 s past it, slack that covers the worker's
+          own cooperative-cancellation latency *)
+  restart_backoff_ms : int;
+      (** first respawn delay; doubles per crash, up to 5 s *)
   breaker_threshold : int;
       (** crashes within the window that open a slot's circuit *)
   breaker_window_s : float;  (** storm window, and the cooldown *)
@@ -57,8 +56,6 @@ type config = {
   chaos_plan : string;
       (** fault plan forwarded to workers (see {!Arde.Chaos.Serve});
           [""] means none *)
-  worker_exec : string option;
-      (** binary to re-exec as workers; default [Sys.executable_name] *)
   log : string -> unit;  (** server-side event log (pass [ignore] to mute) *)
 }
 
@@ -70,22 +67,18 @@ val config :
   ?jobs:int ->
   ?default_deadline_ms:int ->
   ?watchdog_ms:int ->
-  ?watchdog_grace_ms:int ->
   ?restart_backoff_ms:int ->
-  ?restart_backoff_max_ms:int ->
   ?breaker_threshold:int ->
   ?breaker_window_s:float ->
   ?spool_dir:string ->
   ?chaos_plan:string ->
-  ?worker_exec:string ->
   ?log:(string -> unit) ->
   socket_path:string ->
   unit ->
   config
 (** Defaults: no TCP listener, [workers = 2], [max_pending = 64],
     [max_frame = Protocol.default_max_frame], [jobs = 0], no default
-    deadline, [watchdog_ms = 120_000], [watchdog_grace_ms = 2_000],
-    [restart_backoff_ms = 100], [restart_backoff_max_ms = 5_000],
+    deadline, [watchdog_ms = 120_000], [restart_backoff_ms = 100],
     [breaker_threshold = 5], [breaker_window_s = 10.], mute log. *)
 
 type t

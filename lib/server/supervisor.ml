@@ -5,17 +5,18 @@ module J = Arde.Json
 module P = Protocol
 
 type knobs = {
-  k_exec : string;
   k_spool_root : string;
   k_jobs : int;
   k_max_frame : int;
   k_chaos_plan : string;
   k_restart_backoff_ms : int;
-  k_restart_backoff_max_ms : int;
   k_breaker_threshold : int;
   k_breaker_window_s : float;
   k_log : string -> unit;
 }
+
+(* The ceiling of the doubling respawn delay. *)
+let restart_backoff_max_ms = 5_000
 
 type wstate = Starting | Live | Down | Broken
 
@@ -76,14 +77,16 @@ let spawn t w =
       ~jobs:t.knobs.k_jobs ~max_frame:t.knobs.k_max_frame
       ~chaos_plan:t.knobs.k_chaos_plan
   in
-  let argv = Array.append [| t.knobs.k_exec |] tail in
+  let argv = Array.append [| Sys.executable_name |] tail in
   (* The socketpair rides in as the worker's stdin and carries frames in
      BOTH directions: host binaries may link libraries that print to
      stdout during module initialisation (before {!Worker.hook} runs),
      so the worker's stdout cannot be trusted as a frame channel.  It is
      pointed at stderr instead, where stray prints are diagnostics, not
      protocol corruption. *)
-  match Unix.create_process t.knobs.k_exec argv child Unix.stderr Unix.stderr with
+  match
+    Unix.create_process Sys.executable_name argv child Unix.stderr Unix.stderr
+  with
   | exception e ->
       (try Unix.close parent with Unix.Unix_error _ -> ());
       (try Unix.close child with Unix.Unix_error _ -> ());
@@ -294,7 +297,7 @@ let finalize_death t w status ~now ~draining =
       w.w_state <- Down;
       w.w_retry_at <- now +. (float_of_int w.w_backoff_ms /. 1000.);
       w.w_backoff_ms <-
-        min t.knobs.k_restart_backoff_max_ms (w.w_backoff_ms * 2)
+        min restart_backoff_max_ms (w.w_backoff_ms * 2)
     end;
     t.knobs.k_log
       (Printf.sprintf "worker %d (pid %d) died: %s" w.w_index pid reason);

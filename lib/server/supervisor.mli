@@ -25,13 +25,12 @@
     probe spawn is attempted. *)
 
 type knobs = {
-  k_exec : string;  (** host binary to re-exec as the worker *)
   k_spool_root : string;
   k_jobs : int;  (** per-worker domain-pool width *)
   k_max_frame : int;
   k_chaos_plan : string;  (** forwarded verbatim to workers *)
-  k_restart_backoff_ms : int;  (** first respawn delay; doubles per crash *)
-  k_restart_backoff_max_ms : int;
+  k_restart_backoff_ms : int;
+      (** first respawn delay; doubles per crash, up to 5 s *)
   k_breaker_threshold : int;  (** crashes within the window that open it *)
   k_breaker_window_s : float;  (** both storm window and cooldown *)
   k_log : string -> unit;

@@ -18,6 +18,7 @@ module E = Arde.Engine
 module ER = Arde.Engine_ref
 module J = Arde.Json
 module Ev = Arde_runtime.Event
+module Kept = Arde_util.Kept
 module Parsec = Arde_workloads.Parsec
 
 let checkb = Alcotest.(check bool)
@@ -293,8 +294,8 @@ let detect_list events =
   E.finish e;
   (J.to_string (Arde.Report.to_json (E.report e)), words)
 
-(* A workspace a seed grew past [E.retention_cap] slots is dropped when
-   the seed finishes: one write at index [retention_cap] gives its base
+(* A workspace a seed grew past [Kept.cap] slots is dropped when
+   the seed finishes: one write at index [Kept.cap] gives its base
    a row that long.  A seed of ordinary size is kept again afterwards,
    and detects as on a fresh domain. *)
 let test_bounded_retention () =
@@ -304,16 +305,16 @@ let test_bounded_retention () =
         ignore (detect_list small);
         let retained = E.retained () in
         ignore
-          (detect_list [ Ev.Thread_start { tid = 1 }; write_at 1 E.retention_cap ]);
+          (detect_list [ Ev.Thread_start { tid = 1 }; write_at 1 Kept.cap ]);
         let after_big = E.retained () in
         let result = detect_list small in
         (retained, after_big, E.retained (), result))
   in
   checkb "an ordinary seed's workspace is kept" true
-    (retained > 0 && retained <= E.retention_cap);
+    (retained > 0 && retained <= Kept.cap);
   Alcotest.(check int) "an oversized workspace is dropped" 0 after_big;
   checkb "the next seed's workspace is kept again" true
-    (again > 0 && again <= E.retention_cap);
+    (again > 0 && again <= Kept.cap);
   checkb "and detects as on a fresh domain" true (result = want);
   checkb "the small seed races" true (fst want <> fst (detect_list []))
 

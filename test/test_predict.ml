@@ -9,6 +9,7 @@ module E = Arde.Event
 module J = Arde.Json
 module Report = Arde.Report
 module Sp = Arde.Sp_predict
+module Kept = Arde_util.Kept
 module W = Arde_workloads
 
 let checkb = Alcotest.(check bool)
@@ -794,9 +795,9 @@ let test_workspace_reuse () =
   checkb "x264 predicted something to compare" true
     ((snd want_b).Sp.s_candidates > 0)
 
-(* A workspace a seed grew past [Sp.retention_cap] slots is dropped
+(* A workspace a seed grew past [Kept.cap] slots is dropped
    when the seed finishes, not kept for the next one: one write at
-   index [retention_cap] gives its base a row that long.  A seed of
+   index [Kept.cap] gives its base a row that long.  A seed of
    ordinary size is kept again afterwards, and predicts as on a fresh
    domain. *)
 let test_bounded_retention () =
@@ -812,16 +813,16 @@ let test_bounded_retention () =
       (Domain.spawn (fun () ->
            ignore (predict small);
            let retained = Sp.retained () in
-           ignore (predict [ E.Thread_start { tid = 1 }; write_at Sp.retention_cap ]);
+           ignore (predict [ E.Thread_start { tid = 1 }; write_at Kept.cap ]);
            let after_big = Sp.retained () in
            let result = predict small in
            (retained, after_big, Sp.retained (), result)))
   in
   checkb "an ordinary seed's workspace is kept" true
-    (retained > 0 && retained <= Sp.retention_cap);
+    (retained > 0 && retained <= Kept.cap);
   checki "an oversized workspace is dropped" 0 after_big;
   checkb "the next seed's workspace is kept again" true
-    (again > 0 && again <= Sp.retention_cap);
+    (again > 0 && again <= Kept.cap);
   checkb "and predicts as on a fresh domain" true (result = want)
 
 (* -- the wire form -------------------------------------------------- *)

@@ -1,6 +1,7 @@
 (* Vector clocks: unit tests plus qcheck lattice laws. *)
 
 module Vc = Arde_vclock.Vector_clock
+module Tc = Arde_vclock.Thread_clocks
 
 let vc = Alcotest.testable Vc.pp Vc.equal
 
@@ -137,6 +138,42 @@ let props =
         let fresh = Vc.m_is_bottom m in
         Vc.mjoin m b;
         fresh && Vc.equal (Vc.snapshot m) b);
+    (* The thread-clock bank's snapshot invariant, by its definition:
+       after any sequence of ticks, joins, spawns, exits and exit joins,
+       a thread's cached snapshot is its current clock, and its last-join
+       snapshot differs from it at most in the thread's own component. *)
+    law "thread clocks keep their snapshots exact"
+      QCheck2.Gen.(
+        pair (int_range 1 8)
+          (list_size (int_bound 200)
+             (quad (int_bound 5) (int_bound 7) (int_bound 7) gen_vc)))
+      (fun (n, ops) ->
+        let b = Tc.create n in
+        let exact () =
+          List.for_all
+            (fun t ->
+              let now = Vc.snapshot (Tc.clocks b).(t) in
+              let j = Tc.joined b t in
+              Vc.equal (Tc.snapshot b t) now
+              && Tc.own b t = Vc.get now t
+              && List.for_all
+                   (fun i -> i = t || Vc.get j i = Vc.get now i)
+                   (List.init n Fun.id))
+            (List.init n Fun.id)
+        in
+        List.for_all
+          (fun (k, t, x, c) ->
+            let t = t mod n and x = x mod n in
+            (match k with
+            | 0 -> Tc.tick b t
+            | 1 ->
+                Tc.acquire b t (if Vc.is_bottom c then Tc.snapshot b x else c)
+            | 2 -> Tc.acquire_raised b t (Tc.joined b x) x (Tc.own b x)
+            | 3 -> Tc.acquire_raised b t c x (Vc.get c 0)
+            | 4 -> if x <> t then Tc.spawn b ~parent:t ~child:x
+            | _ -> if x = t then Tc.exit b t else Tc.join_exit b t ~target:x);
+            exact ())
+          ops);
   ]
 
 let suite =
