@@ -228,6 +228,7 @@ let take threads =
 
 let give_back ws =
   if Array.length ws.vcs = max_threads then Kept.give_back kept ws
+
 let retained () = Kept.retained kept
 
 (* ------------------------------------------------------------------ *)

@@ -30,7 +30,9 @@ let time_ns f =
   (Unix.gettimeofday () -. t0) *. 1e9
 
 (* One full instrumented execution under [mode]; [None] runs the bare
-   machine (the "native" baseline). *)
+   machine (the "native" baseline).  The engine is finished like a
+   driver's seed, so repetitions after the first reuse its domain's
+   workspace. *)
 let run_once ~seed program_native program_lowered instrument_for mode () =
   match mode with
   | None ->
